@@ -5,10 +5,17 @@ of independent squared scalar bridges, each sampled by the conditional
 Gaussian recursion, so every grid marginal has the exact law), and
 full-truncation Euler for arbitrary dimension.
 
-Reproducibility contract: every path owns an RNG stream derived from
-(master seed, path index) through a seed sequence, so results are bit
-identical for any chunking or number of worker threads.  Reductions run over
-the fully assembled per-path arrays with numpy's pairwise summation.
+Reproducibility contract: paths are simulated in fixed blocks of
+``_BLOCK_PATHS``; each block owns one RNG stream derived from (master seed,
+block index) through a seed sequence, and the block size does not depend on
+the worker count, so results are a deterministic function of the
+configuration and the threshold levels, bit identical for any number of
+worker threads.  The exact engine draws only for paths that some level has
+not stopped yet, so the normals a path receives depend on the levels of the
+call: one call shares its paths across all its levels (common random
+numbers), but calls with different level sets do not share paths.  The Euler
+scheme keeps one stream per (master seed, path index).  Reductions run over
+the fully assembled per-path payoff arrays with numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -25,17 +32,23 @@ from .series import ModelParams
 SCHEME_EXACT = "exact_integer_dim"
 SCHEME_EULER = "euler_full_truncation"
 _MAX_U64 = 2**64
+_BLOCK_PATHS = 1024  # paths per worker task; per RNG stream in the exact engine
+_BLOCK_STEPS = 128  # steps drawn per call in the exact engine
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
-    """64-bit stream key for one path, derived statelessly from the master seed."""
+    """64-bit key of stream (master seed, path_index), derived statelessly.
+
+    The index names a block of ``_BLOCK_PATHS`` paths in the exact engine and
+    a single path in the Euler scheme; single-path simulations use index 0.
+    """
     ss = np.random.SeedSequence((master_seed, path_index))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
-    # Stateless per-path split: the (master, index) pair keys the stream, so
-    # any chunking or thread count reproduces identical paths.
+    # Stateless split: the (master, index) pair keys the stream, so any
+    # thread count reproduces identical paths.
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((master_seed, path_index)))
     )
@@ -84,7 +97,12 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class BridgePath:
-    """One discretized trajectory with the stream key that produced it."""
+    """One discretized trajectory with the key of the stream that produced it.
+
+    Single-path simulations draw from stream (seed, 0), so ``seed_used`` is
+    ``path_seed(seed, 0)``; for the exact scheme that is also the stream of
+    path block 0, and a one-path engine run reproduces this trajectory.
+    """
 
     times: np.ndarray
     q: np.ndarray
@@ -148,6 +166,11 @@ def _euler_times(config: SimConfig) -> np.ndarray:
     return np.linspace(config.t0, 1.0 - config.eps_end, config.n_steps + 1)
 
 
+def _sum_squares(b: np.ndarray) -> np.ndarray:
+    """Squared norm over the last (component) axis."""
+    return np.einsum("...jd,...jd->...j", b, b)
+
+
 def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Squared-bridge values at every grid node from per-step normals.
 
@@ -167,7 +190,7 @@ def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
     scaled = xi * w[:, None]
     s = np.cumsum(scaled, axis=-2)
     b = s * (1.0 - t[1:, None])
-    q = np.einsum("...jd,...jd->...j", b, b)
+    q = _sum_squares(b)
     lead = np.zeros(q.shape[:-1] + (1,))
     return np.concatenate([lead, q], axis=-1)
 
@@ -231,35 +254,63 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
     return StoppingOutcome(tau=1.0, payoff=0.0, stopped=False)
 
 
-def _chunk_size(workers: int) -> int:
-    if workers <= 4:
-        return 2048
-    if workers <= 8:
-        return 1024
-    return 512
-
-
 def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
+    """Payoffs of the path block [start, stop), simulated a time block at a time.
+
+    ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
+    Rows are the block's paths that still have an unhit level.  Each time
+    block draws fresh normals for those rows only, in one call, so a path
+    stops costing draws once every level has stopped it.  The draws are
+    independent of the history that chose the rows, so every surviving path
+    keeps the exact law.  Component sums carried across time blocks make the
+    cumulative sum continue where the previous block ended; a one-path block
+    therefore reproduces ``_exact_bridge_q`` on the same stream bit for bit.
+    """
     d = int(round(config.params.alpha))
-    n = config.params.n
+    half_n = 0.5 * config.params.n
     m = stop - start
-    xi = np.empty((m, config.n_steps, d))
-    for i in range(m):
-        gen = _path_generator(config.seed, start + i)
-        xi[i] = gen.standard_normal((config.n_steps, d))
-    q = _exact_bridge_q(xi, t)
-    del xi
-    rows = np.arange(m)
-    tau_grid = 1.0 - t
-    for l, z in enumerate(levels):
-        thresh = z * tau_grid
-        thresh[t >= 1.0] = np.inf  # pinned node never triggers
-        mask = q >= thresh[None, :]
-        hit = mask.any(axis=1)
-        first = np.argmax(mask, axis=1)
-        pay = np.where(hit, q[rows, first] ** (0.5 * n), 0.0)
-        payoffs[start:stop, l] = pay
-        stopped[start:stop, l] = hit
+    gen = _path_generator(config.seed, start // _BLOCK_PATHS)
+    c = np.sqrt(np.diff(t) * (1.0 - t[1:]) / (1.0 - t[:-1]))
+    tau = 1.0 - t
+    # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
+    last = config.n_steps - 1
+    # per-step factors repeated over the components, so the in-place products
+    # run over contiguous (k, d) slabs instead of broadcasting a column
+    w = np.repeat((c[:last] / tau[1 : last + 1])[:, None], d, axis=1)
+    tau_d = np.repeat(tau[1 : last + 1, None], d, axis=1)
+
+    rows = np.arange(m)  # block-local index of each active row
+    carry = np.zeros((m, d))  # component sums up to the current node
+    open_ = np.ones((m, levels.size), dtype=bool)
+    # one buffer serves every time block, so draws never fault in fresh pages
+    buf = np.empty(m * min(_BLOCK_STEPS, last) * d)
+    for j0 in range(0, last, _BLOCK_STEPS):
+        j1 = min(j0 + _BLOCK_STEPS, last)
+        k = j1 - j0
+        xi = buf[: rows.size * k * d].reshape(rows.size, k, d)
+        gen.standard_normal(out=xi)
+        xi *= w[j0:j1]
+        xi[:, 0] += carry
+        np.cumsum(xi, axis=1, out=xi)
+        carry = xi[:, -1].copy()
+        xi *= tau_d[j0:j1]
+        q = _sum_squares(xi)
+        for l, z in enumerate(levels):
+            cand = np.flatnonzero(open_[:, l])
+            if cand.size == 0:
+                continue
+            mask = q[cand] >= z * tau[j0 + 1 : j1 + 1]
+            hit = mask.any(axis=1)
+            cand = cand[hit]
+            first = np.argmax(mask[hit], axis=1)
+            payoffs[start + rows[cand], l] = q[cand, first] ** half_n
+            stopped[start + rows[cand], l] = True
+            open_[cand, l] = False
+        keep = open_.any(axis=1)
+        if not keep.all():
+            rows, carry, open_ = rows[keep], carry[keep], open_[keep]
+            if rows.size == 0:
+                break
 
 
 def _run_chunk_euler(config, levels, t, start, stop, payoffs, stopped):
@@ -308,10 +359,9 @@ def _threshold_payoffs(
         t = _euler_times(config)
         runner = _run_chunk_euler
 
-    workers = worker_count(max(1, n_paths // 256))
-    size = _chunk_size(workers)
-    bounds = [(s, min(s + size, n_paths)) for s in range(0, n_paths, size)]
-    if workers == 1 or len(bounds) == 1:
+    bounds = [(s, min(s + _BLOCK_PATHS, n_paths)) for s in range(0, n_paths, _BLOCK_PATHS)]
+    workers = worker_count(len(bounds))
+    if workers == 1:
         for s, e in bounds:
             runner(config, levels, t, s, e, payoffs, stopped)
     else:

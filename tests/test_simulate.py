@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from besselstop.simulate import (
     SCHEME_EXACT,
     SimConfig,
     ThresholdPolicy,
+    _BLOCK_STEPS,
     _exact_bridge_q,
     _path_generator,
     _threshold_payoffs,
@@ -148,7 +150,8 @@ def test_policy_immediate_stop():
 
 
 def test_single_path_matches_engine_row():
-    cfg = _exact_config(n_paths=4, n_steps=300, seed=77)
+    # one path: the engine's block 0 draws the stream simulate_exact draws
+    cfg = _exact_config(n_paths=1, n_steps=300, seed=77)
     path = simulate_exact(cfg)
     outcome = apply_policy(path, ThresholdPolicy(Z31), cfg.params.n)
     payoffs, stopped = _threshold_payoffs(cfg, np.array([Z31]))
@@ -180,6 +183,77 @@ def test_mc_estimate_deterministic_and_warns_on_tiny_samples():
     assert r1 == r2
     tiny = mc_estimate(_exact_config(n_paths=50, n_steps=100, seed=5), ThresholdPolicy(Z31))
     assert tiny.warning is not None
+
+
+@pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 130, 300, 2000])
+def test_engine_carry_across_time_blocks_is_bit_exact(n_steps):
+    # levels: one stopped almost at once, the candidate, one never reached
+    levels = np.array([1e-3, Z31, 1e6])
+    for alpha in (1, 3):
+        cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=1, n_steps=n_steps, seed=5)
+        path = simulate_exact(cfg)
+        payoffs, stopped = _threshold_payoffs(cfg, levels)
+        for l, z in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
+            assert payoffs[0, l] == outcome.payoff
+            assert bool(stopped[0, l]) == outcome.stopped
+        assert payoffs[0, 2] == 0.0 and not stopped[0, 2]
+        if n_steps > 1:
+            assert stopped[0, 0]
+
+
+def test_engine_matches_replayed_whole_paths():
+    # Replays the engine's draw schedule on one stream with a plain reference:
+    # each time block gives the next draws to the paths with an unhit level,
+    # in path order, and every payoff comes from the whole-path recursion.
+    cfg = _exact_config(n_paths=60, n_steps=400, seed=8)
+    levels = np.array([0.5 * Z31, Z31, 2.0 * Z31])
+    d, last = 3, cfg.n_steps - 1
+    t = np.linspace(0.0, 1.0, cfg.n_steps + 1)
+    gen = _path_generator(cfg.seed, 0)
+    xi = np.zeros((cfg.n_paths, cfg.n_steps, d))
+    active = np.arange(cfg.n_paths)
+    for j0 in range(0, last, _BLOCK_STEPS):
+        j1 = min(j0 + _BLOCK_STEPS, last)
+        xi[active, j0:j1] = gen.standard_normal((active.size, j1 - j0, d))
+        q = _exact_bridge_q(xi[active], t)[:, : j1 + 1]
+        below = np.all(q[:, None, 1:] < levels[None, :, None] * (1.0 - t[1 : j1 + 1]), axis=2)
+        active = active[below.any(axis=1)]
+    q = _exact_bridge_q(xi, t)
+    payoffs, stopped = _threshold_payoffs(cfg, levels)
+    assert 0 < active.size < cfg.n_paths
+    for i in range(cfg.n_paths):
+        path = BridgePath(times=t, q=q[i], seed_used=0)
+        for l, z in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
+            assert payoffs[i, l] == outcome.payoff
+            assert bool(stopped[i, l]) == outcome.stopped
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads):
+    # a partial last path block and six time blocks per path
+    cfg = _exact_config(n_paths=2500, n_steps=700, seed=17)
+    mult = [0.5, 0.75, 1.0, 1.5, 2.0]
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    est1 = mc_estimate(cfg, ThresholdPolicy(Z31))
+    sweep1 = policy_sweep(cfg, mult, Z=Z31)
+    monkeypatch.setenv("BESSELSTOP_THREADS", threads)
+    assert mc_estimate(cfg, ThresholdPolicy(Z31)) == est1
+    assert policy_sweep(cfg, mult, Z=Z31) == sweep1
+
+
+def test_exact_engine_temporaries_stay_small(monkeypatch):
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    cfg = _exact_config(n_paths=2048, n_steps=2000, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_estimate(cfg, ThresholdPolicy(Z31))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_results_independent_of_worker_count(monkeypatch):
