@@ -24,7 +24,7 @@ print(" alpha    n      Z (series)     Z (ode)        |gap|")
 for a, n in ((1, 1), (3, 1), (2, 5), (5, 2)):
     params = ModelParams(a, n)
     zs = find_Z(params).value
-    zo = Z_from_ode(params)
+    zo, _ = Z_from_ode(params)
     print(f"{a:5.1f} {n:5.1f}  {zs:.10f}  {zo:.10f}  {abs(zs - zo):.2e}")
 
 sol = ode_shoot(ModelParams(3, 1), 6.0, 1e-3)

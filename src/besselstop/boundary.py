@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+from scipy.special import erfi
 
 from .series import F_derivative, F_eval, ModelParams, build_coefficients
 
@@ -115,31 +115,29 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     return RootResult(value, F(value), iterations, (lo, hi), method)
 
 
-def _exp_t2_integral(c: float) -> float:
-    val, _ = quad(
-        lambda t: math.exp(0.5 * t * t), 0.0, c, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    return val
+def exp_t2_integral(c):
+    """int_0^c e^{t^2/2} dt = sqrt(pi/2) erfi(c / sqrt 2), scalar or array ``c``."""
+    return math.sqrt(0.5 * math.pi) * erfi(c / math.sqrt(2.0))
 
 
 def excursion_h(c: float) -> float:
     """h(c) = 2 int_0^c e^{t^2/2} dt - c e^{c^2/2}; positive at 1, negative at 2."""
-    return 2.0 * _exp_t2_integral(c) - c * math.exp(0.5 * c * c)
+    return float(2.0 * exp_t2_integral(c) - c * math.exp(0.5 * c * c))
 
 
 def find_C_excursion(tol: float = 1e-8) -> RootResult:
     """Excursion threshold constant: the root of h in (1, 2).
 
-    The integral is done by adaptive Gauss-Kronrod quadrature at relative
-    tolerance 1e-12; bisection runs on [1, 2] where the sign change is
-    guaranteed, with one Newton polish using h'(c) = e^{c^2/2} (1 - c^2).
+    The integral is the closed form ``exp_t2_integral``; bisection runs on
+    [1, 2] where the sign change is guaranteed, with one Newton polish using
+    h'(c) = e^{c^2/2} (1 - c^2).
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = 1.0, 2.0
     flo, fhi = excursion_h(lo), excursion_h(hi)
     if not (flo > 0.0 > fhi):
-        raise RuntimeError("sign pattern of h on [1, 2] violated; quadrature broken")
+        raise RuntimeError("sign pattern of h on [1, 2] violated")
     iterations = 0
     value = None
     while hi - lo > tol:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundary import closed_form_Z, find_C_excursion, find_Z
-from .oracles import Z_from_ode, dp_value, ode_residual, ode_shoot
+from .oracles import Z_from_ode, dp_value, ode_residual
 from .series import ModelParams, build_coefficients
 from .simulate import (
     SCHEME_EULER,
@@ -305,16 +305,14 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
     elif cmd == "ode-oracle":
         params = _params(config)
         z_series = find_Z(params, tol=config.tol).value
-        z_ode = Z_from_ode(params)
-        span = 4.0 * max(1.0, 0.5 * (params.alpha + params.n))
-        sol = ode_shoot(params, span, 1e-3)
+        z_ode, sol = Z_from_ode(params)
         results = {
             "Z_ode": z_ode,
             "Z_series": z_series,
             "abs_gap": abs(z_ode - z_series),
             "max_residual": float(max(ode_residual(sol))),
-            "ymax": span,
-            "step": 1e-3,
+            "ymax": float(sol.grid[-1]),
+            "step": sol.step,
         }
 
     elif cmd == "verify-appendix":

@@ -6,9 +6,13 @@ coordinate singularity:
 * ``ode_shoot`` integrates the self-similar ODE with classical RK4 and
   reports the solution on a uniform grid; ``Z_from_ode`` reads the boundary
   scale off that solution by a sign change plus local Hermite interpolation.
+  The ODE is linear in (g, g'), so every RK4 step is a 2x2 matrix; all of
+  them are built in one vectorised pass and applied by a two-term recurrence.
 * ``dp_value`` solves the discrete-time optimal stopping problem directly by
   backward induction on a lattice, with a moment-matched trinomial transition
-  built from the Euler step of the bridge dynamics.
+  built from the Euler step of the bridge dynamics.  The stencils (indices
+  and weights) are precomputed for ``_BLOCK_STEPS`` time steps at a time, so
+  each backward step is one gather, a weighted sum and a maximum.
 * ``quadrature_H`` evaluates the integral-form solutions available at the
   special parameter families by adaptive quadrature.
 """
@@ -23,6 +27,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .series import ModelParams, build_coefficients, default_ymax, psi_derivative, psi_eval
+
+
+# Time steps whose lattice stencils dp_value builds in one vectorised pass;
+# 64 keeps the block temporaries to a few MB at 800 q cells.
+_BLOCK_STEPS = 64
 
 
 class AccuracyError(RuntimeError):
@@ -63,6 +72,37 @@ class LatticeResult:
     value_at_origin: float
 
 
+def _rk4_step_matrices(a: float, n: float, y: np.ndarray, h: float):
+    """Entries (m00, m01, m10, m11) of the RK4 step u(y+h) = M u(y), u = (g, g').
+
+    The ODE is u' = A(y) u with A(y) = [[0, 1], [n/(4y), -(a-y)/(2y)]], so the
+    four RK4 stages are matrices: K1 = A(y), K2 = A(y+h/2)(I + h/2 K1),
+    K3 = A(y+h/2)(I + h/2 K2), K4 = A(y+h)(I + h K3), and
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  Vectorised over the array ``y``.
+    """
+
+    def row(s):
+        # second row of A(s); the first row is (0, 1)
+        return n / (4.0 * s), -(a - s) / (2.0 * s)
+
+    def stage(c, d, k, s):
+        # A(.) (I + s K) with A(.) = [[0, 1], [c, d]]
+        b00, b01, b10, b11 = 1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]
+        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
+
+    c0, d0 = row(y)
+    cm, dm = row(y + 0.5 * h)
+    c1, d1 = row(y + h)
+    k1 = (0.0, 1.0, c0, d0)
+    k2 = stage(cm, dm, k1, 0.5 * h)
+    k3 = stage(cm, dm, k2, 0.5 * h)
+    k4 = stage(c1, d1, k3, h)
+    return [
+        eye + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+        for j, eye in enumerate((1.0, 0.0, 0.0, 1.0))
+    ]
+
+
 def ode_shoot(
     params: ModelParams,
     ymax: float,
@@ -74,10 +114,13 @@ def ode_shoot(
     The equation degenerates at y = 0 (the leading coefficient vanishes), so
     the first two nodes are filled from the series expansion and RK4 starts
     at 2*step.  The initial slope n/(2 alpha) is forced by the equation
-    itself at the origin.  Raises AccuracyError when the normalized residual
-    4y g'' + 2(alpha - y) g' - n g, divided by 1 + |g|, exceeds
-    ``residual_tol`` anywhere (g'' estimated by a fourth-order difference of
-    the stored slopes).
+    itself at the origin.  The ODE is linear in u = (g, g'), so each classical
+    RK4 step is a fixed 2x2 matrix M_i with u_{i+1} = M_i u_i
+    (``_rk4_step_matrices``); all M_i are built in one vectorised pass and the
+    integration is the two-term recurrence over their entries.  Raises
+    AccuracyError when the normalized residual 4y g'' + 2(alpha - y) g' - n g,
+    divided by 1 + |g|, exceeds ``residual_tol`` anywhere (g'' estimated by a
+    fourth-order difference of the stored slopes).
     """
     if ymax <= 0.0 or step <= 0.0:
         raise ValueError("ymax and step must be positive")
@@ -95,24 +138,15 @@ def ode_shoot(
         g[i] = psi_eval(table, grid[i])
         p[i] = psi_derivative(table, grid[i], 1)
 
-    def slope(y: float, gv: float, pv: float) -> float:
-        return (n * gv - 2.0 * (a - y) * pv) / (4.0 * y)
-
-    h = step
-    gv, pv = g[2], p[2]
-    for i in range(2, m):
-        y = grid[i]
-        k1g = pv
-        k1p = slope(y, gv, pv)
-        k2g = pv + 0.5 * h * k1p
-        k2p = slope(y + 0.5 * h, gv + 0.5 * h * k1g, pv + 0.5 * h * k1p)
-        k3g = pv + 0.5 * h * k2p
-        k3p = slope(y + 0.5 * h, gv + 0.5 * h * k2g, pv + 0.5 * h * k2p)
-        k4g = pv + h * k3p
-        k4p = slope(y + h, gv + h * k3g, pv + h * k3p)
-        gv += h * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
-        pv += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        g[i + 1], p[i + 1] = gv, pv
+    m00, m01, m10, m11 = (e.tolist() for e in _rk4_step_matrices(a, n, grid[2:m], step))
+    gs, ps = [], []
+    gv, pv = float(g[2]), float(p[2])
+    for e00, e01, e10, e11 in zip(m00, m01, m10, m11):
+        gv, pv = e00 * gv + e01 * pv, e10 * gv + e11 * pv
+        gs.append(gv)
+        ps.append(pv)
+    g[3:] = gs
+    p[3:] = ps
 
     sol = OdeSolution(params, grid, g, p, step)
     worst = float(np.max(ode_residual(sol)))
@@ -138,13 +172,17 @@ def ode_residual(sol: OdeSolution) -> np.ndarray:
 
 
 def Z_from_ode(
-    params: ModelParams, ymax: float | None = None, step: float = 1e-3
-) -> float:
+    params: ModelParams,
+    ymax: float | None = None,
+    step: float = 1e-3,
+) -> tuple[float, OdeSolution]:
     """Boundary scale read off the ODE solution, independent of the series root.
 
     Locates the sign change of w(y) = 2 y g'(y) - n g(y) along the RK4
     solution and refines it on the bracketing cell with cubic Hermite
     interpolation.  Enlarges the range once if no sign change shows up.
+    Returns ``(Z, sol)``, where ``sol`` is the solution Z was read from, so a
+    caller can check its residual without shooting again.
     """
     a, n = params.alpha, params.n
     if ymax is None:
@@ -176,7 +214,8 @@ def Z_from_ode(
                 h11 = u * u * (u - 1.0)
                 return h00 * w0 + h10 * h * d0 + h01 * w1 + h11 * h * d1
 
-            return float(brentq(hermite, y0, y1, xtol=1e-14))
+            z = float(brentq(hermite, y0, y1, xtol=1e-14))
+            return z, sol
         ymax *= 2.0
     raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
 
@@ -242,6 +281,49 @@ def quadrature_H(params: ModelParams, y: float) -> float:
     )
 
 
+def _lattice_stencils(a, q_grid, tau, h, dq):
+    """Three-point stencils of the lattice transition for a block of time steps.
+
+    ``tau`` holds 1 - t for each step of the block.  Returns ``(idx, wts)`` of
+    shape (steps, 3, q cells): the continuation value at cell j of step r is
+    sum_k wts[r, k, j] * vnext[idx[r, k, j]], summed in the order k = 0, 1, 2.
+    Indices are folded at q = 0 (reflection) and may exceed the grid, where the
+    caller supplies the payoff.  Trinomial cells use the points c - L, c, c + L;
+    the rest use the mean-exact two-point split on f, f + 1 plus a third point
+    of weight 0.
+    """
+    mu = q_grid + (a - 2.0 * q_grid / tau[:, None]) * h
+    r = mu / dq
+    c = np.rint(r).astype(np.int64)
+    delta = mu - c * dq
+    sig2 = 4.0 * q_grid * h + delta * delta
+    L = np.maximum(1, np.ceil(np.sqrt(1.5 * sig2) / dq)).astype(np.int64)
+    u = L * dq
+    v = sig2 / (u * u)
+    d = delta / u
+
+    idx = np.empty((tau.size, 3, q_grid.size), dtype=np.int64)
+    np.subtract(c, L, out=idx[:, 0])
+    idx[:, 1] = c
+    np.add(c, L, out=idx[:, 2])
+    wts = np.empty((tau.size, 3, q_grid.size))
+    np.multiply(0.5, v - d, out=wts[:, 0])
+    np.subtract(1.0, v, out=wts[:, 1])
+    np.multiply(0.5, v + d, out=wts[:, 2])
+
+    rows, cols = np.nonzero((sig2 <= 0.0) | (np.abs(delta) * u > sig2))
+    if rows.size:
+        f = np.floor(r[rows, cols]).astype(np.int64)
+        w = r[rows, cols] - f
+        idx[rows, :, cols] = np.stack((f, f + 1, f), axis=1)
+        wts[rows, :, cols] = np.stack((1.0 - w, w, np.zeros_like(w)), axis=1)
+    if wts.min() < -1e-12:
+        raise LatticeError(
+            "trinomial weights went negative", suggested_q_steps=2 * (q_grid.size - 1)
+        )
+    return np.abs(idx, out=idx), wts
+
+
 def dp_value(
     params: ModelParams,
     t_steps: int,
@@ -261,6 +343,13 @@ def dp_value(
     region.  The time grid stops at 1 - eps_end where the terminal value is
     the payoff; the drift blows up at the pin time and the bridge ends at
     zero anyway.
+
+    The stencil depends on the time step only through 1 - t, so it is built
+    for ``_BLOCK_STEPS`` steps at a time (``_lattice_stencils``), the
+    two-point split written as a third point of weight 0.  Each backward step
+    then gathers three values per cell from the next row, extended past the
+    grid with the payoff, and sums them in the per-step order, so the result
+    is the same to the last bit as stepping one row at a time.
     """
     from .boundary import find_Z
 
@@ -291,55 +380,26 @@ def dp_value(
     boundary = np.empty(t_steps + 1)
     value[-1] = payoff
     boundary[-1] = 0.0
+    stop_level = payoff + 1e-12 * (1.0 + payoff)
 
-    def fetch(vnext: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        folded = np.abs(idx)
-        inside = folded <= M
-        out = np.where(inside, vnext[np.minimum(folded, M)], 0.0)
-        if not inside.all():
-            q_out = folded[~inside] * dq
-            out[~inside] = q_out ** (0.5 * n)
-        return out
-
-    for i in range(t_steps - 1, -1, -1):
-        tau = 1.0 - t_grid[i]
-        vnext = value[i + 1]
-        mu = q_grid + (a - 2.0 * q_grid / tau) * h
-        s2 = 4.0 * q_grid * h
-        c = np.rint(mu / dq).astype(np.int64)
-        delta = mu - c * dq
-        sig2 = s2 + delta * delta
-
-        L = np.maximum(1, np.ceil(np.sqrt(1.5 * sig2) / dq)).astype(np.int64)
-        u = L * dq
-        tri_ok = (sig2 > 0.0) & (np.abs(delta) * u <= sig2)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(tri_ok, sig2 / (u * u), 0.0)
-            d = np.where(tri_ok, delta / u, 0.0)
-        p_up = 0.5 * (v + d)
-        p_dn = 0.5 * (v - d)
-        p_mid = 1.0 - v
-        if p_up.min() < -1e-12 or p_dn.min() < -1e-12 or p_mid.min() < -1e-12:
-            raise LatticeError(
-                "trinomial weights went negative", suggested_q_steps=2 * q_steps
-            )
-        tri = (
-            p_dn * fetch(vnext, c - L)
-            + p_mid * fetch(vnext, c)
-            + p_up * fetch(vnext, c + L)
-        )
-
-        f = np.floor(mu / dq).astype(np.int64)
-        w = mu / dq - f
-        bino = (1.0 - w) * fetch(vnext, f) + w * fetch(vnext, f + 1)
-
-        cont = np.where(tri_ok, tri, bino)
-        value[i] = np.maximum(payoff, cont)
-
-        stopped = cont <= payoff + 1e-12 * (1.0 + payoff)
-        hit = np.nonzero(stopped)[0]
-        boundary[i] = q_grid[hit[0]] if hit.size else q_max
+    # vnext in the first M + 1 slots, then the payoff at q = k dq for k > M
+    vext = np.empty(M + 1)
+    for hi in range(t_steps, 0, -_BLOCK_STEPS):
+        rows = np.arange(hi - 1, max(hi - _BLOCK_STEPS, 0) - 1, -1)
+        idx, wts = _lattice_stencils(a, q_grid, 1.0 - t_grid[rows], h, dq)
+        top = int(idx.max())
+        if top >= vext.size:
+            beyond = np.arange(vext.size, top + 1) * dq
+            vext = np.concatenate((vext, beyond ** (0.5 * n)))
+        cont = np.empty((rows.size, M + 1))
+        for r, i in enumerate(rows):
+            vext[: M + 1] = value[i + 1]
+            x = wts[r] * vext[idx[r]]
+            np.add(x[0] + x[1], x[2], out=cont[r])
+            np.maximum(payoff, cont[r], out=value[i])
+        stopped = cont <= stop_level
+        first = np.argmax(stopped, axis=1)
+        boundary[rows] = np.where(stopped.any(axis=1), q_grid[first], q_max)
 
     return LatticeResult(
         t_grid=t_grid,

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .boundary import find_C_excursion, find_Z
+from .boundary import exp_t2_integral, find_C_excursion, find_Z
 from .series import (
     CoefficientTable,
     ModelParams,
@@ -79,17 +78,10 @@ def build_excursion(tol: float = 1e-10) -> ExcursionSolution:
     root = find_C_excursion(tol=tol)
     C = root.value
     B_exp = 2.0 * C * math.exp(-0.5 * C * C)
-    B_int = C * C / _quad_exp_t2(C)
+    B_int = C * C / exp_t2_integral(C)
     if abs(B_exp / B_int - 1.0) > 1e-10:
         raise RuntimeError("two expressions for B disagree; root is off")
     return ExcursionSolution(C=C, B=B_exp)
-
-
-def _quad_exp_t2(upper: float) -> float:
-    val, _ = quad(
-        lambda t: math.exp(0.5 * t * t), 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    return val
 
 
 def _check_time(t: float, allow_one: bool = True) -> float:
@@ -142,7 +134,7 @@ def boundary_x(sol: CandidateSolution, t):
 
 
 def excursion_value(t: float, x: float) -> float:
-    """Excursion value (alpha=3, n=1) by direct quadrature, no series involved.
+    """Excursion value (alpha=3, n=1) from the closed-form integral, no series involved.
 
     On the continuation branch this is
 
@@ -164,7 +156,7 @@ def excursion_value(t: float, x: float) -> float:
     y = x / root_tau
     if y < 1e-8:
         return exc.B * root_tau * (1.0 + y * y / 6.0)
-    return exc.B * root_tau / y * _quad_exp_t2(y)
+    return float(exc.B * root_tau / y * exp_t2_integral(y))
 
 
 def smooth_fit_residual(sol: CandidateSolution, t: float) -> float:

@@ -405,21 +405,16 @@ def candidate_shape_checks(
     the payoff drift h(t, q) = n q^{n/2-1} ((alpha+n-2)/2 - q/(1-t)) is
     nonpositive throughout the stopping region.
     """
-    from scipy.special import erfi
-
     checks = []
     if params is None:
+        from .boundary import exp_t2_integral as integral
         from .value import build_excursion
 
         exc = build_excursion()
         C, B = exc.C, exc.B
 
-        def integral(y):
-            return math.sqrt(math.pi / 2.0) * erfi(y / math.sqrt(2.0))
-
         y = np.linspace(1e-3, C * (1.0 - 1e-12), grid_points)
-        ints = np.sqrt(math.pi / 2.0) * erfi(y / math.sqrt(2.0))
-        f = B * ints / y
+        f = B * integral(y) / y
         fp = (B * np.exp(0.5 * y * y) - f) / y
         fpp = (y * f - (2.0 - y * y) * fp) / y
 

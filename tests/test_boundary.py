@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from besselstop.boundary import (
+    exp_t2_integral,
     boundary_margin,
     closed_form_Z,
     excursion_h,
@@ -26,6 +30,14 @@ def test_excursion_sign_pattern():
     assert excursion_h(2.0) < 0.0
     # the increasing-then-decreasing shape puts the root past the peak at 1
     assert excursion_h(1.0) < excursion_h(0.5) or excursion_h(0.5) > 0.0
+
+
+def test_exp_t2_integral_matches_quadrature():
+    cs = np.array([1e-6, 0.3, 1.0, C_REF, 2.0, 4.0])
+    for c, closed in zip(cs, exp_t2_integral(cs)):
+        direct, _ = quad(lambda t: math.exp(0.5 * t * t), 0.0, c, epsabs=0.0, epsrel=1e-13)
+        assert closed == pytest.approx(direct, rel=1e-13)
+        assert exp_t2_integral(float(c)) == closed
 
 
 def test_excursion_constant():

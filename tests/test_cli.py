@@ -182,6 +182,8 @@ def test_ode_oracle_payload(capsys):
     assert code == 0
     assert env["results"]["abs_gap"] <= 1e-6
     assert env["results"]["max_residual"] <= 1e-8
+    assert env["results"]["ymax"] == pytest.approx(4.0)
+    assert env["results"]["step"] == pytest.approx(1e-3)
 
 
 def test_verify_appendix_payload(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from besselstop import acceptance, oracles
 from besselstop.boundary import find_Z
 from besselstop.oracles import (
     AccuracyError,
@@ -14,7 +15,13 @@ from besselstop.oracles import (
     ode_shoot,
     quadrature_H,
 )
-from besselstop.series import ModelParams
+from besselstop.series import (
+    ModelParams,
+    build_coefficients,
+    default_ymax,
+    psi_derivative,
+    psi_eval,
+)
 from besselstop.value import U_star, build_candidate
 
 C_REF = 1.503395376470782
@@ -68,15 +75,18 @@ def test_shoot_input_validation():
 
 
 def test_boundary_scale_from_ode():
-    assert Z_from_ode(ModelParams(1, 1)) == pytest.approx(1.0, abs=1e-6)
-    assert Z_from_ode(ModelParams(3, 1)) == pytest.approx(C_REF**2, abs=1e-6)
-    z72 = Z_from_ode(ModelParams(7, 2))
+    assert Z_from_ode(ModelParams(1, 1))[0] == pytest.approx(1.0, abs=1e-6)
+    assert Z_from_ode(ModelParams(3, 1))[0] == pytest.approx(C_REF**2, abs=1e-6)
+    z72, _ = Z_from_ode(ModelParams(7, 2))
     assert z72 == pytest.approx(find_Z(ModelParams(7, 2)).value, abs=1e-6)
 
 
 def test_boundary_scale_range_retry_and_error():
     # span 1.5 misses the root at ~2.26, the doubled retry reaches it
-    assert Z_from_ode(ModelParams(3, 1), ymax=1.5) == pytest.approx(C_REF**2, abs=1e-6)
+    z, sol = Z_from_ode(ModelParams(3, 1), ymax=1.5)
+    assert z == pytest.approx(C_REF**2, abs=1e-6)
+    # the returned solution is the retried shot, not the first one
+    assert sol.grid[-1] == pytest.approx(3.0)
     with pytest.raises(RangeError):
         Z_from_ode(ModelParams(3, 1), ymax=0.5)
 
@@ -158,3 +168,154 @@ def test_lattice_validation():
         dp_value(params, t_steps=200, q_max=1.0, q_steps=200)  # below 3 Z scale
     with pytest.raises(ValueError):
         dp_value(params, t_steps=200, q_max=14.0, q_steps=10)
+
+
+def _reference_rk4(params, ymax, step):
+    """Scalar four-slope RK4 loop: the integrator ode_shoot's step matrices replace."""
+    m = int(round(ymax / step))
+    a, n = params.alpha, params.n
+    grid = np.linspace(0.0, m * step, m + 1)
+    table = build_coefficients(params, ymax=max(default_ymax(params), 4.0 * step))
+    g = np.empty(m + 1)
+    p = np.empty(m + 1)
+    g[0], p[0] = 1.0, n / (2.0 * a)
+    for i in (1, 2):
+        g[i] = psi_eval(table, grid[i])
+        p[i] = psi_derivative(table, grid[i], 1)
+
+    def slope(y, gv, pv):
+        return (n * gv - 2.0 * (a - y) * pv) / (4.0 * y)
+
+    h = step
+    gv, pv = g[2], p[2]
+    for i in range(2, m):
+        y = grid[i]
+        k1g = pv
+        k1p = slope(y, gv, pv)
+        k2g = pv + 0.5 * h * k1p
+        k2p = slope(y + 0.5 * h, gv + 0.5 * h * k1g, pv + 0.5 * h * k1p)
+        k3g = pv + 0.5 * h * k2p
+        k3p = slope(y + 0.5 * h, gv + 0.5 * h * k2g, pv + 0.5 * h * k2p)
+        k4g = pv + h * k3p
+        k4p = slope(y + h, gv + h * k3g, pv + h * k3p)
+        gv += h * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
+        pv += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        g[i + 1], p[i + 1] = gv, pv
+    return grid, g, p
+
+
+@pytest.mark.parametrize(
+    "alpha, n, ymax",
+    [(0.5, 5, 20.0), (5, 5, 20.0), (3, 1, 8.0), (1, 0.5, 6.0), (2, 3, 20.0)],
+)
+def test_step_matrices_match_scalar_rk4(alpha, n, ymax):
+    params = ModelParams(alpha, n)
+    sol = ode_shoot(params, ymax, 1e-3)
+    grid, g, p = _reference_rk4(params, ymax, 1e-3)
+    assert np.array_equal(sol.grid, grid)
+    assert np.max(np.abs(sol.g_values / g - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.g_prime_values / p - 1.0)) <= 1e-13
+
+
+def _reference_lattice(params, t_steps, q_max, q_steps, t0=0.0, eps_end=1e-4):
+    """Per-step backward induction that dp_value's block stencils replace.
+
+    Also reports whether any stencil index folded below q = 0, whether any ran
+    past the last cell and whether any cell took the two-point fallback, so a
+    test can show each edge was exercised.
+    """
+    a, n = params.alpha, params.n
+    t_grid = np.linspace(t0, 1.0 - eps_end, t_steps + 1)
+    q_grid = np.linspace(0.0, q_max, q_steps + 1)
+    dq = q_grid[1] - q_grid[0]
+    h = t_grid[1] - t_grid[0]
+    payoff = q_grid ** (0.5 * n)
+    M = q_steps
+    value = np.empty((t_steps + 1, q_steps + 1))
+    boundary = np.empty(t_steps + 1)
+    value[-1] = payoff
+    boundary[-1] = 0.0
+    edges = {"folded": False, "beyond": False, "two_point": False}
+
+    def fetch(vnext, idx, used):
+        edges["folded"] |= bool(np.any(used & (idx < 0)))
+        folded = np.abs(idx)
+        inside = folded <= M
+        edges["beyond"] |= bool(np.any(used & ~inside))
+        out = np.where(inside, vnext[np.minimum(folded, M)], 0.0)
+        if not inside.all():
+            q_out = folded[~inside] * dq
+            out[~inside] = q_out ** (0.5 * n)
+        return out
+
+    for i in range(t_steps - 1, -1, -1):
+        tau = 1.0 - t_grid[i]
+        vnext = value[i + 1]
+        mu = q_grid + (a - 2.0 * q_grid / tau) * h
+        s2 = 4.0 * q_grid * h
+        c = np.rint(mu / dq).astype(np.int64)
+        delta = mu - c * dq
+        sig2 = s2 + delta * delta
+        L = np.maximum(1, np.ceil(np.sqrt(1.5 * sig2) / dq)).astype(np.int64)
+        u = L * dq
+        tri_ok = (sig2 > 0.0) & (np.abs(delta) * u <= sig2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(tri_ok, sig2 / (u * u), 0.0)
+            d = np.where(tri_ok, delta / u, 0.0)
+        p_up = 0.5 * (v + d)
+        p_dn = 0.5 * (v - d)
+        p_mid = 1.0 - v
+        tri = (
+            p_dn * fetch(vnext, c - L, tri_ok)
+            + p_mid * fetch(vnext, c, tri_ok)
+            + p_up * fetch(vnext, c + L, tri_ok)
+        )
+        edges["two_point"] |= bool(np.any(~tri_ok))
+        f = np.floor(mu / dq).astype(np.int64)
+        w = mu / dq - f
+        bino = (1.0 - w) * fetch(vnext, f, ~tri_ok) + w * fetch(vnext, f + 1, ~tri_ok)
+        cont = np.where(tri_ok, tri, bino)
+        value[i] = np.maximum(payoff, cont)
+        stopped = cont <= payoff + 1e-12 * (1.0 + payoff)
+        hit = np.nonzero(stopped)[0]
+        boundary[i] = q_grid[hit[0]] if hit.size else q_max
+    return value, boundary, edges
+
+
+@pytest.mark.parametrize(
+    "alpha, n, t_steps, q_steps, t0",
+    [
+        (3, 1, 129, 300, 0.3),
+        (1, 1, 150, 400, 0.0),
+        (0.5, 3, 333, 400, 0.5),
+        (2.5, 1.5, 100, 200, 0.9),
+    ],
+)
+def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0):
+    params = ModelParams(alpha, n)
+    # the smallest admissible q_max pushes stencils past the last cell, and
+    # q cells fine against the time step make stencils near q = 0 fold
+    q_max = 3.0 * find_Z(params).value * (1.0 - t0)
+    lat = dp_value(params, t_steps, q_max, q_steps, t0=t0)
+    value, boundary, edges = _reference_lattice(params, t_steps, q_max, q_steps, t0)
+    assert t_steps % oracles._BLOCK_STEPS != 0
+    assert edges["folded"] and edges["beyond"] and edges["two_point"]
+    assert np.array_equal(lat.value, value)
+    assert np.array_equal(lat.boundary_estimate, boundary)
+    assert lat.value_at_origin == value[0, 0]
+
+
+def test_ode_criterion_shoots_once_per_pair(monkeypatch):
+    calls = []
+    real = oracles.ode_shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "ode_shoot", counting)
+    monkeypatch.setattr(acceptance, "ode_shoot", counting, raising=False)
+    row = acceptance.criterion_5_ode_oracle()
+    assert row.passed
+    assert len(calls) == 25
+    assert len(set(calls)) == 25
