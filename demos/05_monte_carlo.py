@@ -1,6 +1,6 @@
 """Simulating the bridge and measuring threshold policies on common paths.
 
-Integer dimension gets an exact sampler (a sum of squared scalar bridges);
+Integer dimension gets an exact sampler (a time-changed squared Bessel walk);
 the sweep evaluates scaled thresholds m * Z on one shared path ensemble, so
 the comparison between multipliers is paired and low-variance.  Sizes here
 are trimmed for a quick run; the acceptance battery uses 200k paths.

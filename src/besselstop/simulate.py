@@ -1,9 +1,14 @@
 """Path simulation of the squared bridge and Monte Carlo policy evaluation.
 
-Two schemes: an exact one for integer dimension (the squared bridge is a sum
-of independent squared scalar bridges, each sampled by the conditional
-Gaussian recursion, so every grid marginal has the exact law), and
-full-truncation Euler for arbitrary dimension.
+Two schemes: an exact one for integer dimension and full-truncation Euler for
+arbitrary dimension.  The exact scheme uses the time change
+Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared Bessel process of
+dimension alpha started at 0, and walks X with its exact radial transition
+X' = (sqrt X + sqrt(ds) xi)^2 + ds chi2_{alpha-1} between grid nodes, so
+every grid marginal has the exact law and the path ends at zero.  Per step it
+draws one normal plus chi2_{alpha-1} as (alpha-1)//2 doubled exponentials and,
+for even alpha, one squared normal; at alpha = 1 it carries the signed
+coordinate and the chi-square term vanishes.
 
 Reproducibility contract: paths are simulated in fixed blocks of
 ``_BLOCK_PATHS``; each block owns one RNG stream derived from (master seed,
@@ -11,7 +16,7 @@ block index) through a seed sequence, and the block size does not depend on
 the worker count, so results are a deterministic function of the
 configuration and the threshold levels, bit identical for any number of
 worker threads.  The exact engine draws only for paths that some level has
-not stopped yet, so the normals a path receives depend on the levels of the
+not stopped yet, so the variates a path receives depend on the levels of the
 call: one call shares its paths across all its levels (common random
 numbers), but calls with different level sets do not share paths.  The Euler
 scheme keeps one stream per (master seed, path index).  Reductions run over
@@ -34,6 +39,9 @@ SCHEME_EULER = "euler_full_truncation"
 _MAX_U64 = 2**64
 _BLOCK_PATHS = 1024  # paths per worker task; per RNG stream in the exact engine
 _BLOCK_STEPS = 128  # steps drawn per call in the exact engine
+# Relative slack of the level pre-filter.  q >= z (1-t) in floating point
+# implies q * (1/(1-t)) >= z (1 - 3 eps), so 1e-12 never drops a true hit.
+_PEAK_SLACK = 1.0 - 1e-12
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -166,41 +174,81 @@ def _euler_times(config: SimConfig) -> np.ndarray:
     return np.linspace(config.t0, 1.0 - config.eps_end, config.n_steps + 1)
 
 
-def _sum_squares(b: np.ndarray) -> np.ndarray:
-    """Squared norm over the last (component) axis."""
-    return np.einsum("...jd,...jd->...j", b, b)
+def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step tables of the time-changed walk to nodes 1 .. m-1 of the grid t.
 
-
-def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Squared-bridge values at every grid node from per-step normals.
-
-    The scalar bridge recursion B_{t+h} = B_t (1 - h/(1-t)) + sqrt(h(1-t-h)/(1-t)) xi
-    has multiplier (1-t_{j+1})/(1-t_j), so it telescopes to
-    B_j = (1-t_j) * sum_{k<j} c_k xi_k / (1-t_{k+1}), which one cumulative sum
-    evaluates for all nodes at once.  The pinned node gets the exact zero the
-    recursion produces (its multiplier and innovation both vanish).
-
-    xi has shape (..., m, d) for m steps and d component bridges; the result
-    has shape (..., m+1) and starts at 0.
+    Node j sits at time s_j = t_j/(1-t_j) of X, so the step to node j+1 has
+    length ds_j = h_j/((1-t_j)(1-t_{j+1})), and q = (1-t)^2 X there.  Returns
+    sqrt(ds), ds and (1-t_{j+1})^2 per step; the pinned node m (s = infinity)
+    is excluded, its q is the exact zero of the bridge.
     """
-    m = t.size - 1
-    c = np.sqrt(np.diff(t) * (1.0 - t[1:]) / (1.0 - t[:-1]))
-    w = np.zeros(m)
-    w[:-1] = c[:-1] / (1.0 - t[1:m])
-    scaled = xi * w[:, None]
-    s = np.cumsum(scaled, axis=-2)
-    b = s * (1.0 - t[1:, None])
-    q = _sum_squares(b)
-    lead = np.zeros(q.shape[:-1] + (1,))
-    return np.concatenate([lead, q], axis=-1)
+    tau = 1.0 - t
+    ds = np.diff(t)[:-1] / (tau[:-2] * tau[1:-1])
+    return np.sqrt(ds), ds, tau[1:-1] * tau[1:-1]
+
+
+def _draws_per_step(d: int) -> int:
+    """Variates one step draws per path: xi, the exponentials, the odd normal."""
+    n_exp, odd = divmod(d - 1, 2)
+    return 1 + n_exp + odd
+
+
+def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
+    """q at the next k nodes for every row; ``state`` advances in place.
+
+    ``state`` holds sqrt X per row, or the signed coordinate when d = 1.  The
+    block draws, in this order: (k, n) normals xi; then chi2_{d-1} as
+    (d-1)//2 doubled exponentials of shape ((d-1)//2, k, n) (``standard_gamma``
+    at shape 1, the exponential stream) and, when d - 1 is odd, one squared
+    (k, n) normal.  Each step is U = R + sqrt(ds) xi, X = U^2 + ds chi2,
+    R = sqrt X; at d = 1 it is the single add U += sqrt(ds) xi and X = U^2.
+    The result, q = (1-t)^2 X with shape (k, n), is a view of ``buf``.
+    """
+    k, n = sd.size, state.size
+    size = k * n
+    n_exp, odd = divmod(d - 1, 2)
+    if buf is None:
+        buf = np.empty(_draws_per_step(d) * size)
+    x = buf[:size].reshape(k, n)
+    gen.standard_normal(out=x)
+    x *= sd[:, None]
+    if d == 1:
+        x[0] += state
+        np.cumsum(x, axis=0, out=x)
+        state[:] = x[-1]
+        x *= x
+    else:
+        chi = buf[size : 2 * size].reshape(k, n)
+        if n_exp:
+            e = buf[size : (1 + n_exp) * size].reshape(n_exp, k, n)
+            gen.standard_gamma(1.0, out=e)
+            for extra in e[1:]:
+                chi += extra
+            chi += chi
+        if odd:
+            g = buf[(1 + n_exp) * size : (2 + n_exp) * size].reshape(k, n)
+            gen.standard_normal(out=g)
+            g *= g
+            if n_exp:
+                chi += g
+            else:
+                chi = g
+        chi *= ds[:, None]
+        for u, c in zip(x, chi):
+            np.add(state, u, out=u)
+            np.multiply(u, u, out=u)
+            np.add(u, c, out=u)
+            np.sqrt(u, out=state)
+    x *= tau2[:, None]
+    return x
 
 
 def simulate_exact(config: SimConfig) -> BridgePath:
-    """One exact path: sum of alpha independent squared scalar bridges.
+    """One exact path: the time-changed BESQ^alpha walk of the engine.
 
-    Each bridge follows the conditional Gaussian recursion
-    B_{t+h} = B_t (1 - h/(1-t)) + sqrt(h (1-t-h)/(1-t)) xi, so every grid
-    marginal has the exact law and the path ends at zero by construction.
+    Draws from stream (seed, 0) in the engine's time blocks, through the same
+    kernel, so a one-path engine run reproduces it bit for bit.  Every grid
+    marginal has the exact law, and the pinned node is the exact zero.
     Requires integer dimension and a start at (t, q) = (0, 0).
     """
     if config.scheme != SCHEME_EXACT:
@@ -210,8 +258,13 @@ def simulate_exact(config: SimConfig) -> BridgePath:
     d = int(round(config.params.alpha))
     t = _exact_times(config)
     gen = _path_generator(config.seed, 0)
-    xi = gen.standard_normal((config.n_steps, d))
-    q = _exact_bridge_q(xi, t)
+    sd, ds, tau2 = _radial_steps(t)
+    state = np.zeros(1)
+    q = np.zeros(config.n_steps + 1)
+    last = config.n_steps - 1
+    for j0 in range(0, last, _BLOCK_STEPS):
+        j1 = min(j0 + _BLOCK_STEPS, last)
+        q[j0 + 1 : j1 + 1] = _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1])[:, 0]
     return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
 
 
@@ -259,56 +312,49 @@ def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
     Rows are the block's paths that still have an unhit level.  Each time
-    block draws fresh normals for those rows only, in one call, so a path
-    stops costing draws once every level has stopped it.  The draws are
-    independent of the history that chose the rows, so every surviving path
-    keeps the exact law.  Component sums carried across time blocks make the
-    cumulative sum continue where the previous block ended; a one-path block
-    therefore reproduces ``_exact_bridge_q`` on the same stream bit for bit.
+    block draws fresh variates for those rows only and applies the radial
+    transition of ``_radial_block``, so a path stops costing draws once every
+    level has stopped it.  The draws are independent of the history that
+    chose the rows, so every surviving path keeps the exact law.  The radial
+    state carries across time blocks; a one-path block therefore reproduces
+    ``simulate_exact`` on the same stream bit for bit.
     """
     d = int(round(config.params.alpha))
     half_n = 0.5 * config.params.n
     m = stop - start
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
-    c = np.sqrt(np.diff(t) * (1.0 - t[1:]) / (1.0 - t[:-1]))
+    sd, ds, tau2 = _radial_steps(t)
     tau = 1.0 - t
+    inv_tau = 1.0 / tau[:-1]
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
     last = config.n_steps - 1
-    # per-step factors repeated over the components, so the in-place products
-    # run over contiguous (k, d) slabs instead of broadcasting a column
-    w = np.repeat((c[:last] / tau[1 : last + 1])[:, None], d, axis=1)
-    tau_d = np.repeat(tau[1 : last + 1, None], d, axis=1)
 
     rows = np.arange(m)  # block-local index of each active row
-    carry = np.zeros((m, d))  # component sums up to the current node
+    state = np.zeros(m)  # radial state at the current node
     open_ = np.ones((m, levels.size), dtype=bool)
     # one buffer serves every time block, so draws never fault in fresh pages
-    buf = np.empty(m * min(_BLOCK_STEPS, last) * d)
+    buf = np.empty(_draws_per_step(d) * m * min(_BLOCK_STEPS, last))
     for j0 in range(0, last, _BLOCK_STEPS):
         j1 = min(j0 + _BLOCK_STEPS, last)
-        k = j1 - j0
-        xi = buf[: rows.size * k * d].reshape(rows.size, k, d)
-        gen.standard_normal(out=xi)
-        xi *= w[j0:j1]
-        xi[:, 0] += carry
-        np.cumsum(xi, axis=1, out=xi)
-        carry = xi[:, -1].copy()
-        xi *= tau_d[j0:j1]
-        q = _sum_squares(xi)
+        q = _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1], buf)
+        bound = tau[j0 + 1 : j1 + 1, None]
+        # per row, the block's largest q/(1-t): only rows with peak >= z can
+        # hit level z, so the exact test below runs on those columns alone
+        peak = (q * inv_tau[j0 + 1 : j1 + 1, None]).max(axis=0)
         for l, z in enumerate(levels):
-            cand = np.flatnonzero(open_[:, l])
+            cand = np.flatnonzero(open_[:, l] & (peak >= z * _PEAK_SLACK))
             if cand.size == 0:
                 continue
-            mask = q[cand] >= z * tau[j0 + 1 : j1 + 1]
-            hit = mask.any(axis=1)
+            mask = q[:, cand] >= z * bound
+            hit = mask.any(axis=0)
+            first = np.argmax(mask[:, hit], axis=0)
             cand = cand[hit]
-            first = np.argmax(mask[hit], axis=1)
-            payoffs[start + rows[cand], l] = q[cand, first] ** half_n
+            payoffs[start + rows[cand], l] = q[first, cand] ** half_n
             stopped[start + rows[cand], l] = True
             open_[cand, l] = False
         keep = open_.any(axis=1)
         if not keep.all():
-            rows, carry, open_ = rows[keep], carry[keep], open_[keep]
+            rows, state, open_ = rows[keep], state[keep], open_[keep]
             if rows.size == 0:
                 break
 

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from besselstop.boundary import find_Z
 from besselstop.series import ModelParams
 from besselstop.simulate import (
     BridgePath,
@@ -12,8 +14,9 @@ from besselstop.simulate import (
     SimConfig,
     ThresholdPolicy,
     _BLOCK_STEPS,
-    _exact_bridge_q,
     _path_generator,
+    _radial_block,
+    _radial_steps,
     _threshold_payoffs,
     apply_policy,
     mc_estimate,
@@ -31,6 +34,83 @@ def _exact_config(**kw):
     base = dict(params=ModelParams(3, 1), n_paths=100, n_steps=200, seed=42)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Law reference: the squared bridge as a sum of d squared scalar bridges.
+
+    The scalar bridge recursion B_{t+h} = B_t (1 - h/(1-t)) + sqrt(h(1-t-h)/(1-t)) xi
+    has multiplier (1-t_{j+1})/(1-t_j), so it telescopes to
+    B_j = (1-t_j) * sum_{k<j} c_k xi_k / (1-t_{k+1}), which one cumulative sum
+    evaluates for all nodes at once.  The pinned node gets the exact zero the
+    recursion produces (its multiplier and innovation both vanish).
+
+    xi has shape (..., m, d) for m steps and d component bridges; the result
+    has shape (..., m+1) and starts at 0.
+    """
+    m = t.size - 1
+    c = np.sqrt(np.diff(t) * (1.0 - t[1:]) / (1.0 - t[:-1]))
+    w = np.zeros(m)
+    w[:-1] = c[:-1] / (1.0 - t[1:m])
+    s = np.cumsum(xi * w[:, None], axis=-2)
+    b = s * (1.0 - t[1:, None])
+    q = np.einsum("...jd,...jd->...j", b, b)
+    lead = np.zeros(q.shape[:-1] + (1,))
+    return np.concatenate([lead, q], axis=-1)
+
+
+def _replay_q(seed, block, alpha, n_steps, n_paths, levels):
+    """The engine's draw schedule on stream (seed, block), stepped in Python floats.
+
+    Each time block draws (k, n) normals, then (alpha-1)//2 exponential arrays
+    (k, n) and, for even alpha, one more (k, n) normal, for the n paths that
+    still have an unhit level, in path order.  Every path then takes the
+    radial step U = R + sqrt(ds) xi, X = U^2 + ds chi2 (U += sqrt(ds) xi,
+    X = U^2 at alpha = 1) one float at a time.  Nodes a path never reaches
+    stay 0.  Returns the grid and q with shape (n_paths, n_steps + 1).
+    """
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    tl = t.tolist()
+    n_exp, odd = divmod(alpha - 1, 2)
+    gen = _path_generator(seed, block)
+    q = np.zeros((n_paths, n_steps + 1))
+    r = [0.0] * n_paths
+    active = list(range(n_paths))
+    last = n_steps - 1
+    for j0 in range(0, last, _BLOCK_STEPS):
+        j1 = min(j0 + _BLOCK_STEPS, last)
+        k, n = j1 - j0, len(active)
+        xi = gen.standard_normal((k, n)).tolist()
+        e = gen.standard_gamma(1.0, (n_exp, k, n)).tolist() if n_exp else []
+        g = gen.standard_normal((k, n)).tolist() if odd else None
+        for c, p in enumerate(active):
+            for i in range(k):
+                j = j0 + i
+                ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
+                step = math.sqrt(ds) * xi[i][c]
+                if alpha == 1:
+                    r[p] = r[p] + step
+                    x = r[p] * r[p]
+                else:
+                    chi = 0.0
+                    if n_exp:
+                        chi = e[0][i][c]
+                        for extra in e[1:]:
+                            chi = chi + extra[i][c]
+                        chi = chi + chi
+                    if odd:
+                        chi = chi + g[i][c] * g[i][c] if n_exp else g[i][c] * g[i][c]
+                    u = r[p] + step
+                    x = u * u + chi * ds
+                    r[p] = math.sqrt(x)
+                q[p, j + 1] = x * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
+        bound = 1.0 - t[1 : j1 + 1]
+        active = [
+            p for p in active if any(np.all(q[p, 1 : j1 + 1] < z * bound) for z in levels)
+        ]
+        if not active:
+            break
+    return t, q
 
 
 def test_config_validation():
@@ -150,11 +230,15 @@ def test_policy_immediate_stop():
 
 
 def test_single_path_matches_engine_row():
-    # one path: the engine's block 0 draws the stream simulate_exact draws
+    # one path: simulate_exact is the schedule replayed with no stopping, and
+    # the engine's block 0 draws the same stream
     cfg = _exact_config(n_paths=1, n_steps=300, seed=77)
     path = simulate_exact(cfg)
+    _, q_ref = _replay_q(77, 0, 3, cfg.n_steps, 1, (math.inf,))
+    assert np.array_equal(path.q, q_ref[0])
     outcome = apply_policy(path, ThresholdPolicy(Z31), cfg.params.n)
     payoffs, stopped = _threshold_payoffs(cfg, np.array([Z31]))
+    assert outcome.stopped
     assert payoffs[0, 0] == outcome.payoff
     assert bool(stopped[0, 0]) == outcome.stopped
 
@@ -187,11 +271,15 @@ def test_mc_estimate_deterministic_and_warns_on_tiny_samples():
 
 @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 130, 300, 2000])
 def test_engine_carry_across_time_blocks_is_bit_exact(n_steps):
-    # levels: one stopped almost at once, the candidate, one never reached
+    # levels: one stopped almost at once, the candidate, one never reached;
+    # alpha 1..5 draws 0, 0, 1, 1, 2 exponentials, with the squared normal at 2 and 4
     levels = np.array([1e-3, Z31, 1e6])
-    for alpha in (1, 3):
+    for alpha in (1, 2, 3, 4, 5):
         cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=1, n_steps=n_steps, seed=5)
         path = simulate_exact(cfg)
+        t, q_ref = _replay_q(5, 0, alpha, n_steps, 1, levels)
+        assert np.array_equal(path.q, q_ref[0])
+        assert np.array_equal(path.times, t)
         payoffs, stopped = _threshold_payoffs(cfg, levels)
         for l, z in enumerate(levels):
             outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
@@ -203,31 +291,72 @@ def test_engine_carry_across_time_blocks_is_bit_exact(n_steps):
 
 
 def test_engine_matches_replayed_whole_paths():
-    # Replays the engine's draw schedule on one stream with a plain reference:
-    # each time block gives the next draws to the paths with an unhit level,
-    # in path order, and every payoff comes from the whole-path recursion.
-    cfg = _exact_config(n_paths=60, n_steps=400, seed=8)
-    levels = np.array([0.5 * Z31, Z31, 2.0 * Z31])
-    d, last = 3, cfg.n_steps - 1
+    # Replays the engine's draw schedule on one stream in Python floats: each
+    # time block gives the next draws to the paths with an unhit level, in
+    # path order, and every payoff comes from the replayed whole path.
+    for alpha in (1, 2, 3, 4, 5):
+        cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=60, n_steps=400, seed=8)
+        z = find_Z(cfg.params).value
+        levels = np.array([0.5 * z, z, 2.0 * z])
+        t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels)
+        payoffs, stopped = _threshold_payoffs(cfg, levels)
+        reached_end = q[:, -2] > 0.0
+        assert 0 < reached_end.sum() < cfg.n_paths
+        for i in range(cfg.n_paths):
+            path = BridgePath(times=t, q=q[i], seed_used=0)
+            for l, z in enumerate(levels):
+                outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
+                assert payoffs[i, l] == outcome.payoff
+                assert bool(stopped[i, l]) == outcome.stopped
+
+
+def _grid_q(alpha, n_paths, seed):
+    """q at t = 0.1 .. 0.9 for n_paths independent rows, one kernel call."""
+    t = np.linspace(0.0, 1.0, 11)
+    sd, ds, tau2 = _radial_steps(t)
+    gen = np.random.default_rng(seed)
+    return t[1:-1], _radial_block(gen, np.zeros(n_paths), alpha, sd, ds, tau2)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+def test_kernel_marginals_are_scaled_chi_square(alpha):
+    # Q_t / (t (1 - t)) ~ chi2_alpha for the bridge from 0 to 0
+    t, q = _grid_q(alpha, 20_000, 100 + alpha)
+    for j in (0, 4, 8):
+        scaled = q[j] / (t[j] * (1.0 - t[j]))
+        assert stats.kstest(scaled, stats.chi2(alpha).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+def test_kernel_covariance_matches_bridge(alpha):
+    # Cov(Q_t1, Q_t2) = 2 alpha t1^2 (1 - t2)^2 for t1 <= t2
+    t, q = _grid_q(alpha, 20_000, 200 + alpha)
+    for i, j in ((0, 4), (4, 8), (0, 8), (4, 4)):
+        x = q[i] - q[i].mean()
+        y = q[j] - q[j].mean()
+        prod = x * y
+        cov = prod.sum() / (prod.size - 1)
+        se = prod.std(ddof=1) / math.sqrt(prod.size)
+        target = 2.0 * alpha * t[i] ** 2 * (1.0 - t[j]) ** 2
+        assert abs(cov - target) <= 4.0 * se
+
+
+def test_stopped_payoffs_match_component_sum_reference():
+    # same grid and level, independent draws: the radial engine and the old
+    # sum of three squared scalar bridges must give one payoff law
+    cfg = _exact_config(n_paths=20_000, n_steps=200, seed=61)
+    payoffs, stopped = _threshold_payoffs(cfg, np.array([Z31]))
     t = np.linspace(0.0, 1.0, cfg.n_steps + 1)
-    gen = _path_generator(cfg.seed, 0)
-    xi = np.zeros((cfg.n_paths, cfg.n_steps, d))
-    active = np.arange(cfg.n_paths)
-    for j0 in range(0, last, _BLOCK_STEPS):
-        j1 = min(j0 + _BLOCK_STEPS, last)
-        xi[active, j0:j1] = gen.standard_normal((active.size, j1 - j0, d))
-        q = _exact_bridge_q(xi[active], t)[:, : j1 + 1]
-        below = np.all(q[:, None, 1:] < levels[None, :, None] * (1.0 - t[1 : j1 + 1]), axis=2)
-        active = active[below.any(axis=1)]
-    q = _exact_bridge_q(xi, t)
-    payoffs, stopped = _threshold_payoffs(cfg, levels)
-    assert 0 < active.size < cfg.n_paths
-    for i in range(cfg.n_paths):
-        path = BridgePath(times=t, q=q[i], seed_used=0)
-        for l, z in enumerate(levels):
-            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
-            assert payoffs[i, l] == outcome.payoff
-            assert bool(stopped[i, l]) == outcome.stopped
+    gen = np.random.default_rng(62)
+    ref = []
+    for _ in range(10):
+        q = _exact_bridge_q(gen.standard_normal((2000, cfg.n_steps, 3)), t)
+        mask = (q >= Z31 * (1.0 - t)) & (t < 1.0)
+        hit = mask.any(axis=1)
+        first = np.argmax(mask[hit], axis=1)
+        ref.append(np.sqrt(q[hit, first]))
+    ref = np.concatenate(ref)
+    assert stats.ks_2samp(payoffs[stopped[:, 0], 0], ref).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])
@@ -253,7 +382,8 @@ def test_exact_engine_temporaries_stay_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # measured 3.2 MB: two 1 MB draw slabs and one (k, n) scan temporary
+    assert peak < 6.5 * 2**20
 
 
 def test_results_independent_of_worker_count(monkeypatch):
