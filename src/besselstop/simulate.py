@@ -6,21 +6,23 @@ Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared Bessel process of
 dimension alpha started at 0, and walks X with its exact radial transition
 X' = (sqrt X + sqrt(ds) xi)^2 + ds chi2_{alpha-1} between grid nodes, so
 every grid marginal has the exact law and the path ends at zero.  Per step it
-draws one normal plus chi2_{alpha-1} as (alpha-1)//2 doubled exponentials and,
-for even alpha, one squared normal; at alpha = 1 it carries the signed
-coordinate and the chi-square term vanishes.
+draws one normal plus chi2_{alpha-1} as (alpha-1)//2 doubled standard
+exponentials and, for even alpha, one squared normal; at alpha = 1 it carries
+the signed coordinate and the chi-square term vanishes.
 
-Reproducibility contract: paths are simulated in fixed blocks of
-``_BLOCK_PATHS``; each block owns one RNG stream derived from (master seed,
-block index) through a seed sequence, and the block size does not depend on
-the worker count, so results are a deterministic function of the
-configuration and the threshold levels, bit identical for any number of
-worker threads.  The exact engine draws only for paths that some level has
-not stopped yet, so the variates a path receives depend on the levels of the
-call: one call shares its paths across all its levels (common random
-numbers), but calls with different level sets do not share paths.  The Euler
-scheme keeps one stream per (master seed, path index).  Reductions run over
-the fully assembled per-path payoff arrays with numpy's pairwise summation.
+Reproducibility contract: the exact engine simulates paths in fixed blocks of
+``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
+block owns one SFC64 stream keyed by (master seed, block index) through a
+seed sequence, and the block size does not depend on the worker count, so
+results are a deterministic function of the configuration and the threshold
+levels, bit identical for any number of worker threads.  The exact engine
+draws only for paths that some level has not stopped yet, so the variates a
+path receives depend on the levels of the call: one call shares its paths
+across all its levels (common random numbers), but calls with different level
+sets do not share paths.  The Euler scheme keeps one stream per (master seed,
+path index) and runs ``_EULER_BLOCK_PATHS`` paths per task.  Reductions run
+over the fully assembled per-path payoff arrays with numpy's pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .series import ModelParams
 SCHEME_EXACT = "exact_integer_dim"
 SCHEME_EULER = "euler_full_truncation"
 _MAX_U64 = 2**64
-_BLOCK_PATHS = 1024  # paths per worker task; per RNG stream in the exact engine
-_BLOCK_STEPS = 128  # steps drawn per call in the exact engine
+_BLOCK_PATHS = 4096  # paths per worker task and per RNG stream in the exact engine
+_BLOCK_STEPS = 32  # steps drawn per call in the exact engine
+# paths per Euler task: its (paths, n_steps) normal matrix is 16 MB at 2000 steps
+_EULER_BLOCK_PATHS = 1024
 # Relative slack of the level pre-filter.  q >= z (1-t) in floating point
 # implies q * (1/(1-t)) >= z (1 - 3 eps), so 1e-12 never drops a true hit.
 _PEAK_SLACK = 1.0 - 1e-12
@@ -47,8 +51,10 @@ _PEAK_SLACK = 1.0 - 1e-12
 def path_seed(master_seed: int, path_index: int) -> int:
     """64-bit key of stream (master seed, path_index), derived statelessly.
 
-    The index names a block of ``_BLOCK_PATHS`` paths in the exact engine and
-    a single path in the Euler scheme; single-path simulations use index 0.
+    The seed sequence of (master seed, path_index) also seeds that stream's
+    SFC64 generator.  The index names a block of ``_BLOCK_PATHS`` paths in the
+    exact engine and a single path in the Euler scheme; single-path
+    simulations use index 0.
     """
     ss = np.random.SeedSequence((master_seed, path_index))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -58,7 +64,7 @@ def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     # Stateless split: the (master, index) pair keys the stream, so any
     # thread count reproduces identical paths.
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master_seed, path_index)))
+        np.random.SFC64(np.random.SeedSequence((master_seed, path_index)))
     )
 
 
@@ -107,9 +113,10 @@ class SimConfig:
 class BridgePath:
     """One discretized trajectory with the key of the stream that produced it.
 
-    Single-path simulations draw from stream (seed, 0), so ``seed_used`` is
-    ``path_seed(seed, 0)``; for the exact scheme that is also the stream of
-    path block 0, and a one-path engine run reproduces this trajectory.
+    Single-path simulations draw from the SFC64 stream (seed, 0), so
+    ``seed_used`` is ``path_seed(seed, 0)``; for the exact scheme that is also
+    the stream of path block 0, and a one-path engine run reproduces this
+    trajectory.
     """
 
     times: np.ndarray
@@ -198,10 +205,11 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
 
     ``state`` holds sqrt X per row, or the signed coordinate when d = 1.  The
     block draws, in this order: (k, n) normals xi; then chi2_{d-1} as
-    (d-1)//2 doubled exponentials of shape ((d-1)//2, k, n) (``standard_gamma``
-    at shape 1, the exponential stream) and, when d - 1 is odd, one squared
-    (k, n) normal.  Each step is U = R + sqrt(ds) xi, X = U^2 + ds chi2,
-    R = sqrt X; at d = 1 it is the single add U += sqrt(ds) xi and X = U^2.
+    (d-1)//2 doubled standard exponentials of shape ((d-1)//2, k, n) and, when
+    d - 1 is odd, one squared (k, n) normal.  Each step is U = R + sqrt(ds) xi,
+    X = U^2 + ds chi2, R = sqrt X; at d = 1 it is the single add
+    U += sqrt(ds) xi and X = U^2.  Without the squared normal (odd d) the
+    doubling is folded into the scale, 2 sum(e) ds == sum(e) (2 ds) exactly.
     The result, q = (1-t)^2 X with shape (k, n), is a view of ``buf``.
     """
     k, n = sd.size, state.size
@@ -219,12 +227,16 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
         x *= x
     else:
         chi = buf[size : 2 * size].reshape(k, n)
+        scale = ds
         if n_exp:
             e = buf[size : (1 + n_exp) * size].reshape(n_exp, k, n)
-            gen.standard_gamma(1.0, out=e)
+            gen.standard_exponential(out=e)
             for extra in e[1:]:
                 chi += extra
-            chi += chi
+            if odd:
+                chi += chi
+            else:
+                scale = ds + ds
         if odd:
             g = buf[(1 + n_exp) * size : (2 + n_exp) * size].reshape(k, n)
             gen.standard_normal(out=g)
@@ -233,7 +245,7 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
                 chi += g
             else:
                 chi = g
-        chi *= ds[:, None]
+        chi *= scale[:, None]
         for u, c in zip(x, chi):
             np.add(state, u, out=u)
             np.multiply(u, u, out=u)
@@ -290,6 +302,17 @@ def simulate_euler(config: SimConfig) -> BridgePath:
     return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
 
 
+def _payoff(q, n: float):
+    """Q^{n/2} through the power ufunc, for a float64 scalar or an array.
+
+    The ``**`` operator rounds the two differently: on arrays it takes a sqrt
+    fast path at exponent 0.5 (and SIMD kernels where the CPU has them), on a
+    float64 scalar it calls libm ``pow``.  The ufunc runs one loop for both,
+    so the engine and ``apply_policy`` agree bit for bit.
+    """
+    return np.power(q, 0.5 * n)
+
+
 def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> StoppingOutcome:
     """First grid time with Q >= Z (1 - t); payoff Q^{n/2} there.
 
@@ -301,7 +324,7 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
         j = int(np.argmax(mask))
         return StoppingOutcome(
             tau=float(path.times[j]),
-            payoff=float(path.q[j] ** (0.5 * n)),
+            payoff=float(_payoff(path.q[j], n)),
             stopped=True,
         )
     return StoppingOutcome(tau=1.0, payoff=0.0, stopped=False)
@@ -320,7 +343,6 @@ def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
     ``simulate_exact`` on the same stream bit for bit.
     """
     d = int(round(config.params.alpha))
-    half_n = 0.5 * config.params.n
     m = stop - start
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
     sd, ds, tau2 = _radial_steps(t)
@@ -349,7 +371,7 @@ def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
             hit = mask.any(axis=0)
             first = np.argmax(mask[:, hit], axis=0)
             cand = cand[hit]
-            payoffs[start + rows[cand], l] = q[first, cand] ** half_n
+            payoffs[start + rows[cand], l] = _payoff(q[first, cand], config.params.n)
             stopped[start + rows[cand], l] = True
             open_[cand, l] = False
         keep = open_.any(axis=1)
@@ -375,7 +397,7 @@ def _run_chunk_euler(config, levels, t, start, stop, payoffs, stopped):
         for l, z in enumerate(levels):
             new = ~hit[:, l] & (q_now >= z * (1.0 - node_t))
             if new.any():
-                pay[new, l] = q_now[new] ** (0.5 * n)
+                pay[new, l] = _payoff(q_now[new], n)
                 hit[new, l] = True
 
     record(t[0], qv)
@@ -399,13 +421,11 @@ def _threshold_payoffs(
     payoffs = np.zeros((n_paths, levels.size))
     stopped = np.zeros((n_paths, levels.size), dtype=bool)
     if config.scheme == SCHEME_EXACT:
-        t = _exact_times(config)
-        runner = _run_chunk_exact
+        t, runner, block = _exact_times(config), _run_chunk_exact, _BLOCK_PATHS
     else:
-        t = _euler_times(config)
-        runner = _run_chunk_euler
+        t, runner, block = _euler_times(config), _run_chunk_euler, _EULER_BLOCK_PATHS
 
-    bounds = [(s, min(s + _BLOCK_PATHS, n_paths)) for s in range(0, n_paths, _BLOCK_PATHS)]
+    bounds = [(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
     workers = worker_count(len(bounds))
     if workers == 1:
         for s, e in bounds:

@@ -13,8 +13,10 @@ from besselstop.simulate import (
     SCHEME_EXACT,
     SimConfig,
     ThresholdPolicy,
+    _BLOCK_PATHS,
     _BLOCK_STEPS,
     _path_generator,
+    _payoff,
     _radial_block,
     _radial_steps,
     _threshold_payoffs,
@@ -81,7 +83,7 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels):
         j1 = min(j0 + _BLOCK_STEPS, last)
         k, n = j1 - j0, len(active)
         xi = gen.standard_normal((k, n)).tolist()
-        e = gen.standard_gamma(1.0, (n_exp, k, n)).tolist() if n_exp else []
+        e = gen.standard_exponential((n_exp, k, n)).tolist() if n_exp else []
         g = gen.standard_normal((k, n)).tolist() if odd else None
         for c, p in enumerate(active):
             for i in range(k):
@@ -269,7 +271,12 @@ def test_mc_estimate_deterministic_and_warns_on_tiny_samples():
     assert tiny.warning is not None
 
 
-@pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 130, 300, 2000])
+# paths that end just before, at and just after the first and the fourth time
+# block edge, plus one-step and long paths
+_EDGE_STEPS = [e + k for e in (_BLOCK_STEPS, 4 * _BLOCK_STEPS) for k in (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("n_steps", [1, *_EDGE_STEPS, 300, 2000])
 def test_engine_carry_across_time_blocks_is_bit_exact(n_steps):
     # levels: one stopped almost at once, the candidate, one never reached;
     # alpha 1..5 draws 0, 0, 1, 1, 2 exponentials, with the squared normal at 2 and 4
@@ -308,6 +315,41 @@ def test_engine_matches_replayed_whole_paths():
                 outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
                 assert payoffs[i, l] == outcome.payoff
                 assert bool(stopped[i, l]) == outcome.stopped
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0])
+def test_engine_and_policy_payoffs_agree_bit_for_bit(n):
+    # the engine raises the array of newly stopped q to n/2 at once and
+    # apply_policy one float64 element of a path; numpy's ``**`` rounds those
+    # two differently (a sqrt fast path for arrays at exponent 0.5, libm pow
+    # for scalars), so a payoff must not depend on which form evaluated it
+    q = np.random.default_rng(4).uniform(1e-3, 30.0, 100_000)
+    engine = _payoff(q, n)
+    policy = np.array([_payoff(x, n) for x in q])
+    assert np.array_equal(engine, policy)
+    times = np.array([0.5, 1.0])
+    for x, want in zip(q[:2000], policy[:2000]):
+        path = BridgePath(times=times, q=np.array([x, 0.0]), seed_used=0)
+        assert apply_policy(path, ThresholdPolicy(1e-6), n).payoff == want
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, 3.0])
+def test_engine_payoffs_match_policy_on_many_stops(n):
+    # two steps and a tiny level: every path stops at the one free node, so
+    # the engine evaluates 5 x 4096 payoffs as arrays.  ``**`` on a float64
+    # scalar calls libm pow, which misses the array kernels on ~1e-3 of q at
+    # n = 1 and ~5% at n = 0.5 and 3, so a scalar form that bypassed _payoff
+    # would disagree on about 16 payoffs here at n = 1
+    blocks = 5
+    cfg = SimConfig(params=ModelParams(3, n), n_paths=blocks * _BLOCK_PATHS, n_steps=2, seed=8)
+    replays = [_replay_q(cfg.seed, b, 3, cfg.n_steps, _BLOCK_PATHS, (1e-9,)) for b in range(blocks)]
+    t = replays[0][0]
+    q = np.concatenate([r[1] for r in replays])
+    payoffs, stopped = _threshold_payoffs(cfg, np.array([1e-9]))
+    assert stopped.all()
+    for i in range(cfg.n_paths):
+        path = BridgePath(times=t, q=q[i], seed_used=0)
+        assert payoffs[i, 0] == apply_policy(path, ThresholdPolicy(1e-9), n).payoff
 
 
 def _grid_q(alpha, n_paths, seed):
@@ -361,8 +403,8 @@ def test_stopped_payoffs_match_component_sum_reference():
 
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads):
-    # a partial last path block and six time blocks per path
-    cfg = _exact_config(n_paths=2500, n_steps=700, seed=17)
+    # two full path blocks, a partial third and 22 time blocks per path
+    cfg = _exact_config(n_paths=2 * _BLOCK_PATHS + 500, n_steps=700, seed=17)
     mult = [0.5, 0.75, 1.0, 1.5, 2.0]
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     est1 = mc_estimate(cfg, ThresholdPolicy(Z31))
@@ -372,18 +414,34 @@ def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads)
     assert policy_sweep(cfg, mult, Z=Z31) == sweep1
 
 
-def test_exact_engine_temporaries_stay_small(monkeypatch):
-    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
-    cfg = _exact_config(n_paths=2048, n_steps=2000, seed=3)
+def _traced_peak(cfg):
+    """tracemalloc peak, in bytes, of one mc_estimate at the level Z31."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         mc_estimate(cfg, ThresholdPolicy(Z31))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # measured 3.2 MB: two 1 MB draw slabs and one (k, n) scan temporary
-    assert peak < 6.5 * 2**20
+
+
+def test_exact_engine_temporaries_stay_small(monkeypatch):
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    cfg = _exact_config(n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
+    # measured 3.3 MB for one full block: two 1 MB draw slabs and one (k, n)
+    # scan temporary
+    assert _traced_peak(cfg) < 6.5 * 2**20
+
+
+def test_euler_runner_temporaries_stay_small(monkeypatch):
+    # the Euler runner holds a (paths, n_steps) normal matrix per task, so it
+    # keeps 1024-path tasks although the exact engine's blocks are wider
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    cfg = SimConfig(
+        params=ModelParams(3, 1), n_paths=_BLOCK_PATHS, n_steps=500, seed=3, scheme=SCHEME_EULER
+    )
+    # measured 4.0 MB: one 1024 x 500 normal matrix; a 4096-path task needs 16 MB
+    assert _traced_peak(cfg) < 6.0 * 2**20
 
 
 def test_results_independent_of_worker_count(monkeypatch):
