@@ -21,7 +21,7 @@ from besselstop import (
 
 root = find_C_excursion(1e-10)
 exc = build_excursion()
-print(f"threshold constant  C = {root.value:.10f}   (bracket {root.bracket})")
+print(f"threshold constant  C = {root.value:.10f}   (Brent on {root.bracket}, {root.iterations} steps)")
 print(f"origin value        B = {exc.B:.10f}")
 print(f"identity check      C^2 / integral = {exc.B:.10f} = 2 C e^(-C^2/2)")
 

@@ -6,8 +6,9 @@ excursion threshold C, the root in (1, 2) of
 
     h(c) = 2 * int_0^c exp(t^2/2) dt - c * exp(c^2/2).
 
-Both are found by bracketed bisection followed by a single Newton polish, so
-convergence is guaranteed by the sign structure and the last step restores
+Both, and the integral-form special families, go through ``solve_root``:
+a sign-change bracket, Brent's method inside it and a single Newton polish,
+so convergence is guaranteed by the sign structure and the last step restores
 full floating-point accuracy.
 """
 
@@ -16,16 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import brentq
 from scipy.special import erfi
 
 from .series import F_derivative, F_eval, ModelParams, build_coefficients
 
-BISECTION = "bisection"
 NEWTON_POLISHED = "newton_polished"
 
 
 class NoRootError(RuntimeError):
-    """Bracket growth exceeded its cap without a sign change.
+    """No sign change inside the bracket, or the target failed arithmetically.
 
     For F this signals numerical breakdown; a positive root always exists.
     """
@@ -35,9 +36,11 @@ class NoRootError(RuntimeError):
 class RootResult:
     """A bracketed root with its residual and bookkeeping.
 
-    ``bracket`` straddles ``value`` with strict opposite signs of the target
-    function (negative below and positive above for F; the excursion h is
-    decreasing through its root, so the signs flip there).
+    ``bracket`` is the sign-change bracket handed to Brent's method: the
+    target has opposite signs at its ends, or is exactly zero at one of them
+    (negative below and positive above for F; the excursion h is decreasing
+    through its root, so the signs flip there).  ``iterations`` counts the
+    bracket doublings, the Brent iterations and the Newton polish.
     """
 
     value: float
@@ -47,25 +50,60 @@ class RootResult:
     method: str
 
 
-def _polish(value, lo, hi, f, fprime, iterations):
-    slope = fprime(value)
+def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
+    """Root of ``f`` between ``lo`` and ``hi`` by Brent's method.
+
+    With ``grow_cap``, ``hi`` doubles (``lo`` following it) until the signs
+    differ, and ``NoRootError`` is raised once ``hi`` passes the cap.  Brent
+    runs to ``tol`` (Brent 1973, ch. 4); with ``fprime``, one Newton step
+    clamped into the open bracket then restores full floating-point accuracy.
+    An exact zero at a bracket end is accepted.  An ``ArithmeticError`` in
+    ``f`` is re-raised as ``NoRootError`` naming the point.
+    """
+
+    def call(x: float) -> float:
+        try:
+            return f(x)
+        except ArithmeticError as exc:
+            raise NoRootError(f"{type(exc).__name__} evaluating at {x!r}: {exc}") from exc
+
+    def straddles(flo: float, fhi: float) -> bool:
+        return flo <= 0.0 <= fhi or fhi <= 0.0 <= flo
+
+    flo, fhi = call(lo), call(hi)
+    iterations = 0
+    while grow_cap is not None and not straddles(flo, fhi):
+        lo, flo = hi, fhi
+        hi *= 2.0
+        iterations += 1
+        if hi > grow_cap:
+            raise NoRootError(f"no sign change below {grow_cap:g}")
+        fhi = call(hi)
+    if not straddles(flo, fhi):
+        raise NoRootError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
+
+    value, info = brentq(call, lo, hi, xtol=tol, full_output=True)
+    iterations += info.iterations
+    method = "brentq"
+    fval = call(value)
+    slope = fprime(value) if fprime is not None and fval != 0.0 else 0.0
     if slope != 0.0 and math.isfinite(slope):
-        cand = value - f(value) / slope
-        # Clamp into the open bracket: a polished root may round onto an
-        # endpoint, and the endpoints are themselves within tol of the root.
+        cand = value - fval / slope
+        # Clamp into the open bracket so the polish cannot leave the sign change.
         cand = min(max(cand, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         if math.isfinite(cand):
-            return cand, NEWTON_POLISHED, iterations + 1
-    return value, BISECTION, iterations
+            value, method, fval = cand, NEWTON_POLISHED, call(cand)
+            iterations += 1
+    return RootResult(value, fval, iterations, (lo, hi), method)
 
 
 def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     """Unique positive root of the smooth-fit series for ``params``.
 
-    Brackets by doubling from max(1, (alpha+n)/2) until F turns positive,
-    bisects the bracket down to ``tol``, then applies one Newton step.  The
-    coefficient table is rebuilt transparently if the bracket outgrows its
-    validated range.
+    Brackets by doubling from [0, max(1, (alpha+n)/2)] until F turns
+    positive, runs Brent's method to ``tol``, then applies one Newton step.
+    The coefficient table is rebuilt transparently if the bracket outgrows
+    its validated range.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -77,42 +115,8 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
             table = build_coefficients(params, ymax=2.0 * z)
         return F_eval(params, z, table)
 
-    lo, flo = 0.0, -params.n
     hi = max(1.0, 0.5 * (params.alpha + params.n))
-    iterations = 0
-    fhi = F(hi)
-    while fhi <= 0.0:
-        lo, flo = hi, fhi
-        hi *= 2.0
-        iterations += 1
-        if hi > 2.0**60:
-            raise NoRootError(
-                f"no sign change of F below 2^60 for alpha={params.alpha}, n={params.n}"
-            )
-        fhi = F(hi)
-    if flo == 0.0:  # pathological exact hit while advancing the bracket
-        lo = math.nextafter(lo, 0.0)
-        flo = F(lo)
-
-    value = None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = F(mid)
-        iterations += 1
-        if fmid < 0.0:
-            lo, flo = mid, fmid
-        elif fmid > 0.0:
-            hi, fhi = mid, fmid
-        else:
-            value = mid
-            break
-    if value is None:
-        value = 0.5 * (lo + hi)
-
-    value, method, iterations = _polish(
-        value, lo, hi, F, lambda z: F_derivative(table, z), iterations
-    )
-    return RootResult(value, F(value), iterations, (lo, hi), method)
+    return solve_root(F, 0.0, hi, tol, lambda z: F_derivative(table, z), grow_cap=2.0**60)
 
 
 def exp_t2_integral(c):
@@ -128,37 +132,15 @@ def excursion_h(c: float) -> float:
 def find_C_excursion(tol: float = 1e-8) -> RootResult:
     """Excursion threshold constant: the root of h in (1, 2).
 
-    The integral is the closed form ``exp_t2_integral``; bisection runs on
-    [1, 2] where the sign change is guaranteed, with one Newton polish using
-    h'(c) = e^{c^2/2} (1 - c^2).
+    The integral is the closed form ``exp_t2_integral``; Brent's method runs
+    on [1, 2], where the sign change is guaranteed, with one Newton polish
+    using h'(c) = e^{c^2/2} (1 - c^2).
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = 1.0, 2.0
-    flo, fhi = excursion_h(lo), excursion_h(hi)
-    if not (flo > 0.0 > fhi):
-        raise RuntimeError("sign pattern of h on [1, 2] violated")
-    iterations = 0
-    value = None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = excursion_h(mid)
-        iterations += 1
-        if fmid > 0.0:
-            lo, flo = mid, fmid
-        elif fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            value = mid
-            break
-    if value is None:
-        value = 0.5 * (lo + hi)
-
-    def hprime(c: float) -> float:
-        return math.exp(0.5 * c * c) * (1.0 - c * c)
-
-    value, method, iterations = _polish(value, lo, hi, excursion_h, hprime, iterations)
-    return RootResult(value, excursion_h(value), iterations, (lo, hi), method)
+    return solve_root(
+        excursion_h, 1.0, 2.0, tol, lambda c: math.exp(0.5 * c * c) * (1.0 - c * c)
+    )
 
 
 def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
@@ -166,7 +148,8 @@ def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
 
     alpha == n has the exponential solution with Z = n.  n == alpha - 2 has an
     integral-form solution; Z then solves exp(z/2) = 2 n H(z) with H evaluated
-    by quadrature.  Returns None when no special case applies.
+    by quadrature, bracketed by doubling and found by Brent's method.  Returns
+    None when no special case applies.
     """
     a, n = params.alpha, params.n
     if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
@@ -177,18 +160,7 @@ def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
         def phi(z: float) -> float:
             return 2.0 * n * quadrature_H(params, z) * math.exp(-0.5 * z) - 1.0
 
-        lo, hi = 1e-8, max(4.0, 4.0 * n)
-        while phi(hi) >= 0.0:
-            hi *= 2.0
-            if hi > 2.0**40:
-                raise RuntimeError("no sign change for the integral-form boundary")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return solve_root(phi, 1e-8, max(4.0, 4.0 * n), tol, grow_cap=2.0**40).value
     return None
 
 

@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root tolerance (default 1e-10)")
         p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json")
         p.add_argument("--out", dest="out_path", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("boundary", help="boundary scale Z, margin, excursion constant")
     common(p)
@@ -468,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    if getattr(ns, "config", None) is not None:
-        raise UsageError("--config is reserved for a future release; use flags")
     kwargs = {"command": ns.command}
     for name in (
         "alpha", "n", "t0", "q0", "tol", "paths", "steps", "seed",

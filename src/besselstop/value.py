@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import exp_t2_integral, find_C_excursion, find_Z
+from .boundary import closed_form_Z, exp_t2_integral, find_C_excursion, find_Z, solve_root
 from .series import (
     CoefficientTable,
     ModelParams,
@@ -206,22 +206,8 @@ def _second_form_boundary(alpha: float, tol: float = 1e-10) -> float:
             - 1.0 / z
         )
 
-    lo, hi = 1e-6, max(4.0, 2.0 * alpha)
-    while ratio(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 2.0**40:
-            raise RuntimeError("no sign change for the n=2 boundary ratio")
-    while ratio(lo) >= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise RuntimeError("lower bracket collapsed for the n=2 boundary ratio")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ratio(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # ratio ~ 0.5 - 1/z < 0 at the lower end for every alpha > 2
+    return solve_root(ratio, 1e-6, max(4.0, 2.0 * alpha), tol, grow_cap=2.0**40).value
 
 
 def explicit_special_values(params: ModelParams, t: float, q: float) -> float | None:
@@ -232,7 +218,6 @@ def explicit_special_values(params: ModelParams, t: float, q: float) -> float | 
     n == 2, alpha > 2: second integral form with the constant fixed by value
     matching.  Returns None when no special case applies.
     """
-    from .boundary import closed_form_Z
     from .oracles import quadrature_H
 
     a, n = params.alpha, params.n

@@ -557,48 +557,19 @@ def run_iteration_checks(
         )
     )
 
-    for n, g in ((1.0, 2.0), (0.5, 5.0), (2.0, 0.3), (3.0, 8.0)):
-        rep = check_gamma_bounds(n, g, r_max)
-        report = report.merge(
-            VerificationReport(
-                (
-                    CheckResult(
-                        f"growth_bounds_n{n:g}_g{g:g}",
-                        rep.all_passed,
-                        min(c.margin for c in rep.checks),
-                        0.0,
-                    ),
-                )
-            )
-        )
-    for d in (0.1, 1.0, 3.0, 10.0):
-        rep = check_delta_bounds(d, r_max)
-        report = report.merge(
-            VerificationReport(
-                (
-                    CheckResult(
-                        f"parity_bounds_d{d:g}",
-                        rep.all_passed,
-                        min(c.margin for c in rep.checks),
-                        0.0,
-                    ),
-                )
-            )
-        )
-    for a, d in ((2.0, 1.0), (0.5, 4.0), (1.0, 2.0), (3.0, 10.0)):
-        rep = check_dominance(a, d, r_max)
-        report = report.merge(
-            VerificationReport(
-                (
-                    CheckResult(
-                        f"dominance_a{a:g}_d{d:g}",
-                        rep.all_passed,
-                        min(c.margin for c in rep.checks),
-                        0.0,
-                    ),
-                )
-            )
-        )
+    bound_reports = (
+        [(f"growth_bounds_n{n:g}_g{g:g}", check_gamma_bounds(n, g, r_max))
+         for n, g in ((1.0, 2.0), (0.5, 5.0), (2.0, 0.3), (3.0, 8.0))]
+        + [(f"parity_bounds_d{d:g}", check_delta_bounds(d, r_max))
+           for d in (0.1, 1.0, 3.0, 10.0)]
+        + [(f"dominance_a{a:g}_d{d:g}", check_dominance(a, d, r_max))
+           for a, d in ((2.0, 1.0), (0.5, 4.0), (1.0, 2.0), (3.0, 10.0))]
+    )
+    summary = tuple(
+        CheckResult(name, rep.all_passed, min(c.margin for c in rep.checks), 0.0)
+        for name, rep in bound_reports
+    )
+    report = report.merge(VerificationReport(summary))
     return report
 
 

@@ -5,14 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from besselstop.boundary import (
+    NoRootError,
     exp_t2_integral,
     boundary_margin,
     closed_form_Z,
     excursion_h,
     find_C_excursion,
     find_Z,
+    solve_root,
 )
 from besselstop.series import F_eval, ModelParams, build_coefficients
+from besselstop.value import _second_form_boundary, explicit_special_values
+from besselstop.verify import PARAMETER_GRID
 
 C_REF = 1.503395376470782  # quadrature + bracketed root, frozen
 C_PUBLISHED = 1.50339538  # eight-digit reference string
@@ -105,11 +109,11 @@ def test_closed_form_equal_parameters():
     assert closed_form_Z(ModelParams(0.5, 0.5)) == 0.5
 
 
-def test_closed_form_integral_family():
-    z = closed_form_Z(ModelParams(3, 1))
-    assert abs(z - C_REF**2) <= 1e-8
-    z53 = closed_form_Z(ModelParams(5, 3))
-    assert abs(z53 - find_Z(ModelParams(5, 3)).value) <= 1e-8
+@pytest.mark.parametrize("a", [2.5, 3.0, 4.0, 5.0, 7.0, 12.0])
+def test_closed_form_integral_family(a):
+    z = closed_form_Z(ModelParams(a, a - 2.0))
+    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
+    assert _second_form_boundary(a) == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
 
 
 def test_closed_form_absent():
@@ -140,3 +144,44 @@ def test_sign_change_unique_on_log_grid():
         signs = np.sign(F_eval(params, grid, table))
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
+
+
+def test_find_Z_iterations_on_grid():
+    for a in PARAMETER_GRID:
+        for n in PARAMETER_GRID:
+            assert find_Z(ModelParams(a, n)).iterations <= 20
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-1.0, 1.0)])
+def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
+    root = solve_root(lambda x: x - 1.0, lo, hi, 1e-12, fprime=lambda x: 1.0)
+    assert root.value == 1.0
+    assert root.residual == 0.0
+    assert root.bracket == (lo, hi)
+
+
+def test_solve_root_without_sign_change():
+    with pytest.raises(NoRootError, match="no sign change"):
+        solve_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(NoRootError, match="no sign change below"):
+        solve_root(lambda x: -1.0, 0.0, 1.0, 1e-12, grow_cap=2.0**10)
+
+
+def test_solve_root_grows_bracket():
+    root = solve_root(lambda x: x - 100.0, 0.0, 1.0, 1e-12, grow_cap=2.0**10)
+    assert root.value == pytest.approx(100.0, rel=1e-15)
+    assert root.bracket == (64.0, 128.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: explicit_special_values(ModelParams(120, 2), 0.0, 0.0),
+        lambda: explicit_special_values(ModelParams(400, 2), 0.0, 0.0),
+        lambda: closed_form_Z(ModelParams(400, 398)),
+    ],
+    ids=["second_form_a120", "second_form_a400", "integral_form_a400"],
+)
+def test_special_family_breakdown_is_typed(call):
+    with pytest.raises(NoRootError, match="evaluating at"):
+        call()

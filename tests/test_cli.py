@@ -52,7 +52,9 @@ def test_value_json(capsys):
 def test_usage_error_exit_codes(capsys):
     assert main(["boundary", "--alpha", "-1", "--n", "1"]) == 2
     capsys.readouterr()
-    assert main(["boundary", "--alpha", "3", "--n", "1", "--config", "x.json"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "--alpha", "3", "--n", "1", "--config", "x.json"])
+    assert exc.value.code == 2
     capsys.readouterr()
     assert main(["sweep", "--multipliers", "a,b"]) == 2
     capsys.readouterr()
