@@ -55,10 +55,11 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
 
     With ``grow_cap``, ``hi`` doubles (``lo`` following it) until the signs
     differ, and ``NoRootError`` is raised once ``hi`` passes the cap.  Brent
-    runs to ``tol`` (Brent 1973, ch. 4); with ``fprime``, one Newton step
-    clamped into the open bracket then restores full floating-point accuracy.
-    An exact zero at a bracket end is accepted.  An ``ArithmeticError`` in
-    ``f`` is re-raised as ``NoRootError`` naming the point.
+    runs to ``tol`` (Brent 1973, ch. 4); with ``fprime``, one Newton step,
+    clamped to the bracket and to Brent's error bound, then restores full
+    floating-point accuracy.  An exact zero at a bracket end is accepted.  An
+    ``ArithmeticError`` in ``f`` is re-raised as ``NoRootError`` naming the
+    point.
     """
 
     def call(x: float) -> float:
@@ -89,8 +90,11 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
     slope = fprime(value) if fprime is not None and fval != 0.0 else 0.0
     if slope != 0.0 and math.isfinite(slope):
         cand = value - fval / slope
-        # Clamp into the open bracket so the polish cannot leave the sign change.
-        cand = min(max(cand, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        # Keep the step in the open bracket and within brentq's error bound,
+        # tol + 4 eps |value| <= tol + 8 ulp(value), of Brent's root.
+        width = tol + 8.0 * math.ulp(value)
+        cand = max(cand, value - width, math.nextafter(lo, hi))
+        cand = min(cand, value + width, math.nextafter(hi, lo))
         if math.isfinite(cand):
             value, method, fval = cand, NEWTON_POLISHED, call(cand)
             iterations += 1
@@ -160,7 +164,8 @@ def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
         def phi(z: float) -> float:
             return 2.0 * n * quadrature_H(params, z) * math.exp(-0.5 * z) - 1.0
 
-        return solve_root(phi, 1e-8, max(4.0, 4.0 * n), tol, grow_cap=2.0**40).value
+        # phi(0) = 1 exactly; Z lies just below alpha, and ends far past it overflow H.
+        return solve_root(phi, 0.0, a, tol, grow_cap=2.0**40).value
     return None
 
 

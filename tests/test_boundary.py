@@ -116,6 +116,13 @@ def test_closed_form_integral_family(a):
     assert _second_form_boundary(a) == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
 
 
+@pytest.mark.parametrize("a", [80.0, 150.0])
+def test_closed_form_integral_family_large_alpha(a):
+    # the first form stays finite here; the second form breaks down (see below)
+    z = closed_form_Z(ModelParams(a, a - 2.0))
+    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
+
+
 def test_closed_form_absent():
     assert closed_form_Z(ModelParams(5, 1)) is None
 
@@ -158,6 +165,13 @@ def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
     assert root.value == 1.0
     assert root.residual == 0.0
     assert root.bracket == (lo, hi)
+
+
+def test_solve_root_polish_stays_within_tol():
+    # a wrong derivative must not carry the polished root away from Brent's
+    tol = 1e-6
+    root = solve_root(lambda x: x**3 - 2.0, 0.0, 2.0, tol, fprime=lambda x: 1e-20)
+    assert abs(root.value - 2.0 ** (1.0 / 3.0)) <= 2.0 * tol
 
 
 def test_solve_root_without_sign_change():

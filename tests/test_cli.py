@@ -41,6 +41,13 @@ def test_boundary_excursion_constant_absent_elsewhere(capsys):
     assert env["results"]["closed_form_Z"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_boundary_integral_family_large_alpha(capsys):
+    code, out = run_cli(capsys, "boundary", "--alpha", "80", "--n", "78")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-9)
+
+
 def test_value_json(capsys):
     code, out = run_cli(capsys, "value", "--alpha", "1", "--n", "1", "--t0", "0", "--q0", "0")
     env = json.loads(out)
