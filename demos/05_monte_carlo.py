@@ -1,9 +1,11 @@
 """Simulating the bridge and measuring threshold policies on common paths.
 
-Integer dimension gets an exact sampler (a time-changed squared Bessel walk);
-the sweep evaluates scaled thresholds m * Z on one shared path ensemble, so
-the comparison between multipliers is paired and low-variance.  Sizes here
-are trimmed for a quick run; the acceptance battery uses 200k paths.
+Every dimension alpha > 0 and every start (t0, q0) gets one exact sampler, a
+time-changed squared Bessel walk: the radial step for integer alpha and the
+Poisson mixture of the noncentral chi-square otherwise.  The sweep evaluates
+scaled thresholds m * Z on one shared path ensemble, so the comparison
+between multipliers is paired and low-variance.  Sizes here are trimmed for a
+quick run; the acceptance battery uses 200k paths.
 """
 
 from besselstop import (

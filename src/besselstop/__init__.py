@@ -43,7 +43,6 @@ from .series import (
 from .simulate import (
     BridgePath,
     MCResult,
-    SCHEME_EULER,
     SCHEME_EXACT,
     SimConfig,
     StoppingOutcome,
@@ -54,7 +53,6 @@ from .simulate import (
     mc_estimate,
     path_seed,
     policy_sweep,
-    simulate_euler,
     simulate_exact,
 )
 from .value import (

@@ -17,7 +17,7 @@ import numpy as np
 from .boundary import boundary_margin, find_C_excursion, find_Z
 from .oracles import Z_from_ode, dp_value, ode_residual
 from .series import ModelParams, ode_residual_series, psi_eval
-from .simulate import SCHEME_EXACT, SimConfig, ThresholdPolicy, mc_estimate, policy_sweep
+from .simulate import SimConfig, ThresholdPolicy, mc_estimate, policy_sweep
 from .value import U_star, build_candidate, build_excursion, smooth_fit_residual
 from .verify import PARAMETER_GRID, run_iteration_checks, run_shape_checks
 
@@ -167,7 +167,6 @@ def criterion_7_monte_carlo_headline() -> CriterionResult:
                 n_paths=MC_PATHS,
                 n_steps=MC_STEPS,
                 seed=MC_SEED,
-                scheme=SCHEME_EXACT,
             )
             res = mc_estimate(config, ThresholdPolicy(z))
             gap = abs(res.mean - target)
@@ -189,7 +188,6 @@ def criterion_8_empirical_optimality() -> CriterionResult:
             n_paths=MC_PATHS,
             n_steps=MC_STEPS,
             seed=MC_SEED,
-            scheme=SCHEME_EXACT,
         )
         table = policy_sweep(config, SWEEP_MULTIPLIERS)
         ok = True

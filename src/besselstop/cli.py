@@ -26,8 +26,6 @@ from .boundary import closed_form_Z, find_C_excursion, find_Z
 from .oracles import Z_from_ode, dp_value, ode_residual
 from .series import ModelParams, build_coefficients
 from .simulate import (
-    SCHEME_EULER,
-    SCHEME_EXACT,
     SimConfig,
     SweepTable,
     ThresholdPolicy,
@@ -73,7 +71,6 @@ class RunConfig:
     multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS
     out_format: str = "json"
     out_path: str | None = None
-    scheme: str | None = None
     t_points: int = 101
     t_steps: int = 4000
     q_steps: int = 800
@@ -203,14 +200,6 @@ def _mc_payload(res, z: float, scheme: str) -> dict:
     }
 
 
-def _pick_scheme(config: RunConfig) -> str:
-    if config.scheme is not None:
-        return SCHEME_EXACT if config.scheme == "exact" else SCHEME_EULER
-    a = config.alpha
-    integer_dim = abs(a - round(a)) <= 1e-12 and a >= 1.0
-    return SCHEME_EXACT if integer_dim and config.t0 == 0.0 and config.q0 == 0.0 else SCHEME_EULER
-
-
 def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
     """Dispatch one command; returns the envelope and optional CSV table."""
     start = time.perf_counter()
@@ -265,20 +254,21 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
 
     elif cmd in ("simulate", "sweep"):
         params = _params(config)
-        scheme = _pick_scheme(config)
-        sim = SimConfig(
-            params=params,
-            t0=config.t0,
-            q0=config.q0,
-            n_paths=config.paths,
-            n_steps=config.steps,
-            seed=config.seed,
-            scheme=scheme,
-        )
+        try:
+            sim = SimConfig(
+                params=params,
+                t0=config.t0,
+                q0=config.q0,
+                n_paths=config.paths,
+                n_steps=config.steps,
+                seed=config.seed,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         z = find_Z(params, tol=config.tol).value
         if cmd == "simulate":
             res = mc_estimate(sim, ThresholdPolicy(z))
-            results = _mc_payload(res, z, scheme)
+            results = _mc_payload(res, z, sim.scheme)
         else:
             table = policy_sweep(sim, list(config.multipliers), Z=z)
             results = _sweep_rows_payload(table)
@@ -435,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, default=DEFAULT_PATHS)
         p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--scheme", choices=("exact", "euler"), default=None,
-                       help="default: exact for integer dimension started at the origin")
         if name == "sweep":
             p.add_argument("--multipliers", type=str, default="0.5,0.75,1,1.5,2",
                            help="comma-separated threshold multipliers")
@@ -470,7 +458,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     kwargs = {"command": ns.command}
     for name in (
         "alpha", "n", "t0", "q0", "tol", "paths", "steps", "seed",
-        "out_format", "out_path", "scheme", "t_points", "t_steps",
+        "out_format", "out_path", "t_points", "t_steps",
         "q_steps", "q_max", "eps", "ymax", "r_max", "inv_steps",
     ):
         if hasattr(ns, name):

@@ -33,6 +33,7 @@ from scipy.special import gammaln
 
 K_MAX = 500
 _RANGE_SLACK = 1.0 + 1e-9
+_TINY = np.finfo(float).tiny  # smallest normal float64
 
 
 class TruncationError(RuntimeError):
@@ -147,9 +148,15 @@ def build_coefficients(
             partial=partial,
         )
 
+    # compare where the closed form is a normal float; past its underflow both
+    # forms must be zero or subnormal.  A NaN fails both tests.
     closed = gamma_form_coefficients(params, K)
-    rel = np.max(np.abs(arr / closed - 1.0))
-    if rel > 1e-10:
+    normal = closed >= _TINY
+    rest = ~normal
+    if not ((arr[rest] < _TINY).all() and (closed[rest] < _TINY).all()):
+        raise RuntimeError("recursion disagrees with gamma closed form past underflow")
+    rel = np.max(np.abs(arr[normal] / closed[normal] - 1.0), initial=0.0)
+    if not rel <= 1e-10:
         raise RuntimeError(
             f"recursion disagrees with gamma closed form (max rel {rel:.3e})"
         )

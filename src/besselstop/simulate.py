@@ -1,28 +1,29 @@
 """Path simulation of the squared bridge and Monte Carlo policy evaluation.
 
-Two schemes: an exact one for integer dimension and full-truncation Euler for
-arbitrary dimension.  The exact scheme uses the time change
-Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared Bessel process of
-dimension alpha started at 0, and walks X with its exact radial transition
-X' = (sqrt X + sqrt(ds) xi)^2 + ds chi2_{alpha-1} between grid nodes, so
-every grid marginal has the exact law and the path ends at zero.  Per step it
-draws one normal plus chi2_{alpha-1} as (alpha-1)//2 doubled standard
-exponentials and, for even alpha, one squared normal; at alpha = 1 it carries
-the signed coordinate and the chi-square term vanishes.
+One exact sampler for every dimension alpha > 0 and every start (t0, q0).  It
+uses the time change Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared
+Bessel process of dimension alpha started at X0 = q0/(1 - t0)^2 at time
+t0/(1 - t0), and walks X between the nodes of the grid linspace(t0, 1, n+1)
+with an exact transition, so every grid marginal has the exact law and the
+path ends at zero.  Integer alpha takes the radial step
+X' = (sqrt X + sqrt(ds) xi)^2 + ds chi2_{alpha-1}: one normal plus
+chi2_{alpha-1} as (alpha-1)//2 doubled standard exponentials and, for even
+alpha, one squared normal; at alpha = 1 it carries the signed coordinate and
+the chi-square term vanishes.  Any other alpha takes the Poisson mixture of
+the noncentral chi-square, X' = 2 ds Gamma(alpha/2 + N) with
+N ~ Poisson(X/(2 ds)).
 
-Reproducibility contract: the exact engine simulates paths in fixed blocks of
+Reproducibility contract: the engine simulates paths in fixed blocks of
 ``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
 block owns one SFC64 stream keyed by (master seed, block index) through a
 seed sequence, and the block size does not depend on the worker count, so
 results are a deterministic function of the configuration and the threshold
-levels, bit identical for any number of worker threads.  The exact engine
-draws only for paths that some level has not stopped yet, so the variates a
-path receives depend on the levels of the call: one call shares its paths
-across all its levels (common random numbers), but calls with different level
-sets do not share paths.  The Euler scheme keeps one stream per (master seed,
-path index) and runs ``_EULER_BLOCK_PATHS`` paths per task.  Reductions run
-over the fully assembled per-path payoff arrays with numpy's pairwise
-summation.
+levels, bit identical for any number of worker threads.  The engine draws
+only for paths that some level has not stopped yet, so the variates a path
+receives depend on the levels of the call: one call shares its paths across
+all its levels (common random numbers), but calls with different level sets
+do not share paths.  Reductions run over the fully assembled per-path payoff
+arrays with numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ import numpy as np
 
 from .series import ModelParams
 
-SCHEME_EXACT = "exact_integer_dim"
-SCHEME_EULER = "euler_full_truncation"
+SCHEME_EXACT = "exact"
 _MAX_U64 = 2**64
-_BLOCK_PATHS = 4096  # paths per worker task and per RNG stream in the exact engine
-_BLOCK_STEPS = 32  # steps drawn per call in the exact engine
-# paths per Euler task: its (paths, n_steps) normal matrix is 16 MB at 2000 steps
-_EULER_BLOCK_PATHS = 1024
+_BLOCK_PATHS = 4096  # paths per worker task and per RNG stream
+_BLOCK_STEPS = 32  # steps drawn per kernel call
 # Relative slack of the level pre-filter.  q >= z (1-t) in floating point
 # implies q * (1/(1-t)) >= z (1 - 3 eps), so 1e-12 never drops a true hit.
 _PEAK_SLACK = 1.0 - 1e-12
@@ -52,9 +50,8 @@ def path_seed(master_seed: int, path_index: int) -> int:
     """64-bit key of stream (master seed, path_index), derived statelessly.
 
     The seed sequence of (master seed, path_index) also seeds that stream's
-    SFC64 generator.  The index names a block of ``_BLOCK_PATHS`` paths in the
-    exact engine and a single path in the Euler scheme; single-path
-    simulations use index 0.
+    SFC64 generator.  The index names a block of ``_BLOCK_PATHS`` paths;
+    single-path simulations use index 0, the stream of block 0.
     """
     ss = np.random.SeedSequence((master_seed, path_index))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -77,7 +74,12 @@ def worker_count(n_tasks: int) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Inputs of a simulation run; immutable and fully determining with the seed."""
+    """Inputs of a simulation run; immutable and fully determining with the seed.
+
+    Paths start at Q_{t0} = q0 and walk the grid linspace(t0, 1, n_steps + 1)
+    for any dimension alpha > 0.  ``scheme`` has the one valid value
+    ``SCHEME_EXACT``.
+    """
 
     params: ModelParams
     t0: float = 0.0
@@ -86,27 +88,18 @@ class SimConfig:
     n_steps: int = 2000
     seed: int = 20240601
     scheme: str = SCHEME_EXACT
-    eps_end: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 <= self.t0 < 1.0):
             raise ValueError("t0 must lie in [0, 1)")
-        if self.q0 < 0.0:
-            raise ValueError("q0 must be nonnegative")
+        if not (0.0 <= self.q0 < math.inf):
+            raise ValueError("q0 must be finite and nonnegative")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be positive")
         if not (0 <= self.seed < _MAX_U64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.scheme not in (SCHEME_EXACT, SCHEME_EULER):
+        if self.scheme != SCHEME_EXACT:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 < self.eps_end < 1.0 - self.t0):
-            raise ValueError("eps_end must lie in (0, 1 - t0)")
-        if self.scheme == SCHEME_EXACT:
-            a = self.params.alpha
-            if abs(a - round(a)) > 1e-12 or a < 1.0:
-                raise ValueError("exact scheme needs a positive integer dimension")
-            if self.q0 != 0.0:
-                raise ValueError("exact scheme starts from q0 = 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +107,8 @@ class BridgePath:
     """One discretized trajectory with the key of the stream that produced it.
 
     Single-path simulations draw from the SFC64 stream (seed, 0), so
-    ``seed_used`` is ``path_seed(seed, 0)``; for the exact scheme that is also
-    the stream of path block 0, and a one-path engine run reproduces this
-    trajectory.
+    ``seed_used`` is ``path_seed(seed, 0)``; that is also the stream of path
+    block 0, and a one-path engine run reproduces this trajectory.
     """
 
     times: np.ndarray
@@ -173,14 +165,6 @@ class SweepTable:
         return best.multiplier
 
 
-def _exact_times(config: SimConfig) -> np.ndarray:
-    return np.linspace(0.0, 1.0, config.n_steps + 1)
-
-
-def _euler_times(config: SimConfig) -> np.ndarray:
-    return np.linspace(config.t0, 1.0 - config.eps_end, config.n_steps + 1)
-
-
 def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step tables of the time-changed walk to nodes 1 .. m-1 of the grid t.
 
@@ -200,7 +184,7 @@ def _draws_per_step(d: int) -> int:
     return 1 + n_exp + odd
 
 
-def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
+def _radial_block(gen, state, d, sd, ds, tau2, buf):
     """q at the next k nodes for every row; ``state`` advances in place.
 
     ``state`` holds sqrt X per row, or the signed coordinate when d = 1.  The
@@ -215,8 +199,6 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
     k, n = sd.size, state.size
     size = k * n
     n_exp, odd = divmod(d - 1, 2)
-    if buf is None:
-        buf = np.empty(_draws_per_step(d) * size)
     x = buf[:size].reshape(k, n)
     gen.standard_normal(out=x)
     x *= sd[:, None]
@@ -255,50 +237,69 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf=None):
     return x
 
 
+def _mixture_block(gen, state, alpha, ds, tau2, buf):
+    """q at the next k nodes for every row, any alpha; ``state`` advances in place.
+
+    ``state`` holds X per row.  Each step draws N ~ Poisson(X/(2 ds)) for
+    every row and then X' = 2 ds Gamma(alpha/2 + N), the Poisson mixture of
+    the scaled noncentral chi-square that is the exact BESQ^alpha transition.
+    The result, q = (1-t)^2 X with shape (k, n), is a view of ``buf``.
+    """
+    k, n = ds.size, state.size
+    x = buf[: k * n].reshape(k, n)
+    prev = state
+    for row, h in zip(x, ds + ds):
+        gen.standard_gamma(gen.poisson(prev / h) + 0.5 * alpha, out=row)
+        row *= h
+        prev = row
+    state[:] = prev
+    x *= tau2[:, None]
+    return x
+
+
+def _sampler(config: SimConfig):
+    """Grid, block kernel, start state and buffer floats per path-step of a run.
+
+    The grid is linspace(t0, 1, n_steps + 1); ``step(gen, state, j0, j1, buf)``
+    returns q at its nodes j0+1 .. j1 as a view of ``buf``.  Integer alpha takes
+    ``_radial_block``, whose state starts at sqrt X0 (the signed coordinate at
+    alpha = 1); any other alpha ``_mixture_block``, whose state is X itself.
+    """
+    a = config.params.alpha
+    t = np.linspace(config.t0, 1.0, config.n_steps + 1)
+    sd, ds, tau2 = _radial_steps(t)
+    x0 = config.q0 / ((1.0 - config.t0) * (1.0 - config.t0))
+    if a.is_integer():
+        d = int(a)
+
+        def step(gen, state, j0, j1, buf):
+            return _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1], buf)
+
+        return t, step, math.sqrt(x0), _draws_per_step(d)
+
+    def step(gen, state, j0, j1, buf):
+        return _mixture_block(gen, state, a, ds[j0:j1], tau2[j0:j1], buf)
+
+    return t, step, x0, 1
+
+
 def simulate_exact(config: SimConfig) -> BridgePath:
-    """One exact path: the time-changed BESQ^alpha walk of the engine.
+    """One exact path from (t0, q0): the engine's walk without stopping.
 
     Draws from stream (seed, 0) in the engine's time blocks, through the same
     kernel, so a one-path engine run reproduces it bit for bit.  Every grid
     marginal has the exact law, and the pinned node is the exact zero.
-    Requires integer dimension and a start at (t, q) = (0, 0).
     """
-    if config.scheme != SCHEME_EXACT:
-        raise ValueError("config.scheme must be exact_integer_dim")
-    if config.t0 != 0.0:
-        raise ValueError("exact scheme starts at t0 = 0")
-    d = int(round(config.params.alpha))
-    t = _exact_times(config)
+    t, step, x0, width = _sampler(config)
     gen = _path_generator(config.seed, 0)
-    sd, ds, tau2 = _radial_steps(t)
-    state = np.zeros(1)
+    state = np.full(1, x0)
+    buf = np.empty(width * _BLOCK_STEPS)
     q = np.zeros(config.n_steps + 1)
+    q[0] = config.q0
     last = config.n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
         j1 = min(j0 + _BLOCK_STEPS, last)
-        q[j0 + 1 : j1 + 1] = _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1])[:, 0]
-    return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
-
-
-def simulate_euler(config: SimConfig) -> BridgePath:
-    """One full-truncation Euler path on [t0, 1 - eps_end].
-
-    The state is clipped at zero after every step, which keeps the square
-    root well-defined without biasing the positive part of the dynamics.
-    """
-    if config.scheme != SCHEME_EULER:
-        raise ValueError("config.scheme must be euler_full_truncation")
-    a = config.params.alpha
-    t = _euler_times(config)
-    gen = _path_generator(config.seed, 0)
-    xi = gen.standard_normal(config.n_steps)
-    q = np.empty(config.n_steps + 1)
-    q[0] = config.q0
-    for j in range(config.n_steps):
-        tau = 1.0 - t[j]
-        h = t[j + 1] - t[j]
-        drift = (a - 2.0 * q[j] / tau) * h
-        q[j + 1] = max(0.0, q[j] + drift + 2.0 * math.sqrt(q[j] * h) * xi[j])
+        q[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0]
     return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
 
 
@@ -330,35 +331,43 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
     return StoppingOutcome(tau=1.0, payoff=0.0, stopped=False)
 
 
-def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
+def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
     """Payoffs of the path block [start, stop), simulated a time block at a time.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
-    Rows are the block's paths that still have an unhit level.  Each time
-    block draws fresh variates for those rows only and applies the radial
-    transition of ``_radial_block``, so a path stops costing draws once every
-    level has stopped it.  The draws are independent of the history that
-    chose the rows, so every surviving path keeps the exact law.  The radial
-    state carries across time blocks; a one-path block therefore reproduces
-    ``simulate_exact`` on the same stream bit for bit.
+    Levels with q0 >= z (1 - t0) stop every path at node 0, as
+    ``apply_policy`` does.  Rows are the block's paths that still have an
+    unhit level.  Each time block draws fresh variates for those rows only and
+    applies the ``sampler`` kernel, so a path stops costing draws once
+    every level has stopped it.  The draws are independent of the history
+    that chose the rows, so every surviving path keeps the exact law.  The
+    kernel state carries across time blocks; a one-path block therefore
+    reproduces ``simulate_exact`` on the same stream bit for bit.
     """
-    d = int(round(config.params.alpha))
     m = stop - start
+    t, step, x0, width = sampler
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
-    sd, ds, tau2 = _radial_steps(t)
     tau = 1.0 - t
     inv_tau = 1.0 / tau[:-1]
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
     last = config.n_steps - 1
 
+    at_start = config.q0 >= levels * tau[0]
+    payoffs[start:stop, at_start] = _payoff(config.q0, config.params.n)
+    stopped[start:stop, at_start] = True
     rows = np.arange(m)  # block-local index of each active row
-    state = np.zeros(m)  # radial state at the current node
-    open_ = np.ones((m, levels.size), dtype=bool)
+    state = np.full(m, x0)  # kernel state at the current node
+    open_ = np.tile(~at_start, (m, 1))
     # one buffer serves every time block, so draws never fault in fresh pages
-    buf = np.empty(_draws_per_step(d) * m * min(_BLOCK_STEPS, last))
+    buf = np.empty(width * m * min(_BLOCK_STEPS, last))
     for j0 in range(0, last, _BLOCK_STEPS):
+        keep = open_.any(axis=1)
+        if not keep.all():
+            rows, state, open_ = rows[keep], state[keep], open_[keep]
+            if rows.size == 0:
+                break
         j1 = min(j0 + _BLOCK_STEPS, last)
-        q = _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1], buf)
+        q = step(gen, state, j0, j1, buf)
         bound = tau[j0 + 1 : j1 + 1, None]
         # per row, the block's largest q/(1-t): only rows with peak >= z can
         # hit level z, so the exact test below runs on those columns alone
@@ -374,42 +383,6 @@ def _run_chunk_exact(config, levels, t, start, stop, payoffs, stopped):
             payoffs[start + rows[cand], l] = _payoff(q[first, cand], config.params.n)
             stopped[start + rows[cand], l] = True
             open_[cand, l] = False
-        keep = open_.any(axis=1)
-        if not keep.all():
-            rows, state, open_ = rows[keep], state[keep], open_[keep]
-            if rows.size == 0:
-                break
-
-
-def _run_chunk_euler(config, levels, t, start, stop, payoffs, stopped):
-    a = config.params.alpha
-    n = config.params.n
-    m = stop - start
-    xi = np.empty((m, config.n_steps))
-    for i in range(m):
-        gen = _path_generator(config.seed, start + i)
-        xi[i] = gen.standard_normal(config.n_steps)
-    qv = np.full(m, config.q0)
-    hit = np.zeros((m, levels.size), dtype=bool)
-    pay = np.zeros((m, levels.size))
-
-    def record(node_t, q_now):
-        for l, z in enumerate(levels):
-            new = ~hit[:, l] & (q_now >= z * (1.0 - node_t))
-            if new.any():
-                pay[new, l] = _payoff(q_now[new], n)
-                hit[new, l] = True
-
-    record(t[0], qv)
-    for j in range(config.n_steps):
-        tau = 1.0 - t[j]
-        h = t[j + 1] - t[j]
-        qv = np.maximum(
-            0.0, qv + (a - 2.0 * qv / tau) * h + 2.0 * np.sqrt(qv * h) * xi[:, j]
-        )
-        record(t[j + 1], qv)
-    payoffs[start:stop] = pay
-    stopped[start:stop] = hit
 
 
 def _threshold_payoffs(
@@ -420,20 +393,17 @@ def _threshold_payoffs(
     n_paths = config.n_paths
     payoffs = np.zeros((n_paths, levels.size))
     stopped = np.zeros((n_paths, levels.size), dtype=bool)
-    if config.scheme == SCHEME_EXACT:
-        t, runner, block = _exact_times(config), _run_chunk_exact, _BLOCK_PATHS
-    else:
-        t, runner, block = _euler_times(config), _run_chunk_euler, _EULER_BLOCK_PATHS
+    sampler = _sampler(config)
 
-    bounds = [(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
+    bounds = [(s, min(s + _BLOCK_PATHS, n_paths)) for s in range(0, n_paths, _BLOCK_PATHS)]
     workers = worker_count(len(bounds))
     if workers == 1:
         for s, e in bounds:
-            runner(config, levels, t, s, e, payoffs, stopped)
+            _run_chunk_exact(config, levels, sampler, s, e, payoffs, stopped)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futures = [
-                ex.submit(runner, config, levels, t, s, e, payoffs, stopped)
+                ex.submit(_run_chunk_exact, config, levels, sampler, s, e, payoffs, stopped)
                 for s, e in bounds
             ]
             for f in futures:
@@ -486,11 +456,7 @@ def policy_sweep(
     levels = np.array([m * Z for m in mult])
     payoffs, stopped = _threshold_payoffs(config, levels)
 
-    candidate_idx = None
-    for i, m in enumerate(mult):
-        if m == 1.0:
-            candidate_idx = i
-            break
+    candidate_idx = mult.index(1.0) if 1.0 in mult else None
 
     rows = []
     for i, m in enumerate(mult):

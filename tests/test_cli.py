@@ -65,6 +65,15 @@ def test_usage_error_exit_codes(capsys):
     capsys.readouterr()
     assert main(["sweep", "--multipliers", "a,b"]) == 2
     capsys.readouterr()
+    # SimConfig rejects these; the CLI reports them as usage errors
+    for cmd in ("simulate", "sweep"):
+        for flag, bad in (("--q0", "-1"), ("--q0", "nan"), ("--q0", "inf"), ("--t0", "1.0")):
+            assert main([cmd, flag, bad, "--paths", "10", "--steps", "5"]) == 2
+            capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scheme", "euler"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
@@ -158,20 +167,21 @@ def test_simulate_json_payload(capsys):
     env = json.loads(out)
     assert code == 0
     res = env["results"]
-    assert res["scheme"] == "exact_integer_dim"
+    assert res["scheme"] == "exact"
     assert res["n_paths"] == 400
     assert res["ci95"][0] <= res["mean"] <= res["ci95"][1]
     assert env["config"]["paths"] == 400
 
 
-def test_simulate_euler_fallback_for_fractional_dimension(capsys):
+def test_simulate_fractional_dimension_off_origin(capsys):
     code, out = run_cli(
-        capsys, "simulate", "--alpha", "2.5", "--n", "1",
+        capsys, "simulate", "--alpha", "2.5", "--n", "1", "--t0", "0.3", "--q0", "0.2",
         "--paths", "200", "--steps", "80", "--seed", "3",
     )
     env = json.loads(out)
     assert code == 0
-    assert env["results"]["scheme"] == "euler_full_truncation"
+    assert env["results"]["scheme"] == "exact"
+    assert 0.0 < env["results"]["mean"] < 2.0
 
 
 def test_dp_oracle_payload(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,33 @@ def test_recursion_matches_gamma_closed_form_random_params():
         table = build_coefficients(ModelParams(a, n))
         closed = gamma_form_coefficients(table.params, table.K)
         assert np.max(np.abs(table.coeffs / closed - 1.0)) <= 1e-10
+
+
+def test_cross_check_covers_underflowed_coefficients():
+    # at (80, 78) with ymax = 200 the highest 36 coefficients are zero or
+    # subnormal in both forms; the normal ones agree to about 2.4e-13
+    params = ModelParams(80, 78)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_coefficients(params, ymax=200.0)
+    closed = gamma_form_coefficients(params, table.K)
+    assert np.sum(closed < np.finfo(float).tiny) > 0
+
+
+# the last coefficient has underflowed to 0 in both forms; A_100 ~ 2.4e-189
+# is normal in both.  1e-300 is normal where the recursion has underflowed.
+@pytest.mark.parametrize("k, bad", [(-1, math.nan), (-1, 1e-300), (100, 0.0), (100, math.nan)])
+def test_cross_check_rejects_corrupted_high_coefficient(monkeypatch, k, bad):
+    import besselstop.series as series
+
+    def corrupted(params, K):
+        closed = gamma_form_coefficients(params, K)
+        closed[k] = bad
+        return closed
+
+    monkeypatch.setattr(series, "gamma_form_coefficients", corrupted)
+    with pytest.raises(RuntimeError):
+        build_coefficients(ModelParams(80, 78), ymax=200.0)
 
 
 def test_truncation_cap_carries_partial_table():

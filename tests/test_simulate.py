@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,24 +10,22 @@ from besselstop.boundary import find_Z
 from besselstop.series import ModelParams
 from besselstop.simulate import (
     BridgePath,
-    SCHEME_EULER,
-    SCHEME_EXACT,
     SimConfig,
+    StoppingOutcome,
     ThresholdPolicy,
     _BLOCK_PATHS,
     _BLOCK_STEPS,
+    _sampler,
     _path_generator,
     _payoff,
-    _radial_block,
-    _radial_steps,
     _threshold_payoffs,
     apply_policy,
     mc_estimate,
     path_seed,
     policy_sweep,
-    simulate_euler,
     simulate_exact,
 )
+from besselstop.value import U_star, build_candidate
 
 Z31 = 2.260197657993724
 B_REF = 0.9711974210930677
@@ -61,27 +60,47 @@ def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([lead, q], axis=-1)
 
 
-def _replay_q(seed, block, alpha, n_steps, n_paths, levels):
+def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
     """The engine's draw schedule on stream (seed, block), stepped in Python floats.
 
-    Each time block draws (k, n) normals, then (alpha-1)//2 exponential arrays
+    Paths start at X0 = q0/(1-t0)^2 on the grid linspace(t0, 1, n_steps + 1);
+    a level the start meets stops every path at node 0.  For integer alpha
+    each time block draws (k, n) normals, then (alpha-1)//2 exponential arrays
     (k, n) and, for even alpha, one more (k, n) normal, for the n paths that
     still have an unhit level, in path order.  Every path then takes the
     radial step U = R + sqrt(ds) xi, X = U^2 + ds chi2 (U += sqrt(ds) xi,
-    X = U^2 at alpha = 1) one float at a time.  Nodes a path never reaches
-    stay 0.  Returns the grid and q with shape (n_paths, n_steps + 1).
+    X = U^2 at alpha = 1) one float at a time.  Any other alpha draws, step
+    by step, n Poisson counts N and then n gammas of shape alpha/2 + N, and
+    sets X = 2 ds G.  Nodes a path never reaches stay 0.  Returns the grid and
+    q with shape (n_paths, n_steps + 1).
     """
-    t = np.linspace(0.0, 1.0, n_steps + 1)
+    t = np.linspace(t0, 1.0, n_steps + 1)
     tl = t.tolist()
-    n_exp, odd = divmod(alpha - 1, 2)
     gen = _path_generator(seed, block)
     q = np.zeros((n_paths, n_steps + 1))
-    r = [0.0] * n_paths
-    active = list(range(n_paths))
+    q[:, 0] = q0
+    x0 = q0 / ((1.0 - t0) * (1.0 - t0))
+    r = [math.sqrt(x0)] * n_paths
+    xs = [x0] * n_paths
+    active = [p for p in range(n_paths) if any(q0 < z * (1.0 - t0) for z in levels)]
     last = n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
+        if not active:
+            break
         j1 = min(j0 + _BLOCK_STEPS, last)
         k, n = j1 - j0, len(active)
+        if not float(alpha).is_integer():
+            for j in range(j0, j1):
+                ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
+                h = ds + ds
+                counts = gen.poisson(np.array([xs[p] / h for p in active]))
+                g = gen.standard_gamma(counts + 0.5 * alpha).tolist()
+                for c, p in enumerate(active):
+                    xs[p] = g[c] * h
+                    q[p, j + 1] = xs[p] * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
+            active = _still_open(q, t, active, j1, levels)
+            continue
+        n_exp, odd = divmod(int(alpha) - 1, 2)
         xi = gen.standard_normal((k, n)).tolist()
         e = gen.standard_exponential((n_exp, k, n)).tolist() if n_exp else []
         g = gen.standard_normal((k, n)).tolist() if odd else None
@@ -106,26 +125,27 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels):
                     x = u * u + chi * ds
                     r[p] = math.sqrt(x)
                 q[p, j + 1] = x * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
-        bound = 1.0 - t[1 : j1 + 1]
-        active = [
-            p for p in active if any(np.all(q[p, 1 : j1 + 1] < z * bound) for z in levels)
-        ]
-        if not active:
-            break
+        active = _still_open(q, t, active, j1, levels)
     return t, q
 
 
+def _still_open(q, t, active, j1, levels):
+    """The active paths with a level that nodes 0 .. j1 have not met."""
+    bound = 1.0 - t[: j1 + 1]
+    return [p for p in active if any(np.all(q[p, : j1 + 1] < z * bound) for z in levels)]
+
+
 def test_config_validation():
+    # any dimension and any start in [0, 1) x [0, inf) is valid
+    SimConfig(params=ModelParams(2.5, 1), t0=0.5, q0=1.0)
+    for q0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(params=ModelParams(3, 1), q0=q0)
+    for t0 in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(params=ModelParams(3, 1), t0=t0)
     with pytest.raises(ValueError):
-        SimConfig(params=ModelParams(2.5, 1), scheme=SCHEME_EXACT)
-    with pytest.raises(ValueError):
-        SimConfig(params=ModelParams(3, 1), q0=1.0, scheme=SCHEME_EXACT)
-    with pytest.raises(ValueError):
-        SimConfig(params=ModelParams(3, 1), t0=1.0)
-    with pytest.raises(ValueError):
-        SimConfig(params=ModelParams(3, 1), eps_end=2.0)
-    with pytest.raises(ValueError):
-        SimConfig(params=ModelParams(3, 1), scheme="magic")
+        SimConfig(params=ModelParams(3, 1), scheme="euler_full_truncation")
     with pytest.raises(ValueError):
         ThresholdPolicy(0.0)
 
@@ -137,12 +157,6 @@ def test_exact_path_pins_and_stays_nonnegative():
     assert path.times[0] == 0.0 and path.times[-1] == 1.0
     assert np.all(path.q >= 0.0)
     assert path.seed_used == path_seed(42, 0)
-
-
-def test_exact_scheme_requires_origin_start():
-    cfg = SimConfig(params=ModelParams(3, 1), t0=0.25, scheme=SCHEME_EXACT, n_paths=10, n_steps=50, seed=1)
-    with pytest.raises(ValueError):
-        simulate_exact(cfg)
 
 
 def test_exact_pinning_moment():
@@ -159,51 +173,13 @@ def test_exact_pinning_moment():
     assert abs(vals.mean() - 0.75) <= 3.0 * stderr
 
 
-def test_euler_pinning_moment_with_bias_allowance():
-    cfg = SimConfig(
-        params=ModelParams(3, 1), n_paths=8000, n_steps=400, seed=9, scheme=SCHEME_EULER,
-        eps_end=1e-6,
-    )
-    t = np.linspace(cfg.t0, 1.0 - cfg.eps_end, cfg.n_steps + 1)
-    mid = int(np.searchsorted(t, 0.5))
-    vals = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        gen = _path_generator(cfg.seed, i)
-        xi = gen.standard_normal(cfg.n_steps)
-        q = cfg.q0
-        for j in range(mid):
-            tau = 1.0 - t[j]
-            h = t[j + 1] - t[j]
-            q = max(0.0, q + (3.0 - 2.0 * q / tau) * h + 2.0 * math.sqrt(q * h) * xi[j])
-        vals[i] = q
-    stderr = vals.std(ddof=1) / math.sqrt(vals.size)
-    target = 3.0 * t[mid] * (1.0 - t[mid])
-    assert abs(vals.mean() - target) <= 3.0 * stderr + 5.0 / cfg.n_steps
-
-
-def test_euler_path_properties():
-    cfg = SimConfig(
-        params=ModelParams(0.5, 1), n_paths=1, n_steps=300, seed=11,
-        scheme=SCHEME_EULER, t0=0.0, q0=2.0,
-    )
-    path = simulate_euler(cfg)
-    assert path.q[0] == 2.0
-    assert np.all(path.q >= 0.0)
-    assert path.times[-1] == 1.0 - cfg.eps_end
-
-
-def test_low_dimension_paths_hit_zero_often():
-    hits = 0
-    n_paths = 200
-    for i in range(n_paths):
-        cfg = SimConfig(
-            params=ModelParams(0.5, 1), n_paths=1, n_steps=256, seed=1000 + i,
-            scheme=SCHEME_EULER, t0=0.9, q0=5.0, eps_end=1e-6,
-        )
-        path = simulate_euler(cfg)
-        if np.any(path.q == 0.0):
-            hits += 1
-    assert hits / n_paths >= 0.5
+@pytest.mark.parametrize("alpha", [0.5, 3])
+def test_off_origin_path_properties(alpha):
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=1, n_steps=300, seed=11, t0=0.4, q0=2.0)
+    path = simulate_exact(cfg)
+    assert path.times[0] == 0.4 and path.times[-1] == 1.0
+    assert path.q[0] == 2.0 and path.q[-1] == 0.0
+    assert np.all(path.q[1:-1] > 0.0)
 
 
 def test_drift_sign_flips_at_half_boundary_level():
@@ -244,13 +220,22 @@ def test_single_path_matches_engine_row():
     assert payoffs[0, 0] == outcome.payoff
     assert bool(stopped[0, 0]) == outcome.stopped
 
-    cfg_e = SimConfig(
-        params=ModelParams(3, 1), n_paths=4, n_steps=300, seed=77, scheme=SCHEME_EULER
-    )
-    path_e = simulate_euler(cfg_e)
-    outcome_e = apply_policy(path_e, ThresholdPolicy(Z31), 1.0)
-    payoffs_e, _ = _threshold_payoffs(cfg_e, np.array([Z31]))
-    assert payoffs_e[0, 0] == outcome_e.payoff
+    # fractional dimension, from the origin and from an interior start
+    for t0, q0 in ((0.0, 0.0), (0.3, 0.4)):
+        cfg = SimConfig(
+            params=ModelParams(0.5, 1), n_paths=1, n_steps=300, seed=77, t0=t0, q0=q0
+        )
+        path = simulate_exact(cfg)
+        t, q_ref = _replay_q(77, 0, 0.5, cfg.n_steps, 1, (math.inf,), t0, q0)
+        assert np.array_equal(path.times, t)
+        assert np.array_equal(path.q, q_ref[0])
+        levels = np.array([0.2, 1.0, 1e6])
+        payoffs, stopped = _threshold_payoffs(cfg, levels)
+        for l, z in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
+            assert payoffs[0, l] == outcome.payoff
+            assert bool(stopped[0, l]) == outcome.stopped
+        assert stopped[0, 0] and not stopped[0, 2]
 
 
 def test_mc_estimate_matches_candidate_level():
@@ -317,6 +302,47 @@ def test_engine_matches_replayed_whole_paths():
                 assert bool(stopped[i, l]) == outcome.stopped
 
 
+@pytest.mark.parametrize(
+    "alpha, t0, q0", [(0.5, 0.0, 0.0), (2.5, 0.0, 0.0), (0.5, 0.5, 0.1), (2.5, 0.3, 0.4), (3, 0.5, 0.3), (1, 0.2, 0.5)]
+)
+def test_engine_matches_replayed_paths_any_dimension_and_start(alpha, t0, q0):
+    # as above, for the mixture kernel and for starts off the origin; the
+    # lowest level is met at node 0 by the off-origin starts
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=40, n_steps=150, seed=8, t0=t0, q0=q0)
+    z = find_Z(cfg.params).value
+    levels = np.array([0.25, z, 2.0 * z])
+    t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels, t0, q0)
+    payoffs, stopped = _threshold_payoffs(cfg, levels)
+    assert 0 < stopped[:, 2].sum() < cfg.n_paths
+    for i in range(cfg.n_paths):
+        path = BridgePath(times=t, q=q[i], seed_used=0)
+        for l, z in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
+            assert payoffs[i, l] == outcome.payoff
+            assert bool(stopped[i, l]) == outcome.stopped
+
+
+@pytest.mark.parametrize("alpha", [0.5, 3])
+def test_start_in_stopping_region_stops_at_node_zero(alpha):
+    # q0 >= Z (1 - t0) stops every path at t0 with payoff q0^{n/2}, including
+    # the start exactly on the boundary; the other level still simulates
+    t0 = 0.5
+    for q0 in (Z31 * (1.0 - t0), 2.0):
+        cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=300, n_steps=100, seed=4, t0=t0, q0=q0)
+        payoffs, stopped = _threshold_payoffs(cfg, np.array([Z31, 5.0]))
+        assert stopped[:, 0].all()
+        assert np.all(payoffs[:, 0] == _payoff(q0, 1.0))
+        assert not stopped[:, 1].all()
+        one = dataclasses.replace(cfg, n_paths=1)
+        path = simulate_exact(one)
+        payoffs, _ = _threshold_payoffs(one, np.array([Z31, 5.0]))
+        assert apply_policy(path, ThresholdPolicy(Z31), 1.0) == StoppingOutcome(t0, payoffs[0, 0], True)
+        assert payoffs[0, 1] == apply_policy(path, ThresholdPolicy(5.0), 1.0).payoff
+        res = mc_estimate(cfg, ThresholdPolicy(Z31))
+        assert res.stop_fraction == 1.0
+        assert res.mean == pytest.approx(payoffs[0, 0], rel=1e-14)
+
+
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0])
 def test_engine_and_policy_payoffs_agree_bit_for_bit(n):
     # the engine raises the array of newly stopped q to n/2 at once and
@@ -352,27 +378,49 @@ def test_engine_payoffs_match_policy_on_many_stops(n):
         assert payoffs[i, 0] == apply_policy(path, ThresholdPolicy(1e-9), n).payoff
 
 
-def _grid_q(alpha, n_paths, seed):
-    """q at t = 0.1 .. 0.9 for n_paths independent rows, one kernel call."""
-    t = np.linspace(0.0, 1.0, 11)
-    sd, ds, tau2 = _radial_steps(t)
-    gen = np.random.default_rng(seed)
-    return t[1:-1], _radial_block(gen, np.zeros(n_paths), alpha, sd, ds, tau2)
+def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0):
+    """q at the 9 inner nodes of linspace(t0, 1, 11) for n_paths rows, one kernel call.
+
+    The kernel is the engine's choice for alpha: radial for integer alpha,
+    the Poisson mixture otherwise.
+    """
+    cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
+    t, step, x0, width = _sampler(cfg)
+    buf = np.empty(width * 9 * n_paths)
+    return t[1:-1], step(np.random.default_rng(seed), np.full(n_paths, x0), 0, 9, buf)
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+def _case_seed(base, alpha):
+    # integer alpha keeps the seed base + alpha these tests have always used
+    return base + alpha if float(alpha).is_integer() else 10 * base + int(10 * alpha)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
 def test_kernel_marginals_are_scaled_chi_square(alpha):
     # Q_t / (t (1 - t)) ~ chi2_alpha for the bridge from 0 to 0
-    t, q = _grid_q(alpha, 20_000, 100 + alpha)
+    t, q = _grid_q(alpha, 20_000, _case_seed(100, alpha))
     for j in (0, 4, 8):
         scaled = q[j] / (t[j] * (1.0 - t[j]))
         assert stats.kstest(scaled, stats.chi2(alpha).cdf).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.5, 1, 2.5, 3])
+def test_kernel_marginals_off_origin_are_noncentral_chi_square(alpha):
+    # from Q_{t0} = q0, X = Q/(1-t)^2 at s = t/(1-t) is BESQ^alpha from
+    # X0 = q0/(1-t0)^2 at s0, so X(s)/(s - s0) ~ ncx2(alpha, X0/(s - s0))
+    t0, q0 = 0.3, 0.4
+    t, q = _grid_q(alpha, 20_000, _case_seed(300, alpha), t0, q0)
+    s0, x0 = t0 / (1.0 - t0), q0 / (1.0 - t0) ** 2
+    for j in (0, 4, 8):
+        gap = t[j] / (1.0 - t[j]) - s0
+        scaled = q[j] / (1.0 - t[j]) ** 2 / gap
+        assert stats.kstest(scaled, stats.ncx2(alpha, x0 / gap).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
 def test_kernel_covariance_matches_bridge(alpha):
     # Cov(Q_t1, Q_t2) = 2 alpha t1^2 (1 - t2)^2 for t1 <= t2
-    t, q = _grid_q(alpha, 20_000, 200 + alpha)
+    t, q = _grid_q(alpha, 20_000, _case_seed(200, alpha))
     for i, j in ((0, 4), (4, 8), (0, 8), (4, 4)):
         x = q[i] - q[i].mean()
         y = q[j] - q[j].mean()
@@ -433,24 +481,40 @@ def test_exact_engine_temporaries_stay_small(monkeypatch):
     assert _traced_peak(cfg) < 6.5 * 2**20
 
 
-def test_euler_runner_temporaries_stay_small(monkeypatch):
-    # the Euler runner holds a (paths, n_steps) normal matrix per task, so it
-    # keeps 1024-path tasks although the exact engine's blocks are wider
+def test_mixture_block_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
-    cfg = SimConfig(
-        params=ModelParams(3, 1), n_paths=_BLOCK_PATHS, n_steps=500, seed=3, scheme=SCHEME_EULER
-    )
-    # measured 4.0 MB: one 1024 x 500 normal matrix; a 4096-path task needs 16 MB
-    assert _traced_peak(cfg) < 6.0 * 2**20
+    cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
+    # measured 2.3 MB for one full block: one 1 MB draw slab, one (k, n) scan
+    # temporary and a few per-step rows
+    assert _traced_peak(cfg) < 4.5 * 2**20
 
 
 def test_results_independent_of_worker_count(monkeypatch):
-    cfg = _exact_config(n_paths=3000, n_steps=150, seed=13)
-    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
-    r1 = mc_estimate(cfg, ThresholdPolicy(Z31))
-    monkeypatch.setenv("BESSELSTOP_THREADS", "4")
-    r2 = mc_estimate(cfg, ThresholdPolicy(Z31))
-    assert r1 == r2
+    cfgs = (
+        _exact_config(n_paths=3000, n_steps=150, seed=13),
+        SimConfig(params=ModelParams(2.5, 1.5), t0=0.2, q0=0.3, n_paths=_BLOCK_PATHS + 300, n_steps=100, seed=13),
+    )
+    for cfg in cfgs:
+        monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+        r1 = mc_estimate(cfg, ThresholdPolicy(Z31))
+        monkeypatch.setenv("BESSELSTOP_THREADS", "4")
+        r2 = mc_estimate(cfg, ThresholdPolicy(Z31))
+        assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "alpha, n, t0, q0, n_steps",
+    [(0.5, 1, 0.0, 0.0, 2000), (0.5, 1, 0.5, 0.1, 1000), (2.5, 1.5, 0.3, 0.4, 1000)],
+)
+def test_mc_estimate_matches_value_any_dimension_and_start(alpha, n, t0, q0, n_steps):
+    # the exact sampler against the series value U*(t0, q0), with no floor;
+    # the full-truncation Euler scheme it replaced read +14.8 se at (0.5, 1)
+    # from the origin on 8192 x 2000
+    params = ModelParams(alpha, n)
+    sol = build_candidate(params)
+    cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=8192, n_steps=n_steps, seed=20240601)
+    res = mc_estimate(cfg, ThresholdPolicy(sol.Z))
+    assert abs(res.mean - U_star(sol, t0, q0)) <= 3.0 * res.stderr
 
 
 def test_reflecting_bridge_level():
