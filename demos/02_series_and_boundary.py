@@ -3,7 +3,9 @@
 The coefficients follow the one-term recursion
 A_{k+1} = (2k+n) A_k / (2 (k+1) (2k+alpha)); the boundary scale Z is the
 unique positive root of F(z) = sum (2k-n) A_k z^k.  For alpha = n the series
-collapses to exp(y/2) and Z = n exactly, a handy sanity anchor.
+collapses to exp(y/2) and Z = n exactly, a handy sanity anchor; the integral
+forms at n = alpha - 2 and n = 2 < alpha give Z without the series too, so
+(3,1) and (7,2) also print a closed form.
 """
 
 import numpy as np

@@ -11,7 +11,6 @@ from .boundary import (
     NoRootError,
     RootResult,
     boundary_margin,
-    closed_form_Z,
     find_C_excursion,
     find_Z,
 )
@@ -22,7 +21,9 @@ from .oracles import (
     OdeSolution,
     RangeError,
     Z_from_ode,
+    closed_form_Z,
     dp_value,
+    explicit_special_values,
     ode_residual,
     ode_shoot,
     quadrature_H,
@@ -65,7 +66,6 @@ from .value import (
     build_candidate,
     build_excursion,
     excursion_value,
-    explicit_special_values,
     pde_residual,
     smooth_fit_residual,
 )

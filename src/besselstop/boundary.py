@@ -6,10 +6,11 @@ excursion threshold C, the root in (1, 2) of
 
     h(c) = 2 * int_0^c exp(t^2/2) dt - c * exp(c^2/2).
 
-Both, and the integral-form special families, go through ``solve_root``:
-a sign-change bracket, Brent's method inside it and a single Newton polish,
-so convergence is guaranteed by the sign structure and the last step restores
-full floating-point accuracy.
+Both go through ``solve_root``: a sign-change bracket, Brent's method inside
+it and a single Newton polish, so convergence is guaranteed by the sign
+structure and the last step restores full floating-point accuracy.  The
+closed and integral forms of the special families, which check Z without the
+series, live in ``oracles`` and use the same helper.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     The coefficient table is rebuilt transparently if the bracket outgrows
     its validated range.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     table = build_coefficients(params)
 
     def F(z: float) -> float:
@@ -140,33 +141,11 @@ def find_C_excursion(tol: float = 1e-8) -> RootResult:
     on [1, 2], where the sign change is guaranteed, with one Newton polish
     using h'(c) = e^{c^2/2} (1 - c^2).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return solve_root(
         excursion_h, 1.0, 2.0, tol, lambda c: math.exp(0.5 * c * c) * (1.0 - c * c)
     )
-
-
-def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
-    """Boundary scale from a closed form, when one exists.
-
-    alpha == n has the exponential solution with Z = n.  n == alpha - 2 has an
-    integral-form solution; Z then solves exp(z/2) = 2 n H(z) with H evaluated
-    by quadrature, bracketed by doubling and found by Brent's method.  Returns
-    None when no special case applies.
-    """
-    a, n = params.alpha, params.n
-    if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
-        return float(n)
-    if math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12):
-        from .oracles import quadrature_H
-
-        def phi(z: float) -> float:
-            return 2.0 * n * quadrature_H(params, z) * math.exp(-0.5 * z) - 1.0
-
-        # phi(0) = 1 exactly; Z lies just below alpha, and ends far past it overflow H.
-        return solve_root(phi, 0.0, a, tol, grow_cap=2.0**40).value
-    return None
 
 
 def boundary_margin(params: ModelParams, tol: float = 1e-10) -> float:

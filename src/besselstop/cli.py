@@ -22,8 +22,8 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .boundary import closed_form_Z, find_C_excursion, find_Z
-from .oracles import Z_from_ode, dp_value, ode_residual
+from .boundary import NoRootError, find_C_excursion, find_Z
+from .oracles import Z_from_ode, closed_form_Z, dp_value, ode_residual
 from .series import ModelParams, build_coefficients
 from .simulate import (
     SimConfig,
@@ -35,40 +35,24 @@ from .simulate import (
 from .value import CandidateSolution, U_star, boundary_q, boundary_x, build_candidate
 from .verify import run_iteration_checks, run_shape_checks
 
-COMMANDS = (
-    "boundary",
-    "coeffs",
-    "value",
-    "simulate",
-    "sweep",
-    "dp-oracle",
-    "ode-oracle",
-    "verify-appendix",
-    "verify-lemmas",
-    "acceptance",
-)
-
-DEFAULT_TOL = 1e-10
-DEFAULT_PATHS = 200_000
-DEFAULT_STEPS = 2000
-DEFAULT_SEED = 20240601
-DEFAULT_MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 2.0)
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation; echoed verbatim into every output artifact."""
+    """Parsed invocation; echoed verbatim into every output artifact.
+
+    These defaults are the command line's: the parser leaves out every flag
+    that is not given.
+    """
 
     command: str
     alpha: float = 3.0
     n: float = 1.0
     t0: float = 0.0
     q0: float = 0.0
-    tol: float = DEFAULT_TOL
-    paths: int = DEFAULT_PATHS
-    steps: int = DEFAULT_STEPS
-    seed: int = DEFAULT_SEED
-    multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS
+    tol: float = 1e-10
+    paths: int = 200_000
+    steps: int = 2000
+    seed: int = 20240601
+    multipliers: tuple[float, ...] = (0.5, 0.75, 1.0, 1.5, 2.0)
     out_format: str = "json"
     out_path: str | None = None
     t_points: int = 101
@@ -88,14 +72,6 @@ class ResultEnvelope:
     config: dict
     results: object
     timing: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "results": self.results,
-            "timing": self.timing,
-        }
 
 
 class UsageError(ValueError):
@@ -210,11 +186,15 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         params = _params(config)
         root = find_Z(params, tol=config.tol)
         is_excursion = math.isclose(params.alpha, 3.0) and math.isclose(params.n, 1.0)
+        try:
+            closed = closed_form_Z(params)
+        except NoRootError:  # an integral form breaks down at large alpha; Z still stands
+            closed = None
         results = {
             "Z": root.value,
             "C": find_C_excursion(min(config.tol, 1e-8)).value if is_excursion else None,
             "margin": root.value - 0.5 * (params.alpha + params.n - 2.0),
-            "closed_form_Z": closed_form_Z(params),
+            "closed_form_Z": closed,
             "residual": root.residual,
             "iterations": root.iterations,
             "method": root.method,
@@ -238,8 +218,8 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         params = _params(config)
         if not (0.0 <= config.t0 <= 1.0):
             raise UsageError("t0 must lie in [0, 1]")
-        if config.q0 < 0.0:
-            raise UsageError("q0 must be nonnegative")
+        if not 0.0 <= config.q0 < math.inf:
+            raise UsageError("q0 must be nonnegative and finite")
         sol = build_candidate(params, tol=config.tol)
         zq = boundary_q(sol, config.t0)
         results = {
@@ -372,7 +352,7 @@ def _flatten_for_csv(results: object) -> list[list]:
 
 def _write_output(envelope: ResultEnvelope, csv_rows, config: RunConfig) -> None:
     if config.out_format == "json":
-        text = json.dumps(envelope.to_dict(), indent=2) + "\n"
+        text = json.dumps(asdict(envelope), indent=2) + "\n"
     else:
         rows = csv_rows if csv_rows is not None else _flatten_for_csv(envelope.results)
         buf = io.StringIO()
@@ -388,6 +368,11 @@ def _write_output(envelope: ResultEnvelope, csv_rows, config: RunConfig) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser whose namespace holds the subcommand and only the flags given.
+
+    Every subcommand leaves an absent flag out of the namespace
+    (``argparse.SUPPRESS``), so ``RunConfig`` alone supplies the defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="besselstop",
         description="Stopping boundaries and value functions for squared Bessel bridges",
@@ -395,87 +380,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model=True):
+    def command(name: str, label: str, model=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=label, argument_default=argparse.SUPPRESS)
         if model:
-            p.add_argument("--alpha", type=float, default=3.0, help="bridge dimension (default 3)")
-            p.add_argument("--n", type=float, default=1.0, help="payoff exponent (default 1)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root tolerance (default 1e-10)")
-        p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", dest="out_path", default=None, help="output path (default stdout)")
+            p.add_argument("--alpha", type=float, help=f"bridge dimension (default {RunConfig.alpha:g})")
+            p.add_argument("--n", type=float, help=f"payoff exponent (default {RunConfig.n:g})")
+        p.add_argument("--tol", type=float, help=f"root tolerance (default {RunConfig.tol:g})")
+        p.add_argument("--format", dest="out_format", choices=("json", "csv"))
+        p.add_argument("--out", dest="out_path", help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("boundary", help="boundary scale Z, margin, excursion constant")
-    common(p)
-    p.add_argument("--t-points", type=int, default=101, help="rows in the CSV boundary curve")
+    p = command("boundary", "boundary scale Z, margin, excursion constant")
+    p.add_argument("--t-points", type=int, help="rows in the CSV boundary curve")
 
-    p = sub.add_parser("coeffs", help="series coefficient table")
-    common(p)
-    p.add_argument("--eps", type=float, default=1e-14, help="relative tail tolerance")
-    p.add_argument("--ymax", type=float, default=None, help="validated range (default automatic)")
+    p = command("coeffs", "series coefficient table")
+    p.add_argument("--eps", type=float, help="relative tail tolerance")
+    p.add_argument("--ymax", type=float, help="validated range (default automatic)")
 
-    p = sub.add_parser("value", help="candidate value at (t0, q0)")
-    common(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--q0", type=float, default=0.0)
+    p = command("value", "candidate value at (t0, q0)")
+    p.add_argument("--t0", type=float)
+    p.add_argument("--q0", type=float)
 
     for name, label in (("simulate", "Monte Carlo estimate"), ("sweep", "threshold sweep")):
-        p = sub.add_parser(name, help=label)
-        common(p)
-        p.add_argument("--t0", type=float, default=0.0)
-        p.add_argument("--q0", type=float, default=0.0)
-        p.add_argument("--paths", type=int, default=DEFAULT_PATHS)
-        p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p = command(name, label)
+        p.add_argument("--t0", type=float)
+        p.add_argument("--q0", type=float)
+        p.add_argument("--paths", type=int)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--seed", type=int)
         if name == "sweep":
-            p.add_argument("--multipliers", type=str, default="0.5,0.75,1,1.5,2",
-                           help="comma-separated threshold multipliers")
+            p.add_argument("--multipliers", help="comma-separated threshold multipliers")
 
-    p = sub.add_parser("dp-oracle", help="backward-induction lattice value")
-    common(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t-steps", type=int, default=4000)
-    p.add_argument("--q-steps", type=int, default=800)
-    p.add_argument("--q-max", type=float, default=None)
+    p = command("dp-oracle", "backward-induction lattice value")
+    p.add_argument("--t0", type=float)
+    p.add_argument("--t-steps", type=int)
+    p.add_argument("--q-steps", type=int)
+    p.add_argument("--q-max", type=float)
 
-    p = sub.add_parser("ode-oracle", help="shooting-method boundary vs series")
-    common(p)
+    command("ode-oracle", "shooting-method boundary vs series")
 
-    p = sub.add_parser("verify-appendix", help="series identity and bound checks")
-    common(p, model=False)
-    p.add_argument("--r-max", type=int, default=60)
-    p.add_argument("--inv-steps", type=int, default=12)
+    p = command("verify-appendix", "series identity and bound checks", model=False)
+    p.add_argument("--r-max", type=int)
+    p.add_argument("--inv-steps", type=int)
 
-    p = sub.add_parser("verify-lemmas", help="shape checks of the candidate solution")
-    common(p)
+    command("verify-lemmas", "shape checks of the candidate solution")
 
-    p = sub.add_parser("acceptance", help="full acceptance battery")
-    common(p, model=False)
-    p.add_argument("--criteria", type=str, default=None,
-                   help="comma-separated criterion indices (default all)")
+    p = command("acceptance", "full acceptance battery", model=False)
+    p.add_argument("--criteria", help="comma-separated criterion indices (default all)")
     return parser
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kwargs = {"command": ns.command}
-    for name in (
-        "alpha", "n", "t0", "q0", "tol", "paths", "steps", "seed",
-        "out_format", "out_path", "t_points", "t_steps",
-        "q_steps", "q_max", "eps", "ymax", "r_max", "inv_steps",
-    ):
-        if hasattr(ns, name):
-            kwargs[name] = getattr(ns, name)
-    if hasattr(ns, "multipliers"):
+    kwargs = dict(vars(ns))
+    if "multipliers" in kwargs:
+        text = kwargs["multipliers"]
         try:
-            mult = tuple(float(tok) for tok in ns.multipliers.split(",") if tok.strip())
+            mult = tuple(float(tok) for tok in text.split(",") if tok.strip())
         except ValueError:
-            raise UsageError(f"bad multiplier list {ns.multipliers!r}") from None
-        if not mult or any(m <= 0.0 for m in mult):
-            raise UsageError("multipliers must be positive")
+            raise UsageError(f"bad multiplier list {text!r}") from None
+        if not mult or not all(0.0 < m < math.inf for m in mult):
+            raise UsageError("multipliers must be positive and finite")
         kwargs["multipliers"] = mult
-    if getattr(ns, "criteria", None):
+    criteria = kwargs.pop("criteria", None)
+    if criteria:
         try:
-            kwargs["criteria"] = tuple(int(tok) for tok in ns.criteria.split(","))
+            kwargs["criteria"] = tuple(int(tok) for tok in criteria.split(","))
         except ValueError:
-            raise UsageError(f"bad criteria list {ns.criteria!r}") from None
+            raise UsageError(f"bad criteria list {criteria!r}") from None
     return RunConfig(**kwargs)
 
 

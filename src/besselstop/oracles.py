@@ -13,20 +13,25 @@ coordinate singularity:
   built from the Euler step of the bridge dynamics.  The stencils (indices
   and weights) are precomputed for ``_BLOCK_STEPS`` time steps at a time, so
   each backward step is one gather, a weighted sum and a maximum.
-* ``quadrature_H`` evaluates the integral-form solutions available at the
-  special parameter families by adaptive quadrature.
+* ``closed_form_Z`` and ``explicit_special_values`` solve the three special
+  parameter families, alpha = n, n = alpha - 2 and n = 2 < alpha, through
+  their closed or integral forms (``quadrature_H``), and never touch the
+  series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .boundary import find_Z, solve_root
 from .series import ModelParams, build_coefficients, default_ymax, psi_derivative, psi_eval
+from .value import _check_time
 
 
 # Time steps whose lattice stencils dp_value builds in one vectorised pass;
@@ -220,38 +225,23 @@ def Z_from_ode(
     raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
 
 
+def _quad(f, upper: float) -> float:
+    # int_0^upper f, at the one accuracy setting every integral form uses
+    return quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=300)[0]
+
+
 def _first_form_H(n: float, y: float) -> float:
     # H(y) = y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2; the substitution
     # s = t^{2/n} removes the endpoint singularity for n < 2.
     if y == 0.0:
         return 1.0 / n
-    upper = y ** (0.5 * n)
-    val, _ = quad(
-        lambda t: math.exp(0.5 * t ** (2.0 / n)),
-        0.0,
-        upper,
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=300,
-    )
-    return y ** (-0.5 * n) * val / n
+    return y ** (-0.5 * n) * _quad(lambda t: math.exp(0.5 * t ** (2.0 / n)), y ** (0.5 * n)) / n
 
 
 def _second_form_J(alpha: float, y: float) -> float:
     # J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2 via v = t^{1/p}, p = (alpha-2)/2.
-    if y == 0.0:
-        return 0.0
     p = 0.5 * (alpha - 2.0)
-    upper = y**p
-    val, _ = quad(
-        lambda t: math.exp(-0.5 * t ** (1.0 / p)),
-        0.0,
-        upper,
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=300,
-    )
-    return val / (2.0 * p)
+    return _quad(lambda t: math.exp(-0.5 * t ** (1.0 / p)), y**p) / (2.0 * p)
 
 
 def _second_form_H(alpha: float, y: float) -> float:
@@ -260,25 +250,106 @@ def _second_form_H(alpha: float, y: float) -> float:
     return y ** (1.0 - 0.5 * alpha) * math.exp(0.5 * y) * _second_form_J(alpha, y)
 
 
-def quadrature_H(params: ModelParams, y: float) -> float:
-    """Integral-form solution H at the special parameter families.
+def _family(params: ModelParams):
+    """``(H, solve_Z)`` for the special family of ``params``, or None outside them.
 
-    For n = alpha - 2 this is y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2; for
-    n = 2 with alpha > 2 it is the second form built from e^{-v/2} weights.
-    Both are strictly positive with finite limits at zero, which is what makes
-    them usable as value-function building blocks.  y = 0 returns the limit.
+    ``H`` is the family's bounded solution of the ODE, up to a constant
+    factor, and ``solve_Z(tol)`` finds the boundary scale without the series:
+
+    * alpha = n: H(y) = e^{y/2} and Z = n.
+    * n = alpha - 2: H(y) = y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2, and Z
+      solves e^{z/2} = 2 n H(z).
+    * n = 2 < alpha: H(y) = y^{1-alpha/2} e^{y/2} J(y) with
+      J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, and Z solves the
+      smooth-fit ratio H'/H = 1/Z.
+
+    At alpha = 4, n = 2 both integral forms apply; the first is used.
     """
     a, n = params.alpha, params.n
-    y = float(y)
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
+    if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
+        return (lambda y: math.exp(0.5 * y)), (lambda tol: n)
     if math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12):
-        return _first_form_H(n, y)
+        H = partial(_first_form_H, n)
+
+        def phi(z: float) -> float:
+            return 2.0 * n * H(z) * math.exp(-0.5 * z) - 1.0
+
+        # phi(0) = 1 exactly; Z lies just below alpha, and ends far past it overflow H.
+        return H, lambda tol: solve_root(phi, 0.0, a, tol, grow_cap=2.0**40).value
     if math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12:
-        return _second_form_H(a, y)
-    raise ValueError(
-        f"no integral form for alpha={a}, n={n}; need n = alpha - 2 or n = 2 < alpha"
-    )
+
+        def ratio(z: float) -> float:
+            J = _second_form_J(a, z)
+            return (
+                (1.0 - 0.5 * a) / z
+                + 0.5
+                + math.exp(-0.5 * z) * z ** (0.5 * a - 2.0) / (2.0 * J)
+                - 1.0 / z
+            )
+
+        # ratio ~ 0.5 - 1/z < 0 at the lower end for every alpha > 2
+        return partial(_second_form_H, a), lambda tol: solve_root(
+            ratio, 1e-6, max(4.0, 2.0 * a), tol, grow_cap=2.0**40
+        ).value
+    return None
+
+
+def quadrature_H(params: ModelParams, y: float) -> float:
+    """Bounded solution H of the special family of ``params`` (see ``_family``).
+
+    e^{y/2} for alpha = n; for n = alpha - 2 and for n = 2 < alpha the
+    integral forms, evaluated by adaptive quadrature.  All are strictly
+    positive with finite limits at zero, which is what makes them usable as
+    value-function building blocks.  y = 0 returns the limit.  Raises
+    ValueError outside the three families.
+    """
+    y = float(y)
+    if not y >= 0.0:
+        raise ValueError("y must be nonnegative")
+    family = _family(params)
+    if family is None:
+        raise ValueError(
+            f"no closed or integral form for alpha={params.alpha}, n={params.n}; "
+            "need alpha = n, n = alpha - 2 or n = 2 < alpha"
+        )
+    return family[0](y)
+
+
+def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
+    """Boundary scale from the closed or integral form of a special family.
+
+    Exact for alpha = n; for the integral forms a root found by Brent's method
+    to ``tol``.  Returns None outside the three families.
+    """
+    family = _family(params)
+    return None if family is None else family[1](tol)
+
+
+def explicit_special_values(params: ModelParams, t: float, q: float) -> float | None:
+    """U*(t, q) from the closed or integral form of a special family.
+
+    With the family's H and Z this is
+
+        (1-t)^{n/2} Z^{n/2} / H(Z) * H(q / (1-t))   if q <  Z (1-t)
+        q^{n/2}                                      if q >= Z (1-t),
+
+    the constant fixed by value matching.  Returns None outside the three
+    families.
+    """
+    t = _check_time(t)
+    q = float(q)
+    if not q >= 0.0:
+        raise ValueError("q must be nonnegative")
+    family = _family(params)
+    if family is None:
+        return None
+    H, solve_Z = family
+    n = params.n
+    Z = solve_Z(1e-10)
+    if t == 1.0 or q >= Z * (1.0 - t):
+        return q ** (n / 2.0)
+    tau = 1.0 - t
+    return tau ** (n / 2.0) * (Z ** (n / 2.0) / H(Z)) * H(q / tau)
 
 
 def _lattice_stencils(a, q_grid, tau, h, dq):
@@ -351,8 +422,6 @@ def dp_value(
     grid with the payoff, and sums them in the per-step order, so the result
     is the same to the last bit as stepping one row at a time.
     """
-    from .boundary import find_Z
-
     a, n = params.alpha, params.n
     if t_steps < 100:
         raise ValueError("t_steps must be at least 100")
@@ -366,8 +435,8 @@ def dp_value(
     if q_max is None:
         q_max = 6.0 * Z * (1.0 - t0)
     q_max = float(q_max)
-    if q_max < 3.0 * Z * (1.0 - t0):
-        raise ValueError(f"q_max={q_max} below the 3*Z*(1-t0) scale needed")
+    if not 3.0 * Z * (1.0 - t0) <= q_max < math.inf:
+        raise ValueError(f"q_max={q_max} must be finite and at least the 3*Z*(1-t0) scale")
 
     t_grid = np.linspace(t0, 1.0 - eps_end, t_steps + 1)
     q_grid = np.linspace(0.0, q_max, q_steps + 1)

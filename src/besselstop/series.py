@@ -118,13 +118,13 @@ def build_coefficients(
     times the partial sum, capped at K_MAX.  Raises TruncationError (carrying
     the partial table) if the cap is hit first.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if ymax is None:
         ymax = default_ymax(params)
     ymax = float(ymax)
-    if ymax <= 0.0:
-        raise ValueError(f"ymax must be positive, got {ymax}")
+    if not 0.0 < ymax < math.inf:
+        raise ValueError(f"ymax must be positive and finite, got {ymax}")
 
     a, n = params.alpha, params.n
     coeffs = [1.0]

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import closed_form_Z, exp_t2_integral, find_C_excursion, find_Z, solve_root
+from .boundary import exp_t2_integral, find_C_excursion, find_Z
 from .series import (
     CoefficientTable,
     ModelParams,
@@ -186,70 +186,3 @@ def pde_residual(sol: CandidateSolution, t: float, q) -> float:
     res = ode_residual_series(sol.table, qa / tau)
     out = 0.5 * tau ** (sol.params.n / 2.0 - 1.0) * sol.E1 * res
     return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
-
-
-def _second_form_boundary(alpha: float, tol: float = 1e-10) -> float:
-    """Boundary scale for n = 2, alpha > 2 from the integral-form solution.
-
-    The bounded solution is y^{1-alpha/2} e^{y/2} J(y) with
-    J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2; the smooth-fit ratio
-    H'/H = 1/Z gives a scalar root problem independent of the series.
-    """
-    from .oracles import _second_form_J
-
-    def ratio(z: float) -> float:
-        J = _second_form_J(alpha, z)
-        return (
-            (1.0 - 0.5 * alpha) / z
-            + 0.5
-            + math.exp(-0.5 * z) * z ** (0.5 * alpha - 2.0) / (2.0 * J)
-            - 1.0 / z
-        )
-
-    # ratio ~ 0.5 - 1/z < 0 at the lower end for every alpha > 2
-    return solve_root(ratio, 1e-6, max(4.0, 2.0 * alpha), tol, grow_cap=2.0**40).value
-
-
-def explicit_special_values(params: ModelParams, t: float, q: float) -> float | None:
-    """Value from a closed or integral form when the parameters admit one.
-
-    alpha == n: exponential solution, E1 = n^{n/2} e^{-n/2}.
-    n == alpha - 2: integral-form solution evaluated through quadrature_H.
-    n == 2, alpha > 2: second integral form with the constant fixed by value
-    matching.  Returns None when no special case applies.
-    """
-    from .oracles import quadrature_H
-
-    a, n = params.alpha, params.n
-    t = _check_time(t)
-    q = float(q)
-    if q < 0.0:
-        raise ValueError("q must be nonnegative")
-
-    if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
-        Z = float(n)
-        if t == 1.0 or q >= Z * (1.0 - t):
-            return q ** (n / 2.0)
-        tau = 1.0 - t
-        E1 = n ** (n / 2.0) * math.exp(-0.5 * n)
-        return tau ** (n / 2.0) * E1 * math.exp(0.5 * q / tau)
-
-    if math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12):
-        Z = closed_form_Z(params)
-        if t == 1.0 or q >= Z * (1.0 - t):
-            return q ** (n / 2.0)
-        tau = 1.0 - t
-        kappa = Z ** (n / 2.0) / quadrature_H(params, Z)
-        return tau ** (n / 2.0) * kappa * quadrature_H(params, q / tau)
-
-    if math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12:
-        from .oracles import _second_form_H
-
-        Z = _second_form_boundary(a)
-        if t == 1.0 or q >= Z * (1.0 - t):
-            return q ** (n / 2.0)
-        tau = 1.0 - t
-        kappa = Z / _second_form_H(a, Z)
-        return tau * kappa * _second_form_H(a, q / tau)
-
-    return None

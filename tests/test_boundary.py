@@ -8,14 +8,13 @@ from besselstop.boundary import (
     NoRootError,
     exp_t2_integral,
     boundary_margin,
-    closed_form_Z,
     excursion_h,
     find_C_excursion,
     find_Z,
     solve_root,
 )
+from besselstop.oracles import closed_form_Z, explicit_special_values
 from besselstop.series import F_eval, ModelParams, build_coefficients
-from besselstop.value import _second_form_boundary, explicit_special_values
 from besselstop.verify import PARAMETER_GRID
 
 C_REF = 1.503395376470782  # quadrature + bracketed root, frozen
@@ -55,8 +54,9 @@ def test_excursion_constant():
 
 
 def test_excursion_tolerance_validation():
-    with pytest.raises(ValueError):
-        find_C_excursion(0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            find_C_excursion(tol)
 
 
 @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 3.0, 5.0])
@@ -100,8 +100,9 @@ def test_root_is_tolerance_stable():
 
 
 def test_find_Z_tol_validation():
-    with pytest.raises(ValueError):
-        find_Z(ModelParams(3, 1), tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            find_Z(ModelParams(3, 1), tol=tol)
 
 
 def test_closed_form_equal_parameters():
@@ -113,7 +114,8 @@ def test_closed_form_equal_parameters():
 def test_closed_form_integral_family(a):
     z = closed_form_Z(ModelParams(a, a - 2.0))
     assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
-    assert _second_form_boundary(a) == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
+    z2 = closed_form_Z(ModelParams(a, 2.0))
+    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
 
 
 @pytest.mark.parametrize("a", [80.0, 150.0])

@@ -4,10 +4,11 @@ import math
 import pathlib
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
-from besselstop.cli import main
+from besselstop.cli import RunConfig, _config_from_args, build_parser, main
 
 BOUNDARY_KEYS = {"Z", "C", "margin", "closed_form_Z", "residual", "iterations", "method"}
 ENVELOPE_KEYS = {"tool_version", "config", "results", "timing"}
@@ -42,10 +43,21 @@ def test_boundary_excursion_constant_absent_elsewhere(capsys):
 
 
 def test_boundary_integral_family_large_alpha(capsys):
-    code, out = run_cli(capsys, "boundary", "--alpha", "80", "--n", "78")
+    # (7, 2) is in the second integral family, n = 2 < alpha
+    for alpha, n in (("80", "78"), ("7", "2")):
+        code, out = run_cli(capsys, "boundary", "--alpha", alpha, "--n", n)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-9)
+
+
+def test_boundary_integral_form_breakdown_keeps_series_root(capsys):
+    # the second integral form underflows at alpha = 120; the series root does not
+    code, out = run_cli(capsys, "boundary", "--alpha", "120", "--n", "2")
     assert code == 0
     res = json.loads(out)["results"]
-    assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-9)
+    assert res["closed_form_Z"] is None
+    assert math.isfinite(res["Z"])
 
 
 def test_value_json(capsys):
@@ -63,8 +75,12 @@ def test_usage_error_exit_codes(capsys):
         main(["boundary", "--alpha", "3", "--n", "1", "--config", "x.json"])
     assert exc.value.code == 2
     capsys.readouterr()
-    assert main(["sweep", "--multipliers", "a,b"]) == 2
-    capsys.readouterr()
+    for bad in ("a,b", "nan", "1,inf", "-1"):
+        assert main(["sweep", "--multipliers", bad, "--paths", "10", "--steps", "5"]) == 2
+        capsys.readouterr()
+    for bad in ("-1", "nan", "inf"):
+        assert main(["value", "--q0", bad]) == 2
+        capsys.readouterr()
     # SimConfig rejects these; the CLI reports them as usage errors
     for cmd in ("simulate", "sweep"):
         for flag, bad in (("--q0", "-1"), ("--q0", "nan"), ("--q0", "inf"), ("--t0", "1.0")):
@@ -77,6 +93,17 @@ def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["boundary", "coeffs", "value", "simulate", "sweep", "dp-oracle", "ode-oracle",
+     "verify-appendix", "verify-lemmas", "acceptance"],
+)
+def test_config_defaults_come_from_run_config(command):
+    # every flag left out takes its default from RunConfig, the config echoed by run()
+    config = _config_from_args(build_parser().parse_args([command]))
+    assert asdict(config) == asdict(RunConfig(command))
 
 
 def test_boundary_csv_curve(tmp_path, capsys):

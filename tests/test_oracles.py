@@ -105,6 +105,7 @@ def test_quadrature_H_limits_and_validation():
     assert quadrature_H(ModelParams(4, 2), 0.0) == 0.5
     assert quadrature_H(ModelParams(4, 2), 1e-10) == pytest.approx(0.5, rel=1e-5)
     assert quadrature_H(ModelParams(7, 2), 1.0) > 0.0
+    assert quadrature_H(ModelParams(2, 2), 3.0) == math.exp(1.5)
     with pytest.raises(ValueError):
         quadrature_H(ModelParams(5, 1), 1.0)
     with pytest.raises(ValueError):
@@ -166,6 +167,9 @@ def test_lattice_validation():
         dp_value(params, t_steps=50, q_max=10.0, q_steps=200)
     with pytest.raises(ValueError):
         dp_value(params, t_steps=200, q_max=1.0, q_steps=200)  # below 3 Z scale
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="q_max"):
+            dp_value(params, t_steps=200, q_max=bad, q_steps=200)
     with pytest.raises(ValueError):
         dp_value(params, t_steps=200, q_max=14.0, q_steps=10)
 

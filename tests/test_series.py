@@ -168,6 +168,11 @@ def test_derivative_order_validation():
 
 
 def test_range_validation():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ymax"):
+            build_coefficients(ModelParams(3, 1), ymax=bad)
+        with pytest.raises(ValueError, match="eps"):
+            build_coefficients(ModelParams(3, 1), eps=bad)
     table = build_coefficients(ModelParams(3, 1), ymax=5.0)
     with pytest.raises(ValueError):
         psi_eval(table, 5.5)

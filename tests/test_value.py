@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besselstop.oracles import explicit_special_values
 from besselstop.series import ModelParams, psi_derivative, psi_eval
 from besselstop.value import (
     U_star,
@@ -12,7 +13,6 @@ from besselstop.value import (
     build_candidate,
     build_excursion,
     excursion_value,
-    explicit_special_values,
     pde_residual,
     smooth_fit_residual,
 )
@@ -83,6 +83,9 @@ def test_argument_validation(sol31):
         U_star(sol31, 0.5, -1.0)
     with pytest.raises(ValueError):
         boundary_q(sol31, 1.2)
+    for q in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            explicit_special_values(ModelParams(1, 1), 0.5, q)
 
 
 def test_V_is_U_of_squared_argument(sol31):
@@ -191,7 +194,10 @@ def test_special_values_absent():
     assert explicit_special_values(ModelParams(5, 1), 0.0, 0.0) is None
 
 
-@pytest.mark.parametrize("a,n", [(1.0, 1.0), (3.0, 1.0), (5.0, 3.0), (7.0, 2.0), (2.0, 2.0)])
+# (4, 2) lies in both integral families and takes the first form
+@pytest.mark.parametrize(
+    "a,n", [(1.0, 1.0), (3.0, 1.0), (5.0, 3.0), (7.0, 2.0), (2.0, 2.0), (4.0, 2.0), (2.5, 2.0)]
+)
 def test_special_values_agree_with_series(a, n):
     params = ModelParams(a, n)
     sol = build_candidate(params)
