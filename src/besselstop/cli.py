@@ -432,6 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     kwargs = dict(vars(ns))
+    for name, value in kwargs.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if "multipliers" in kwargs:
         text = kwargs["multipliers"]
         try:

@@ -11,7 +11,9 @@ chi2_{alpha-1} as (alpha-1)//2 doubled standard exponentials and, for even
 alpha, one squared normal; at alpha = 1 it carries the signed coordinate and
 the chi-square term vanishes.  Any other alpha takes the Poisson mixture of
 the noncentral chi-square, X' = 2 ds Gamma(alpha/2 + N) with
-N ~ Poisson(X/(2 ds)).
+N ~ Poisson(X/(2 ds)).  The kernels return X; q = (1-t)(1-t) X is formed
+only where it is read: on the whole of a ``simulate_exact`` path, and in the
+engine on the paths a level's pre-filter cannot rule out.
 
 Reproducibility contract: the engine simulates paths in fixed blocks of
 ``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
@@ -41,8 +43,9 @@ SCHEME_EXACT = "exact"
 _MAX_U64 = 2**64
 _BLOCK_PATHS = 4096  # paths per worker task and per RNG stream
 _BLOCK_STEPS = 32  # steps drawn per kernel call
-# Relative slack of the level pre-filter.  q >= z (1-t) in floating point
-# implies q * (1/(1-t)) >= z (1 - 3 eps), so 1e-12 never drops a true hit.
+# Relative slack of the level pre-filter.  q = X (1-t)^2 >= z (1-t) in
+# floating point implies X (1-t') >= z (1 - 4 eps) for every 1-t' >= 1-t, so
+# 1e-12 never drops a true hit.
 _PEAK_SLACK = 1.0 - 1e-12
 
 
@@ -165,17 +168,17 @@ class SweepTable:
         return best.multiplier
 
 
-def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Step tables of the time-changed walk to nodes 1 .. m-1 of the grid t.
 
     Node j sits at time s_j = t_j/(1-t_j) of X, so the step to node j+1 has
-    length ds_j = h_j/((1-t_j)(1-t_{j+1})), and q = (1-t)^2 X there.  Returns
-    sqrt(ds), ds and (1-t_{j+1})^2 per step; the pinned node m (s = infinity)
-    is excluded, its q is the exact zero of the bridge.
+    length ds_j = h_j/((1-t_j)(1-t_{j+1})).  Returns sqrt(ds) and ds per step;
+    the pinned node m (s = infinity) is excluded, its q is the exact zero of
+    the bridge.
     """
     tau = 1.0 - t
     ds = np.diff(t)[:-1] / (tau[:-2] * tau[1:-1])
-    return np.sqrt(ds), ds, tau[1:-1] * tau[1:-1]
+    return np.sqrt(ds), ds
 
 
 def _draws_per_step(d: int) -> int:
@@ -184,17 +187,18 @@ def _draws_per_step(d: int) -> int:
     return 1 + n_exp + odd
 
 
-def _radial_block(gen, state, d, sd, ds, tau2, buf):
-    """q at the next k nodes for every row; ``state`` advances in place.
+def _radial_block(gen, state, d, sd, ds, buf):
+    """X at the next k nodes for every row; ``state`` advances in place.
 
     ``state`` holds sqrt X per row, or the signed coordinate when d = 1.  The
     block draws, in this order: (k, n) normals xi; then chi2_{d-1} as
     (d-1)//2 doubled standard exponentials of shape ((d-1)//2, k, n) and, when
     d - 1 is odd, one squared (k, n) normal.  Each step is U = R + sqrt(ds) xi,
     X = U^2 + ds chi2, R = sqrt X; at d = 1 it is the single add
-    U += sqrt(ds) xi and X = U^2.  Without the squared normal (odd d) the
-    doubling is folded into the scale, 2 sum(e) ds == sum(e) (2 ds) exactly.
-    The result, q = (1-t)^2 X with shape (k, n), is a view of ``buf``.
+    U += sqrt(ds) xi, one row after the other, and X = U^2.  Without the
+    squared normal (odd d) the doubling is folded into the scale,
+    2 sum(e) ds == sum(e) (2 ds) exactly.  The result, X with shape (k, n), is
+    a view of ``buf``; q = (1-t)^2 X is left to the caller.
     """
     k, n = sd.size, state.size
     size = k * n
@@ -203,9 +207,12 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf):
     gen.standard_normal(out=x)
     x *= sd[:, None]
     if d == 1:
-        x[0] += state
-        np.cumsum(x, axis=0, out=x)
-        state[:] = x[-1]
+        # a row loop: cumsum along axis 0 makes the same sums about 7x slower
+        prev = state
+        for u in x:
+            np.add(prev, u, out=u)
+            prev = u
+        state[:] = prev
         x *= x
     else:
         chi = buf[size : 2 * size].reshape(k, n)
@@ -233,17 +240,16 @@ def _radial_block(gen, state, d, sd, ds, tau2, buf):
             np.multiply(u, u, out=u)
             np.add(u, c, out=u)
             np.sqrt(u, out=state)
-    x *= tau2[:, None]
     return x
 
 
-def _mixture_block(gen, state, alpha, ds, tau2, buf):
-    """q at the next k nodes for every row, any alpha; ``state`` advances in place.
+def _mixture_block(gen, state, alpha, ds, buf):
+    """X at the next k nodes for every row, any alpha; ``state`` advances in place.
 
     ``state`` holds X per row.  Each step draws N ~ Poisson(X/(2 ds)) for
     every row and then X' = 2 ds Gamma(alpha/2 + N), the Poisson mixture of
     the scaled noncentral chi-square that is the exact BESQ^alpha transition.
-    The result, q = (1-t)^2 X with shape (k, n), is a view of ``buf``.
+    The result, X with shape (k, n), is a view of ``buf``.
     """
     k, n = ds.size, state.size
     x = buf[: k * n].reshape(k, n)
@@ -253,7 +259,6 @@ def _mixture_block(gen, state, alpha, ds, tau2, buf):
         row *= h
         prev = row
     state[:] = prev
-    x *= tau2[:, None]
     return x
 
 
@@ -261,24 +266,26 @@ def _sampler(config: SimConfig):
     """Grid, block kernel, start state and buffer floats per path-step of a run.
 
     The grid is linspace(t0, 1, n_steps + 1); ``step(gen, state, j0, j1, buf)``
-    returns q at its nodes j0+1 .. j1 as a view of ``buf``.  Integer alpha takes
-    ``_radial_block``, whose state starts at sqrt X0 (the signed coordinate at
-    alpha = 1); any other alpha ``_mixture_block``, whose state is X itself.
+    returns the time-changed BESQ value X at its nodes j0+1 .. j1 as a view of
+    ``buf``, and q = (1-t)^2 X there, with (1-t)^2 formed as (1-t)(1-t).
+    Integer alpha takes ``_radial_block``, whose state starts at sqrt X0 (the
+    signed coordinate at alpha = 1); any other alpha ``_mixture_block``, whose
+    state is X itself.
     """
     a = config.params.alpha
     t = np.linspace(config.t0, 1.0, config.n_steps + 1)
-    sd, ds, tau2 = _radial_steps(t)
+    sd, ds = _radial_steps(t)
     x0 = config.q0 / ((1.0 - config.t0) * (1.0 - config.t0))
     if a.is_integer():
         d = int(a)
 
         def step(gen, state, j0, j1, buf):
-            return _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], tau2[j0:j1], buf)
+            return _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], buf)
 
         return t, step, math.sqrt(x0), _draws_per_step(d)
 
     def step(gen, state, j0, j1, buf):
-        return _mixture_block(gen, state, a, ds[j0:j1], tau2[j0:j1], buf)
+        return _mixture_block(gen, state, a, ds[j0:j1], buf)
 
     return t, step, x0, 1
 
@@ -294,12 +301,14 @@ def simulate_exact(config: SimConfig) -> BridgePath:
     gen = _path_generator(config.seed, 0)
     state = np.full(1, x0)
     buf = np.empty(width * _BLOCK_STEPS)
-    q = np.zeros(config.n_steps + 1)
-    q[0] = config.q0
+    x = np.zeros(config.n_steps + 1)
     last = config.n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
         j1 = min(j0 + _BLOCK_STEPS, last)
-        q[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0]
+        x[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0]
+    tau = 1.0 - t
+    q = x * (tau * tau)
+    q[0] = config.q0
     return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
 
 
@@ -342,13 +351,15 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
     every level has stopped it.  The draws are independent of the history
     that chose the rows, so every surviving path keeps the exact law.  The
     kernel state carries across time blocks; a one-path block therefore
-    reproduces ``simulate_exact`` on the same stream bit for bit.
+    reproduces ``simulate_exact`` on the same stream bit for bit.  The kernel
+    returns X; q = X (1-t)^2 is formed only on the columns the peak
+    pre-filter keeps for a level, by the same product ``simulate_exact`` uses.
     """
     m = stop - start
     t, step, x0, width = sampler
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
     tau = 1.0 - t
-    inv_tau = 1.0 / tau[:-1]
+    tau2 = tau * tau
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
     last = config.n_steps - 1
 
@@ -357,32 +368,38 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
     stopped[start:stop, at_start] = True
     rows = np.arange(m)  # block-local index of each active row
     state = np.full(m, x0)  # kernel state at the current node
-    open_ = np.tile(~at_start, (m, 1))
+    open_ = np.repeat(~at_start[:, None], m, axis=1)  # (levels, rows)
     # one buffer serves every time block, so draws never fault in fresh pages
     buf = np.empty(width * m * min(_BLOCK_STEPS, last))
     for j0 in range(0, last, _BLOCK_STEPS):
-        keep = open_.any(axis=1)
+        keep = open_.any(axis=0)
         if not keep.all():
-            rows, state, open_ = rows[keep], state[keep], open_[keep]
-            if rows.size == 0:
+            keep = np.flatnonzero(keep)
+            if keep.size == 0:
                 break
+            # take: twice as fast as a fancy index on the column axis
+            rows, state, open_ = rows[keep], state[keep], open_.take(keep, axis=1)
         j1 = min(j0 + _BLOCK_STEPS, last)
-        q = step(gen, state, j0, j1, buf)
+        x = step(gen, state, j0, j1, buf)
         bound = tau[j0 + 1 : j1 + 1, None]
-        # per row, the block's largest q/(1-t): only rows with peak >= z can
-        # hit level z, so the exact test below runs on those columns alone
-        peak = (q * inv_tau[j0 + 1 : j1 + 1, None]).max(axis=0)
+        scale = tau2[j0 + 1 : j1 + 1, None]
+        # q/(1-t) = X (1-t) and 1-t only falls along the block, so the row's
+        # largest X times 1-t at the block's first node bounds q/(1-t): only
+        # rows with peak >= z can hit level z, and q is formed on those alone
+        peak = x.max(axis=0)
+        peak *= tau[j0 + 1]
         for l, z in enumerate(levels):
-            cand = np.flatnonzero(open_[:, l] & (peak >= z * _PEAK_SLACK))
+            cand = np.flatnonzero(open_[l] & (peak >= z * _PEAK_SLACK))
             if cand.size == 0:
                 continue
-            mask = q[:, cand] >= z * bound
-            hit = mask.any(axis=0)
+            q = x[:, cand] * scale
+            mask = q >= z * bound
+            hit = np.flatnonzero(mask.any(axis=0))
             first = np.argmax(mask[:, hit], axis=0)
             cand = cand[hit]
-            payoffs[start + rows[cand], l] = _payoff(q[first, cand], config.params.n)
+            payoffs[start + rows[cand], l] = _payoff(q[first, hit], config.params.n)
             stopped[start + rows[cand], l] = True
-            open_[cand, l] = False
+            open_[l, cand] = False
 
 
 def _threshold_payoffs(

@@ -97,7 +97,7 @@ def U_star(sol: CandidateSolution, t: float, q):
     t = _check_time(t)
     scalar = np.isscalar(q) or np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float)).copy()
-    if np.any(qa < 0.0):
+    if not np.all(qa >= 0.0):  # a NaN fails this too
         raise ValueError("q must be nonnegative")
     n = sol.params.n
     out = qa ** (n / 2.0)
@@ -112,7 +112,7 @@ def U_star(sol: CandidateSolution, t: float, q):
 def V_star(sol: CandidateSolution, t: float, x):
     """Candidate value in original coordinates: V*(t, x) = U*(t, x^2)."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
+    if not np.all(xa >= 0.0):  # a NaN fails this too
         raise ValueError("x must be nonnegative")
     out = U_star(sol, t, xa * xa)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
@@ -145,7 +145,7 @@ def excursion_value(t: float, x: float) -> float:
     """
     t = _check_time(t)
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be nonnegative")
     if t == 1.0:
         return x

@@ -96,6 +96,19 @@ def test_usage_error_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["boundary", "--tol"], ["coeffs", "--ymax"], ["dp-oracle", "--q-max"], ["coeffs", "--eps"]],
+)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_usage_error(capsys, argv, bad):
+    # rejected before any solver runs, so no numeric-failure payload (exit 1)
+    assert main([argv[0], f"{argv[1]}={bad}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{argv[1]} must be finite" in err
+
+
+@pytest.mark.parametrize(
     "command",
     ["boundary", "coeffs", "value", "simulate", "sweep", "dp-oracle", "ode-oracle",
      "verify-appendix", "verify-lemmas", "acceptance"],

@@ -322,6 +322,55 @@ def test_engine_matches_replayed_paths_any_dimension_and_start(alpha, t0, q0):
             assert bool(stopped[i, l]) == outcome.stopped
 
 
+def _tight_equality_level(cfg):
+    """A path p and a level z that q meets with equality at node 1, kept only by the slack.
+
+    Draws the first time block with the engine's kernel; every path is still
+    open there, so its draws do not depend on the levels.  Looks for a path
+    whose q_1 == z (1 - t_1) exactly while X_max (1 - t_1) < z in floating
+    point, X_max the path's largest X in the block: the pre-filter's bound is
+    tight there, and only ``_PEAK_SLACK`` keeps the hit.  The start must not
+    meet z.
+    """
+    t, step, x0, width = _sampler(cfg)
+    n = cfg.n_paths
+    buf = np.empty(width * _BLOCK_STEPS * n)
+    x = step(_path_generator(cfg.seed, 0), np.full(n, x0), 0, _BLOCK_STEPS, buf)
+    tau = 1.0 - t[1]
+    for p in range(n):
+        q1 = x[0, p] * (tau * tau)
+        z = q1 / tau
+        for z in (z, np.nextafter(z, 0.0), np.nextafter(z, math.inf)):
+            if z * tau == q1 and x[:, p].max() * tau < z and cfg.q0 < z * (1.0 - t[0]):
+                return p, float(z)
+    raise AssertionError("no path meets a level with equality at a tight bound")
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 0.5])
+def test_engine_matches_replayed_paths_late_start(alpha):
+    # from t0 = 0.95 the factor 1 - t falls from 0.05 to 0, by up to a factor
+    # 21 inside the last time block, so the pre-filter's bound
+    # X_max (1 - t_{j0+1}) is loose there and tight at a block's first node.
+    # The first level equals one path's q/(1-t) at node 1 exactly, at a tight
+    # bound: the engine must stop that path there, as apply_policy does.
+    t0, q0 = 0.95, 0.02
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=120, n_steps=150, seed=9, t0=t0, q0=q0)
+    p, z_eq = _tight_equality_level(cfg)
+    z = find_Z(cfg.params).value
+    levels = np.array([z_eq, z, 2.0 * z])
+    t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels, t0, q0)
+    payoffs, stopped = _threshold_payoffs(cfg, levels)
+    assert q[p, 1] == z_eq * (1.0 - t[1])
+    assert stopped[p, 0] and payoffs[p, 0] == _payoff(q[p, 1], cfg.params.n)
+    assert 0 < stopped[:, 2].sum() < cfg.n_paths
+    for i in range(cfg.n_paths):
+        path = BridgePath(times=t, q=q[i], seed_used=0)
+        for l, level in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(level), cfg.params.n)
+            assert payoffs[i, l] == outcome.payoff
+            assert bool(stopped[i, l]) == outcome.stopped
+
+
 @pytest.mark.parametrize("alpha", [0.5, 3])
 def test_start_in_stopping_region_stops_at_node_zero(alpha):
     # q0 >= Z (1 - t0) stops every path at t0 with payoff q0^{n/2}, including
@@ -382,12 +431,15 @@ def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0):
     """q at the 9 inner nodes of linspace(t0, 1, 11) for n_paths rows, one kernel call.
 
     The kernel is the engine's choice for alpha: radial for integer alpha,
-    the Poisson mixture otherwise.
+    the Poisson mixture otherwise.  It returns X, and q = (1-t)(1-t) X is the
+    product the engine forms.
     """
     cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
     t, step, x0, width = _sampler(cfg)
     buf = np.empty(width * 9 * n_paths)
-    return t[1:-1], step(np.random.default_rng(seed), np.full(n_paths, x0), 0, 9, buf)
+    x = step(np.random.default_rng(seed), np.full(n_paths, x0), 0, 9, buf)
+    tau = 1.0 - t[1:-1, None]
+    return t[1:-1], x * (tau * tau)
 
 
 def _case_seed(base, alpha):
@@ -476,17 +528,17 @@ def _traced_peak(cfg):
 def test_exact_engine_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = _exact_config(n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 3.3 MB for one full block: two 1 MB draw slabs and one (k, n)
-    # scan temporary
-    assert _traced_peak(cfg) < 6.5 * 2**20
+    # measured 2.36 MB for one full block: two 1 MB draw slabs; q is formed
+    # only on the pre-filter's candidate columns
+    assert _traced_peak(cfg) < 4 * 2**20
 
 
 def test_mixture_block_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 2.3 MB for one full block: one 1 MB draw slab, one (k, n) scan
-    # temporary and a few per-step rows
-    assert _traced_peak(cfg) < 4.5 * 2**20
+    # measured 1.95 MB for one full block: one 1 MB draw slab and a few
+    # per-step rows
+    assert _traced_peak(cfg) < 3 * 2**20
 
 
 def test_results_independent_of_worker_count(monkeypatch):

@@ -88,6 +88,22 @@ def test_argument_validation(sol31):
             explicit_special_values(ModelParams(1, 1), 0.5, q)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_negative_or_nan_argument_is_rejected(sol31, bad):
+    # a NaN passes a `< 0` test, so it must be rejected as not `>= 0`
+    for t in (0.5, 1.0):
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            U_star(sol31, t, bad)
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            U_star(sol31, t, np.array([0.5, bad, 2.0]))
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            V_star(sol31, t, bad)
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            V_star(sol31, t, np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            excursion_value(t, bad)
+
+
 def test_V_is_U_of_squared_argument(sol31):
     for t in (0.0, 0.3, 0.9):
         for x in (0.0, 0.5, 1.2, 2.0):
