@@ -7,7 +7,9 @@ uses 10 significant digits with a period decimal separator regardless of
 locale.
 
 Exit codes: 0 success, 1 numeric failure (machine-readable error payload on
-stdout), 2 usage error.
+stdout), 2 usage error.  A ``ValueError`` from the library is an argument it
+rejected, so it is a usage error too; ``LatticeError``, a ``ValueError`` that
+reports a lattice too coarse for valid arguments, stays a numeric failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
-from .oracles import Z_from_ode, closed_form_Z, dp_value, ode_residual
+from .oracles import LatticeError, Z_from_ode, closed_form_Z, dp_value, ode_residual
 from .series import ModelParams, build_coefficients
 from .simulate import (
     SimConfig,
@@ -464,10 +466,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         envelope, csv_rows = run(config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numeric failure: machine-readable payload
+    except Exception as exc:
+        if isinstance(exc, ValueError) and not isinstance(exc, LatticeError):
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        # numeric failure: machine-readable payload
         payload = {
             "tool_version": __version__,
             "config": asdict(config),

@@ -11,8 +11,10 @@ coordinate singularity:
 * ``dp_value`` solves the discrete-time optimal stopping problem directly by
   backward induction on a lattice, with a moment-matched trinomial transition
   built from the Euler step of the bridge dynamics.  The stencils (indices
-  and weights) are precomputed for ``_BLOCK_STEPS`` time steps at a time, so
-  each backward step is one gather, a weighted sum and a maximum.
+  and weights) are precomputed a block of time steps at a time, the block
+  sized by a cell budget (``_BLOCK_CELLS``), so each backward step is one
+  gather, a weighted sum and a maximum, and the memory is the value table
+  plus about 1 MB of scratch at any grid width.
 * ``closed_form_Z`` and ``explicit_special_values`` solve the three special
   parameter families, alpha = n, n = alpha - 2 and n = 2 < alpha, through
   their closed or integral forms (``quadrature_H``), and never touch the
@@ -34,9 +36,9 @@ from .series import ModelParams, build_coefficients, default_ymax, psi_derivativ
 from .value import _check_time
 
 
-# Time steps whose lattice stencils dp_value builds in one vectorised pass;
-# 64 keeps the block temporaries to a few MB at 800 q cells.
-_BLOCK_STEPS = 64
+# Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
+# steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
+_BLOCK_CELLS = 16 * 801
 
 
 class AccuracyError(RuntimeError):
@@ -361,31 +363,45 @@ def _lattice_stencils(a, q_grid, tau, h, dq):
     Indices are folded at q = 0 (reflection) and may exceed the grid, where the
     caller supplies the payoff.  Trinomial cells use the points c - L, c, c + L;
     the rest use the mean-exact two-point split on f, f + 1 plus a third point
-    of weight 0.
+    of weight 0.  Each (steps, q cells) temporary is overwritten in place once
+    it is dead, so the peak is about 75 bytes per cell, the 48 bytes of the
+    returned stencils included.
     """
     mu = q_grid + (a - 2.0 * q_grid / tau[:, None]) * h
     r = mu / dq
     c = np.rint(r).astype(np.int64)
-    delta = mu - c * dq
-    sig2 = 4.0 * q_grid * h + delta * delta
-    L = np.maximum(1, np.ceil(np.sqrt(1.5 * sig2) / dq)).astype(np.int64)
-    u = L * dq
-    v = sig2 / (u * u)
-    d = delta / u
+    delta = np.subtract(mu, c * dq, out=mu)
+    sig2 = delta * delta
+    sig2 += 4.0 * q_grid * h
+    # u = L dq, with L = max(1, ceil(sqrt(1.5 sig2) / dq)) held exactly as a float
+    u = np.sqrt(1.5 * sig2)
+    u /= dq
+    np.ceil(u, out=u)
+    np.maximum(u, 1.0, out=u)
+    L = u.astype(np.int64)
+    u *= dq
+
+    rows, cols = np.nonzero((sig2 <= 0.0) | (np.abs(delta) * u > sig2))
+    r = r[rows, cols]
+    d = np.divide(delta, u, out=delta)
+    v = np.divide(sig2, np.multiply(u, u, out=u), out=sig2)
+    del u
 
     idx = np.empty((tau.size, 3, q_grid.size), dtype=np.int64)
     np.subtract(c, L, out=idx[:, 0])
     idx[:, 1] = c
     np.add(c, L, out=idx[:, 2])
+    del c, L
     wts = np.empty((tau.size, 3, q_grid.size))
-    np.multiply(0.5, v - d, out=wts[:, 0])
+    np.subtract(v, d, out=wts[:, 0])
+    wts[:, 0] *= 0.5
     np.subtract(1.0, v, out=wts[:, 1])
-    np.multiply(0.5, v + d, out=wts[:, 2])
+    np.add(v, d, out=wts[:, 2])
+    wts[:, 2] *= 0.5
 
-    rows, cols = np.nonzero((sig2 <= 0.0) | (np.abs(delta) * u > sig2))
     if rows.size:
-        f = np.floor(r[rows, cols]).astype(np.int64)
-        w = r[rows, cols] - f
+        f = np.floor(r).astype(np.int64)
+        w = r - f
         idx[rows, :, cols] = np.stack((f, f + 1, f), axis=1)
         wts[rows, :, cols] = np.stack((1.0 - w, w, np.zeros_like(w)), axis=1)
     if wts.min() < -1e-12:
@@ -416,11 +432,15 @@ def dp_value(
     zero anyway.
 
     The stencil depends on the time step only through 1 - t, so it is built
-    for ``_BLOCK_STEPS`` steps at a time (``_lattice_stencils``), the
-    two-point split written as a third point of weight 0.  Each backward step
-    then gathers three values per cell from the next row, extended past the
-    grid with the payoff, and sums them in the per-step order, so the result
-    is the same to the last bit as stepping one row at a time.
+    for a block of steps at a time (``_lattice_stencils``), the two-point
+    split written as a third point of weight 0.  A block holds
+    ``_BLOCK_CELLS // (q_steps + 1)`` steps, at least one, so its scratch
+    stays near 1 MB whatever the grid width and the returned table is the
+    only allocation that grows with the grid.  Each backward step then
+    gathers three values per cell from the next row, extended past the grid
+    with the payoff, and sums them in the per-step order, so the result is
+    the same to the last bit as stepping one row at a time, whatever the
+    block height.
     """
     a, n = params.alpha, params.n
     if t_steps < 100:
@@ -453,8 +473,9 @@ def dp_value(
 
     # vnext in the first M + 1 slots, then the payoff at q = k dq for k > M
     vext = np.empty(M + 1)
-    for hi in range(t_steps, 0, -_BLOCK_STEPS):
-        rows = np.arange(hi - 1, max(hi - _BLOCK_STEPS, 0) - 1, -1)
+    block = max(1, _BLOCK_CELLS // (M + 1))
+    for hi in range(t_steps, 0, -block):
+        rows = np.arange(hi - 1, max(hi - block, 0) - 1, -1)
         idx, wts = _lattice_stencils(a, q_grid, 1.0 - t_grid[rows], h, dq)
         top = int(idx.max())
         if top >= vext.size:
@@ -469,6 +490,7 @@ def dp_value(
         stopped = cont <= stop_level
         first = np.argmax(stopped, axis=1)
         boundary[rows] = np.where(stopped.any(axis=1), q_grid[first], q_max)
+        del idx, wts, cont  # free this block's scratch before the next one is built
 
     return LatticeResult(
         t_grid=t_grid,

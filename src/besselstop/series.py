@@ -165,7 +165,7 @@ def build_coefficients(
 
 def _validate_range(table: CoefficientTable, y):
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # a NaN fails this too
         raise ValueError("series argument must be nonnegative")
     if np.any(arr > table.ymax * _RANGE_SLACK):
         raise ValueError(

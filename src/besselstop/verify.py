@@ -508,6 +508,8 @@ def run_iteration_checks(
 
     from .series import build_coefficients, F_eval
 
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     report = VerificationReport()
     for n, g in INVARIANCE_CASES:
         inv = lambda_iterate_invariance(

@@ -8,7 +8,11 @@ from dataclasses import asdict
 
 import pytest
 
+from besselstop import cli
+from besselstop.boundary import NoRootError
 from besselstop.cli import RunConfig, _config_from_args, build_parser, main
+from besselstop.oracles import AccuracyError, LatticeError, RangeError
+from besselstop.series import TruncationError
 
 BOUNDARY_KEYS = {"Z", "C", "margin", "closed_form_Z", "residual", "iterations", "method"}
 ENVELOPE_KEYS = {"tool_version", "config", "results", "timing"}
@@ -106,6 +110,51 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv, bad):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{argv[1]} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "--tol", "0"],
+        ["boundary", "--tol", "-1"],
+        ["coeffs", "--ymax", "-1"],
+        ["coeffs", "--eps", "0"],
+        ["dp-oracle", "--q-max", "-1"],
+        ["dp-oracle", "--t-steps", "10"],
+        ["dp-oracle", "--q-steps", "10"],
+        ["dp-oracle", "--t0", "1.0"],
+        ["verify-appendix", "--r-max", "3"],
+        ["verify-appendix", "--inv-steps", "0"],
+    ],
+)
+def test_argument_rejected_by_library_is_usage_error(capsys, argv):
+    # the library's ValueError names the bad argument; no numeric-failure payload
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NoRootError("no sign change"),
+        TruncationError("K_MAX reached"),
+        AccuracyError("residual too large"),
+        RangeError("no sign change below ymax"),
+        LatticeError("trinomial weights went negative", suggested_q_steps=1600),
+    ],
+)
+def test_typed_numeric_failure_keeps_exit_one(capsys, monkeypatch, error):
+    # LatticeError is a ValueError, yet it reports a lattice too coarse for valid
+    # arguments, so it stays a numeric failure with its payload
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "dp_value", fail)
+    assert main(["dp-oracle"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"type": type(error).__name__, "message": str(error)}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,8 @@ def _reference_lattice(params, t_steps, q_max, q_steps, t0=0.0, eps_end=1e-4):
         (1, 1, 150, 400, 0.0),
         (0.5, 3, 333, 400, 0.5),
         (2.5, 1.5, 100, 200, 0.9),
+        (3, 1, 100, 800, 0.0),
+        (1, 1, 125, 1600, 0.2),
     ],
 )
 def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0):
@@ -302,11 +305,39 @@ def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0)
     q_max = 3.0 * find_Z(params).value * (1.0 - t0)
     lat = dp_value(params, t_steps, q_max, q_steps, t0=t0)
     value, boundary, edges = _reference_lattice(params, t_steps, q_max, q_steps, t0)
-    assert t_steps % oracles._BLOCK_STEPS != 0
+    block = max(1, oracles._BLOCK_CELLS // (q_steps + 1))
+    assert block < t_steps and t_steps % block != 0  # several blocks, the last partial
     assert edges["folded"] and edges["beyond"] and edges["two_point"]
     assert np.array_equal(lat.value, value)
     assert np.array_equal(lat.boundary_estimate, boundary)
     assert lat.value_at_origin == value[0, 0]
+
+
+def test_block_budget_below_one_row_steps_row_by_row(monkeypatch):
+    params = ModelParams(3, 1)
+    whole = dp_value(params, 100, None, 200)
+    monkeypatch.setattr(oracles, "_BLOCK_CELLS", 100)
+    rowwise = dp_value(params, 100, None, 200)
+    assert np.array_equal(rowwise.value, whole.value)
+    assert np.array_equal(rowwise.boundary_estimate, whole.boundary_estimate)
+
+
+@pytest.mark.parametrize("q_steps", [800, 1600])
+def test_lattice_scratch_is_bounded_by_the_cell_budget(q_steps):
+    # the value table is the only allocation that grows with the grid; the
+    # per-block stencils and continuation rows stay near 1.1 MB at any width;
+    # keeping the previous block alive, or the stencils' dead temporaries,
+    # reads 1.8-1.9 MB
+    params = ModelParams(3, 1)
+    find_Z(params)  # warm the coefficient cache outside the trace
+    tracemalloc.start()
+    try:
+        lat = dp_value(params, 4000, None, q_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.value.shape == (4001, q_steps + 1)
+    assert peak - lat.value.nbytes < 1_500_000
 
 
 def test_ode_criterion_shoots_once_per_pair(monkeypatch):

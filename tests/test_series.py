@@ -19,6 +19,7 @@ from besselstop.series import (
     psi_derivative,
     psi_eval,
 )
+from besselstop.value import build_candidate, pde_residual
 
 # Independent references: the excursion threshold from quadrature root
 # finding and its square (the alpha=3, n=1 boundary scale).
@@ -180,6 +181,27 @@ def test_range_validation():
         psi_eval(table, -0.1)
     with pytest.raises(ValueError):
         F_eval(table.params, 6.0, table)
+
+
+_TABLE31 = build_coefficients(ModelParams(3, 1))
+_SERIES_CALLERS = {
+    "psi_eval": lambda y: psi_eval(_TABLE31, y),
+    "psi_derivative": lambda y: psi_derivative(_TABLE31, y, 1),
+    "F_eval": lambda y: F_eval(_TABLE31.params, y, _TABLE31),
+    "F_derivative": lambda y: F_derivative(_TABLE31, y),
+    "ode_residual_series": lambda y: ode_residual_series(_TABLE31, y),
+    "pde_residual": lambda q: pde_residual(build_candidate(ModelParams(3, 1)), 0.5, q),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_SERIES_CALLERS))
+def test_nan_series_argument_is_rejected(caller):
+    # NaN < 0 and NaN > ymax are both false, so the range check must test >= 0
+    call = _SERIES_CALLERS[caller]
+    assert math.isfinite(call(0.5))
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(bad)
 
 
 def test_F_at_zero_and_mismatched_params():

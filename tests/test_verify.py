@@ -198,3 +198,10 @@ def test_report_merge_and_serialization():
 def test_iteration_suite_fast_configuration():
     rep = run_iteration_checks(steps=6, r_max=20, grid=(0.5, 2.0, 5.0))
     assert rep.all_passed, rep.failures()
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_iteration_suite_rejects_empty_invariance_run(steps):
+    # zero steps leave no invariance checks, and their worst margin has no maximum
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        run_iteration_checks(steps=steps, r_max=20, grid=(0.5,))
