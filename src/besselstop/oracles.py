@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaln, hyp1f1
 
 from .boundary import find_Z, solve_root
 from .series import ModelParams, build_coefficients, default_ymax, psi_derivative, psi_eval
@@ -39,6 +40,7 @@ from .value import _check_time
 # Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
 # steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
 _BLOCK_CELLS = 16 * 801
+_LN2 = math.log(2.0)
 
 
 class AccuracyError(RuntimeError):
@@ -240,16 +242,30 @@ def _first_form_H(n: float, y: float) -> float:
     return y ** (-0.5 * n) * _quad(lambda t: math.exp(0.5 * t ** (2.0 / n)), y ** (0.5 * n)) / n
 
 
-def _second_form_J(alpha: float, y: float) -> float:
-    # J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2 via v = t^{1/p}, p = (alpha-2)/2.
-    p = 0.5 * (alpha - 2.0)
-    return _quad(lambda t: math.exp(-0.5 * t ** (1.0 / p)), y**p) / (2.0 * p)
+def _second_form_log_J(alpha: float, y: float) -> float:
+    """log J(y), J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, for y > 0.
+
+    With v = 2w and b = alpha/2 - 1, J(y) = 2^{b-1} Gamma(b) P(b, y/2), P the
+    regularized lower incomplete gamma function; summed in logs, so Gamma(b)
+    may overflow.  Where P(b, x) falls below the normal range, x lies far
+    below b and Kummer's form P(b, x) = x^b e^{-x} M(1, b+1, x) / Gamma(b+1)
+    takes over.
+    """
+    b = 0.5 * alpha - 1.0
+    x = 0.5 * y
+    p = float(gammainc(b, x))
+    if p >= np.finfo(float).tiny:
+        log_p = math.log(p)
+    else:
+        kummer = float(hyp1f1(1.0, b + 1.0, x))
+        log_p = b * math.log(x) - x - float(gammaln(b + 1.0)) + math.log(kummer)
+    return (b - 1.0) * _LN2 + float(gammaln(b)) + log_p
 
 
 def _second_form_H(alpha: float, y: float) -> float:
     if y == 0.0:
         return 1.0 / (alpha - 2.0)
-    return y ** (1.0 - 0.5 * alpha) * math.exp(0.5 * y) * _second_form_J(alpha, y)
+    return math.exp((1.0 - 0.5 * alpha) * math.log(y) + 0.5 * y + _second_form_log_J(alpha, y))
 
 
 def _family(params: ModelParams):
@@ -281,11 +297,11 @@ def _family(params: ModelParams):
     if math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12:
 
         def ratio(z: float) -> float:
-            J = _second_form_J(a, z)
+            log_J = _second_form_log_J(a, z)
             return (
                 (1.0 - 0.5 * a) / z
                 + 0.5
-                + math.exp(-0.5 * z) * z ** (0.5 * a - 2.0) / (2.0 * J)
+                + math.exp((0.5 * a - 2.0) * math.log(z) - 0.5 * z - _LN2 - log_J)
                 - 1.0 / z
             )
 
@@ -299,8 +315,9 @@ def _family(params: ModelParams):
 def quadrature_H(params: ModelParams, y: float) -> float:
     """Bounded solution H of the special family of ``params`` (see ``_family``).
 
-    e^{y/2} for alpha = n; for n = alpha - 2 and for n = 2 < alpha the
-    integral forms, evaluated by adaptive quadrature.  All are strictly
+    e^{y/2} for alpha = n; for n = alpha - 2 the integral form, evaluated by
+    adaptive quadrature, and for n = 2 < alpha the integral form through the
+    incomplete gamma function (``_second_form_log_J``).  All are strictly
     positive with finite limits at zero, which is what makes them usable as
     value-function building blocks.  y = 0 returns the limit.  Raises
     ValueError outside the three families.

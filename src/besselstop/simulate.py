@@ -5,15 +5,26 @@ uses the time change Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared
 Bessel process of dimension alpha started at X0 = q0/(1 - t0)^2 at time
 t0/(1 - t0), and walks X between the nodes of the grid linspace(t0, 1, n+1)
 with an exact transition, so every grid marginal has the exact law and the
-path ends at zero.  Integer alpha takes the radial step
-X' = (sqrt X + sqrt(ds) xi)^2 + ds chi2_{alpha-1}: one normal plus
+path ends at zero.  Integer alpha takes the radial step on R = sqrt X >= 0,
+R' = sqrt((R + sqrt(ds) xi)^2 + ds chi2_{alpha-1}): one normal plus
 chi2_{alpha-1} as (alpha-1)//2 doubled standard exponentials and, for even
-alpha, one squared normal; at alpha = 1 it carries the signed coordinate and
-the chi-square term vanishes.  Any other alpha takes the Poisson mixture of
-the noncentral chi-square, X' = 2 ds Gamma(alpha/2 + N) with
-N ~ Poisson(X/(2 ds)).  The kernels return X; q = (1-t)(1-t) X is formed
-only where it is read: on the whole of a ``simulate_exact`` path, and in the
-engine on the paths a level's pre-filter cannot rule out.
+alpha, one squared normal; at alpha = 1 the chi-square term vanishes and the
+step is the reflected R' = |R + sqrt(ds) xi|, the exact BES(1) law.  Any
+other alpha takes the Poisson mixture of the noncentral chi-square,
+X' = 2 ds Gamma(alpha/2 + N) with N ~ Poisson(X/(2 ds)).  The kernels return
+X; q = (1-t)(1-t) X is formed only where it is read: on the whole of a
+``simulate_exact`` path, and in the engine on the paths a level's pre-filter
+cannot rule out.
+
+Antithetic pairs: paths 2i and 2i + 1 form pair i.  For integer alpha the
+pair draws its variates once; path A steps by +sqrt(ds) xi, path B by
+-sqrt(ds) xi, and both add the same ds chi2_{alpha-1}.  -xi has the law of
+xi, so each path keeps the exact law and only the two paths of a pair depend
+on each other; their payoffs are negatively correlated, and a pair costs the
+draws of one path.  The mixture's two paths draw independently, so there
+the pairs are bookkeeping only.  The mean is over all paths, and every
+standard error is taken over pair means (``_pair_stderr``), so it is valid
+for either kernel; an odd path count leaves the last path a group of one.
 
 Reproducibility contract: the engine simulates paths in fixed blocks of
 ``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
@@ -21,11 +32,11 @@ block owns one SFC64 stream keyed by (master seed, block index) through a
 seed sequence, and the block size does not depend on the worker count, so
 results are a deterministic function of the configuration and the threshold
 levels, bit identical for any number of worker threads.  The engine draws
-only for paths that some level has not stopped yet, so the variates a path
-receives depend on the levels of the call: one call shares its paths across
-all its levels (common random numbers), but calls with different level sets
-do not share paths.  Reductions run over the fully assembled per-path payoff
-arrays with numpy's pairwise summation.
+only for pairs in which some level has not stopped a path yet, so the
+variates a path receives depend on the levels of the call: one call shares
+its paths across all its levels (common random numbers), but calls with
+different level sets do not share paths.  Reductions run over the fully
+assembled per-path payoff arrays with numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -139,7 +150,12 @@ class StoppingOutcome:
 
 @dataclass(frozen=True)
 class MCResult:
-    """Monte Carlo aggregate; ci95 = mean +/- 1.96 stderr."""
+    """Monte Carlo aggregate; ci95 = mean +/- 1.96 stderr.
+
+    ``mean`` is over all ``n_paths`` paths; ``stderr`` is the standard
+    deviation of the antithetic pair means over the square root of their
+    count, an odd last path counting as a group of one.
+    """
 
     mean: float
     stderr: float
@@ -181,78 +197,77 @@ def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(ds), ds
 
 
-def _draws_per_step(d: int) -> int:
-    """Variates one step draws per path: xi, the exponentials, the odd normal."""
-    n_exp, odd = divmod(d - 1, 2)
-    return 1 + n_exp + odd
-
-
 def _radial_block(gen, state, d, sd, ds, buf):
-    """X at the next k nodes for every row; ``state`` advances in place.
+    """X at the next k nodes of both paths of every pair; ``state`` advances in place.
 
-    ``state`` holds sqrt X per row, or the signed coordinate when d = 1.  The
-    block draws, in this order: (k, n) normals xi; then chi2_{d-1} as
-    (d-1)//2 doubled standard exponentials of shape ((d-1)//2, k, n) and, when
-    d - 1 is odd, one squared (k, n) normal.  Each step is U = R + sqrt(ds) xi,
-    X = U^2 + ds chi2, R = sqrt X; at d = 1 it is the single add
-    U += sqrt(ds) xi, one row after the other, and X = U^2.  Without the
-    squared normal (odd d) the doubling is folded into the scale,
-    2 sum(e) ds == sum(e) (2 ds) exactly.  The result, X with shape (k, n), is
-    a view of ``buf``; q = (1-t)^2 X is left to the caller.
+    ``state`` has shape (2, n): R = sqrt X >= 0 of path A (row 0) and path B
+    (row 1) of each of n pairs.  The block draws, for the n pairs, in this
+    order: (k, n) normals xi; then chi2_{d-1} as (d-1)//2 doubled standard
+    exponentials of shape ((d-1)//2, k, n) and, when d - 1 is odd, one squared
+    (k, n) normal.  Each step is U = R + sqrt(ds) xi on path A and
+    U = R + (-sqrt(ds) xi) on path B, then X = U^2 + ds chi2 with the pair's
+    one chi2, and R = sqrt X; at d = 1 there is no chi2 and R = |U|, the
+    reflected step.  Without the squared normal (odd d) the doubling is
+    folded into the scale, 2 sum(e) ds == sum(e) (2 ds) exactly.  The result,
+    X with shape (k, 2, n), is a view of ``buf``; q = (1-t)^2 X is left to
+    the caller.
     """
-    k, n = sd.size, state.size
+    k, n = sd.size, state.shape[1]
     size = k * n
     n_exp, odd = divmod(d - 1, 2)
-    x = buf[:size].reshape(k, n)
-    gen.standard_normal(out=x)
-    x *= sd[:, None]
+    x = buf[: 2 * size].reshape(k, 2, n)
+    xi = buf[2 * size : 3 * size].reshape(k, n)
+    gen.standard_normal(out=xi)
+    # the increments of path A, then their mirror for path B; this frees the
+    # xi slab for the chi-square draws
+    np.multiply(xi, sd[:, None], out=x[:, 0])
+    np.negative(x[:, 0], out=x[:, 1])
     if d == 1:
-        # a row loop: cumsum along axis 0 makes the same sums about 7x slower
-        prev = state
         for u in x:
-            np.add(prev, u, out=u)
-            prev = u
-        state[:] = prev
+            np.add(u, state, out=u)
+            np.abs(u, out=state)
         x *= x
-    else:
-        chi = buf[size : 2 * size].reshape(k, n)
-        scale = ds
-        if n_exp:
-            e = buf[size : (1 + n_exp) * size].reshape(n_exp, k, n)
-            gen.standard_exponential(out=e)
-            for extra in e[1:]:
-                chi += extra
-            if odd:
-                chi += chi
-            else:
-                scale = ds + ds
+        return x
+    chi = buf[2 * size : 3 * size].reshape(k, n)
+    scale = ds
+    if n_exp:
+        e = buf[2 * size : (2 + n_exp) * size].reshape(n_exp, k, n)
+        gen.standard_exponential(out=e)
+        for extra in e[1:]:
+            chi += extra
         if odd:
-            g = buf[(1 + n_exp) * size : (2 + n_exp) * size].reshape(k, n)
-            gen.standard_normal(out=g)
-            g *= g
-            if n_exp:
-                chi += g
-            else:
-                chi = g
-        chi *= scale[:, None]
-        for u, c in zip(x, chi):
-            np.add(state, u, out=u)
-            np.multiply(u, u, out=u)
-            np.add(u, c, out=u)
-            np.sqrt(u, out=state)
+            chi += chi
+        else:
+            scale = ds + ds
+    if odd:
+        g = buf[(2 + n_exp) * size : (3 + n_exp) * size].reshape(k, n)
+        gen.standard_normal(out=g)
+        g *= g
+        if n_exp:
+            chi += g
+        else:
+            chi = g
+    chi *= scale[:, None]
+    for u, c in zip(x, chi):
+        np.add(u, state, out=u)
+        np.multiply(u, u, out=u)
+        np.add(u, c, out=u)
+        np.sqrt(u, out=state)
     return x
 
 
 def _mixture_block(gen, state, alpha, ds, buf):
-    """X at the next k nodes for every row, any alpha; ``state`` advances in place.
+    """X at the next k nodes for every path of ``state``, any alpha; ``state`` advances in place.
 
-    ``state`` holds X per row.  Each step draws N ~ Poisson(X/(2 ds)) for
-    every row and then X' = 2 ds Gamma(alpha/2 + N), the Poisson mixture of
-    the scaled noncentral chi-square that is the exact BESQ^alpha transition.
-    The result, X with shape (k, n), is a view of ``buf``.
+    ``state`` holds X per path, shape (2, n) for n pairs; the two paths of a
+    pair draw independently.  Each step draws N ~ Poisson(X/(2 ds)) for every
+    path, in C order, and then X' = 2 ds Gamma(alpha/2 + N), the Poisson
+    mixture of the scaled noncentral chi-square that is the exact BESQ^alpha
+    transition.  The result, X with shape (k,) + state.shape, is a view of
+    ``buf``.
     """
-    k, n = ds.size, state.size
-    x = buf[: k * n].reshape(k, n)
+    k = ds.size
+    x = buf[: k * state.size].reshape((k,) + state.shape)
     prev = state
     for row, h in zip(x, ds + ds):
         gen.standard_gamma(gen.poisson(prev / h) + 0.5 * alpha, out=row)
@@ -263,13 +278,14 @@ def _mixture_block(gen, state, alpha, ds, buf):
 
 
 def _sampler(config: SimConfig):
-    """Grid, block kernel, start state and buffer floats per path-step of a run.
+    """Grid, block kernel, start state and buffer floats per pair-step of a run.
 
     The grid is linspace(t0, 1, n_steps + 1); ``step(gen, state, j0, j1, buf)``
-    returns the time-changed BESQ value X at its nodes j0+1 .. j1 as a view of
-    ``buf``, and q = (1-t)^2 X there, with (1-t)^2 formed as (1-t)(1-t).
-    Integer alpha takes ``_radial_block``, whose state starts at sqrt X0 (the
-    signed coordinate at alpha = 1); any other alpha ``_mixture_block``, whose
+    advances the (2, pairs) ``state`` and returns the time-changed BESQ value
+    X of both paths of every pair at the nodes j0+1 .. j1, shape
+    (j1 - j0, 2, pairs), as a view of ``buf``; q = (1-t)^2 X there, with
+    (1-t)^2 formed as (1-t)(1-t).  Integer alpha takes ``_radial_block``,
+    whose state starts at sqrt X0; any other alpha ``_mixture_block``, whose
     state is X itself.
     """
     a = config.params.alpha
@@ -282,30 +298,32 @@ def _sampler(config: SimConfig):
         def step(gen, state, j0, j1, buf):
             return _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], buf)
 
-        return t, step, math.sqrt(x0), _draws_per_step(d)
+        # X of both paths, then the xi slab, which the chi-square draws reuse
+        return t, step, math.sqrt(x0), 2 + max(1, d // 2)
 
     def step(gen, state, j0, j1, buf):
         return _mixture_block(gen, state, a, ds[j0:j1], buf)
 
-    return t, step, x0, 1
+    return t, step, x0, 2
 
 
 def simulate_exact(config: SimConfig) -> BridgePath:
     """One exact path from (t0, q0): the engine's walk without stopping.
 
     Draws from stream (seed, 0) in the engine's time blocks, through the same
-    kernel, so a one-path engine run reproduces it bit for bit.  Every grid
-    marginal has the exact law, and the pinned node is the exact zero.
+    kernel, and keeps path A of the one pair, so a one-path engine run (a
+    group of one) reproduces it bit for bit.  Every grid marginal has the
+    exact law, and the pinned node is the exact zero.
     """
     t, step, x0, width = _sampler(config)
     gen = _path_generator(config.seed, 0)
-    state = np.full(1, x0)
+    state = np.full((2, 1), x0)
     buf = np.empty(width * _BLOCK_STEPS)
     x = np.zeros(config.n_steps + 1)
     last = config.n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
         j1 = min(j0 + _BLOCK_STEPS, last)
-        x[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0]
+        x[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0, 0]
     tau = 1.0 - t
     q = x * (tau * tau)
     q[0] = config.q0
@@ -345,17 +363,21 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
     Levels with q0 >= z (1 - t0) stop every path at node 0, as
-    ``apply_policy`` does.  Rows are the block's paths that still have an
-    unhit level.  Each time block draws fresh variates for those rows only and
-    applies the ``sampler`` kernel, so a path stops costing draws once
-    every level has stopped it.  The draws are independent of the history
-    that chose the rows, so every surviving path keeps the exact law.  The
-    kernel state carries across time blocks; a one-path block therefore
-    reproduces ``simulate_exact`` on the same stream bit for bit.  The kernel
-    returns X; q = X (1-t)^2 is formed only on the columns the peak
-    pre-filter keeps for a level, by the same product ``simulate_exact`` uses.
+    ``apply_policy`` does.  The block walks its paths as antithetic pairs,
+    paths (start + 2i, start + 2i + 1); an odd last path is path A of a pair
+    whose path B is never read.  Rows are the pairs in which some path still
+    has an unhit level.  Each time block draws fresh variates for those rows
+    only and applies the ``sampler`` kernel, so a pair stops costing draws
+    once every level has stopped both its paths.  The draws are independent
+    of the history that chose the rows, so every surviving path keeps the
+    exact law.  The kernel state carries across time blocks; a one-path
+    block therefore reproduces ``simulate_exact`` on the same stream bit for
+    bit.  The kernel returns X; q = X (1-t)^2 is formed only on the columns
+    the peak pre-filter keeps for a level, by the same product
+    ``simulate_exact`` uses.
     """
     m = stop - start
+    pairs = (m + 1) // 2
     t, step, x0, width = sampler
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
     tau = 1.0 - t
@@ -366,30 +388,35 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
     at_start = config.q0 >= levels * tau[0]
     payoffs[start:stop, at_start] = _payoff(config.q0, config.params.n)
     stopped[start:stop, at_start] = True
-    rows = np.arange(m)  # block-local index of each active row
-    state = np.full(m, x0)  # kernel state at the current node
-    open_ = np.repeat(~at_start[:, None], m, axis=1)  # (levels, rows)
+    rows = np.arange(pairs)  # block-local pair index of each active row
+    state = np.full((2, pairs), x0)  # kernel state of paths A and B at the current node
+    open_ = np.empty((levels.size, 2, pairs), dtype=bool)  # (levels, path A or B, rows)
+    open_[:] = ~at_start[:, None, None]
+    if m % 2:
+        open_[:, 1, -1] = False  # an odd block's last pair has no path B
     # one buffer serves every time block, so draws never fault in fresh pages
-    buf = np.empty(width * m * min(_BLOCK_STEPS, last))
+    buf = np.empty(width * pairs * min(_BLOCK_STEPS, last))
     for j0 in range(0, last, _BLOCK_STEPS):
-        keep = open_.any(axis=0)
+        keep = open_.any(axis=(0, 1))
         if not keep.all():
             keep = np.flatnonzero(keep)
             if keep.size == 0:
                 break
             # take: twice as fast as a fancy index on the column axis
-            rows, state, open_ = rows[keep], state[keep], open_.take(keep, axis=1)
+            rows, state, open_ = rows[keep], state.take(keep, axis=1), open_.take(keep, axis=2)
         j1 = min(j0 + _BLOCK_STEPS, last)
-        x = step(gen, state, j0, j1, buf)
+        # columns: path A of every row, then path B of every row
+        x = step(gen, state, j0, j1, buf).reshape(j1 - j0, -1)
+        flat_open = open_.reshape(levels.size, -1)
         bound = tau[j0 + 1 : j1 + 1, None]
         scale = tau2[j0 + 1 : j1 + 1, None]
-        # q/(1-t) = X (1-t) and 1-t only falls along the block, so the row's
+        # q/(1-t) = X (1-t) and 1-t only falls along the block, so the path's
         # largest X times 1-t at the block's first node bounds q/(1-t): only
-        # rows with peak >= z can hit level z, and q is formed on those alone
+        # paths with peak >= z can hit level z, and q is formed on those alone
         peak = x.max(axis=0)
         peak *= tau[j0 + 1]
         for l, z in enumerate(levels):
-            cand = np.flatnonzero(open_[l] & (peak >= z * _PEAK_SLACK))
+            cand = np.flatnonzero(flat_open[l] & (peak >= z * _PEAK_SLACK))
             if cand.size == 0:
                 continue
             q = x[:, cand] * scale
@@ -397,9 +424,11 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
             hit = np.flatnonzero(mask.any(axis=0))
             first = np.argmax(mask[:, hit], axis=0)
             cand = cand[hit]
-            payoffs[start + rows[cand], l] = _payoff(q[first, hit], config.params.n)
-            stopped[start + rows[cand], l] = True
-            open_[l, cand] = False
+            side, row = np.divmod(cand, rows.size)
+            path = start + 2 * rows[row] + side
+            payoffs[path, l] = _payoff(q[first, hit], config.params.n)
+            stopped[path, l] = True
+            flat_open[l, cand] = False
 
 
 def _threshold_payoffs(
@@ -428,12 +457,22 @@ def _threshold_payoffs(
     return payoffs, stopped
 
 
+def _pair_stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of per-path ``values``, from their pair means.
+
+    The groups are the antithetic pairs (2i, 2i + 1), and an odd last value
+    is a group of one.
+    """
+    even = values.size - values.size % 2
+    groups = np.concatenate((0.5 * (values[0:even:2] + values[1:even:2]), values[even:]))
+    if groups.size < 2:
+        return float("nan")
+    return float(np.std(groups, ddof=1) / math.sqrt(groups.size))
+
+
 def _aggregate(payoff_col: np.ndarray, stopped_col: np.ndarray, n_paths: int) -> MCResult:
     mean = float(np.mean(payoff_col))
-    if n_paths > 1:
-        stderr = float(np.std(payoff_col, ddof=1) / math.sqrt(n_paths))
-    else:
-        stderr = float("nan")
+    stderr = _pair_stderr(payoff_col)
     warning = "n_paths below 100; interval estimate unreliable" if n_paths < 100 else None
     return MCResult(
         mean=mean,
@@ -446,7 +485,7 @@ def _aggregate(payoff_col: np.ndarray, stopped_col: np.ndarray, n_paths: int) ->
 
 
 def mc_estimate(config: SimConfig, policy: ThresholdPolicy) -> MCResult:
-    """Mean payoff of the threshold policy over n_paths independent paths."""
+    """Mean payoff of the threshold policy over n_paths paths in antithetic pairs."""
     payoffs, stopped = _threshold_payoffs(config, np.array([policy.Z]))
     return _aggregate(payoffs[:, 0], stopped[:, 0], config.n_paths)
 
@@ -460,8 +499,9 @@ def policy_sweep(
 
     Common random numbers make the per-multiplier comparison paired; rows
     carry the paired difference statistics against the m = 1 row when it is
-    present.  With the optimal Z the m = 1 row should have the maximal mean
-    up to confidence-interval overlap.
+    present, the stderr again over antithetic pair means.  With the optimal
+    Z the m = 1 row should have the maximal mean up to confidence-interval
+    overlap.
     """
     mult = [float(m) for m in multipliers]
     if not mult or any(m <= 0.0 for m in mult):
@@ -482,7 +522,7 @@ def policy_sweep(
         if candidate_idx is not None and i != candidate_idx:
             diff = payoffs[:, candidate_idx] - payoffs[:, i]
             pm = float(np.mean(diff))
-            ps = float(np.std(diff, ddof=1) / math.sqrt(config.n_paths))
+            ps = _pair_stderr(diff)
         rows.append(
             SweepRow(
                 multiplier=m,

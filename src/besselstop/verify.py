@@ -324,10 +324,10 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
     Also checks that the first odd r* >= 7 with 2 r* > delta has both
     coefficients strictly negative, which is what terminates the argument.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     if r_max < 7:
-        raise ValueError("bounds start at r = 7")
+        raise ValueError(f"r_max must be at least 7, where the bounds start; got {r_max}")
     r_star = 7
     while not (r_star % 2 == 1 and 2 * r_star > delta):
         r_star += 1

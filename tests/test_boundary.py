@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from besselstop.boundary import (
 )
 from besselstop.oracles import closed_form_Z, explicit_special_values
 from besselstop.series import F_eval, ModelParams, build_coefficients
+from besselstop.value import U_star, build_candidate
 from besselstop.verify import PARAMETER_GRID
 
 C_REF = 1.503395376470782  # quadrature + bracketed root, frozen
@@ -120,9 +122,20 @@ def test_closed_form_integral_family(a):
 
 @pytest.mark.parametrize("a", [80.0, 150.0])
 def test_closed_form_integral_family_large_alpha(a):
-    # the first form stays finite here; the second form breaks down (see below)
+    # both forms stay finite here; the second sums its incomplete gamma in logs
     z = closed_form_Z(ModelParams(a, a - 2.0))
     assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
+    z2 = closed_form_Z(ModelParams(a, 2.0))
+    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("a", [3.0, 7.0, 40.0, 100.0])
+def test_second_integral_form_matches_series_root(a):
+    # J(y) = 2^{b-1} Gamma(b) P(b, y/2): no quadrature, no IntegrationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = closed_form_Z(ModelParams(a, 2.0))
+    assert abs(z - find_Z(ModelParams(a, 2.0)).value) <= 1e-10 * z
 
 
 def test_closed_form_absent():
@@ -191,13 +204,20 @@ def test_solve_root_grows_bracket():
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda: explicit_special_values(ModelParams(120, 2), 0.0, 0.0),
-        lambda: explicit_special_values(ModelParams(400, 2), 0.0, 0.0),
-        lambda: closed_form_Z(ModelParams(400, 398)),
-    ],
-    ids=["second_form_a120", "second_form_a400", "integral_form_a400"],
+    [lambda: closed_form_Z(ModelParams(400, 398))],
+    ids=["integral_form_a400"],
 )
 def test_special_family_breakdown_is_typed(call):
     with pytest.raises(NoRootError, match="evaluating at"):
         call()
+
+
+@pytest.mark.parametrize("a", [120.0, 400.0])
+def test_second_form_value_holds_at_large_alpha(a):
+    # summed in logs, the second form holds where its quadrature broke down;
+    # at q = 1e-8 P(b, q/2) underflows and Kummer's form takes over
+    params = ModelParams(a, 2.0)
+    sol = build_candidate(params)
+    for t, q in ((0.0, 0.0), (0.0, 1e-8), (0.5, 10.0)):
+        want = U_star(sol, t, q)
+        assert explicit_special_values(params, t, q) == pytest.approx(want, rel=1e-12)

@@ -56,12 +56,28 @@ def test_boundary_integral_family_large_alpha(capsys):
 
 
 def test_boundary_integral_form_breakdown_keeps_series_root(capsys):
-    # the second integral form underflows at alpha = 120; the series root does not
+    # the second integral form, summed in logs, holds at alpha = 120 (it
+    # underflowed under quadrature and was reported as null)
     code, out = run_cli(capsys, "boundary", "--alpha", "120", "--n", "2")
     assert code == 0
     res = json.loads(out)["results"]
-    assert res["closed_form_Z"] is None
     assert math.isfinite(res["Z"])
+    assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", ["40", "100"])
+def test_boundary_second_integral_form_prints_no_warning(alpha):
+    # a fresh interpreter, so no warning filter or registry of this suite applies
+    repo_root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "besselstop", "boundary", "--alpha", alpha, "--n", "2"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=str(repo_root),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["closed_form_Z"] is not None
 
 
 def test_value_json(capsys):
@@ -133,6 +149,13 @@ def test_argument_rejected_by_library_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage error: ")
+
+
+def test_verify_appendix_r_max_below_seven_names_r_max(capsys):
+    assert main(["verify-appendix", "--r-max", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "r_max" in err
 
 
 @pytest.mark.parametrize(

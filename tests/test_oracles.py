@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besselstop import acceptance, oracles
@@ -311,6 +313,32 @@ def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0)
     assert np.array_equal(lat.value, value)
     assert np.array_equal(lat.boundary_estimate, boundary)
     assert lat.value_at_origin == value[0, 0]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=_log_uniform(0.05, 60.0),
+    n=_log_uniform(0.05, 60.0),
+    t_steps=st.integers(100, 3000),
+    q_steps=st.integers(50, 3000),
+    q_scale=st.floats(3.0, 50.0),
+    t0=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_lattice_weights_are_never_negative(alpha, n, t_steps, q_steps, q_scale, t0):
+    # L is widened until u^2 >= 1.5 sig2, so v <= 2/3, and every cell with
+    # |d| > v takes the two-point split: no weight can go negative.  The first
+    # and last steps of the grid dp_value builds are the extremes of 1 - t.
+    Z = find_Z(ModelParams(alpha, n)).value
+    t_grid = np.linspace(t0, 1.0 - 1e-4, t_steps + 1)
+    q_grid = np.linspace(0.0, q_scale * Z * (1.0 - t0), q_steps + 1)
+    h, dq = t_grid[1] - t_grid[0], q_grid[1] - q_grid[0]
+    rows = np.r_[0:8, t_steps - 8 : t_steps]
+    _, wts = oracles._lattice_stencils(alpha, q_grid, 1.0 - t_grid[rows], h, dq)
+    assert wts.min() >= 0.0
 
 
 def test_block_budget_below_one_row_steps_row_by_row(monkeypatch):

@@ -63,26 +63,31 @@ def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
     """The engine's draw schedule on stream (seed, block), stepped in Python floats.
 
-    Paths start at X0 = q0/(1-t0)^2 on the grid linspace(t0, 1, n_steps + 1);
-    a level the start meets stops every path at node 0.  For integer alpha
-    each time block draws (k, n) normals, then (alpha-1)//2 exponential arrays
-    (k, n) and, for even alpha, one more (k, n) normal, for the n paths that
-    still have an unhit level, in path order.  Every path then takes the
-    radial step U = R + sqrt(ds) xi, X = U^2 + ds chi2 (U += sqrt(ds) xi,
-    X = U^2 at alpha = 1) one float at a time.  Any other alpha draws, step
-    by step, n Poisson counts N and then n gammas of shape alpha/2 + N, and
-    sets X = 2 ds G.  Nodes a path never reaches stay 0.  Returns the grid and
-    q with shape (n_paths, n_steps + 1).
+    Paths 2i and 2i + 1 form pair i; an odd path count gives the last pair a
+    path B that is stepped and then dropped.  Paths start at
+    X0 = q0/(1-t0)^2 on the grid linspace(t0, 1, n_steps + 1); a level the
+    start meets stops every path at node 0.  Each time block serves the n
+    pairs in which a path still has an unhit level, in pair order.  For
+    integer alpha it draws (k, n) normals, then (alpha-1)//2 exponential
+    arrays (k, n) and, for even alpha, one more (k, n) normal.  Path A of
+    each pair then takes the radial step U = R + sqrt(ds) xi, path B
+    U = R - sqrt(ds) xi, both X = U^2 + ds chi2 with the pair's chi2 and
+    R = sqrt X (at alpha = 1, X = U^2 and R = |U|), one float at a time.  Any
+    other alpha draws, step by step, (2, n) Poisson counts N, path A of every
+    pair first, then (2, n) gammas of shape alpha/2 + N, and sets X = 2 ds G.
+    Nodes a path never reaches stay 0.  Returns the grid and q with shape
+    (n_paths, n_steps + 1).
     """
     t = np.linspace(t0, 1.0, n_steps + 1)
     tl = t.tolist()
     gen = _path_generator(seed, block)
-    q = np.zeros((n_paths, n_steps + 1))
+    pairs = (n_paths + 1) // 2
+    q = np.zeros((2 * pairs, n_steps + 1))
     q[:, 0] = q0
     x0 = q0 / ((1.0 - t0) * (1.0 - t0))
-    r = [math.sqrt(x0)] * n_paths
-    xs = [x0] * n_paths
-    active = [p for p in range(n_paths) if any(q0 < z * (1.0 - t0) for z in levels)]
+    r = [math.sqrt(x0)] * (2 * pairs)
+    xs = [x0] * (2 * pairs)
+    active = [i for i in range(pairs) if any(q0 < z * (1.0 - t0) for z in levels)]
     last = n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
         if not active:
@@ -93,46 +98,68 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
             for j in range(j0, j1):
                 ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
                 h = ds + ds
-                counts = gen.poisson(np.array([xs[p] / h for p in active]))
+                counts = gen.poisson(np.array([[xs[2 * i + s] / h for i in active] for s in (0, 1)]))
                 g = gen.standard_gamma(counts + 0.5 * alpha).tolist()
-                for c, p in enumerate(active):
-                    xs[p] = g[c] * h
-                    q[p, j + 1] = xs[p] * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
-            active = _still_open(q, t, active, j1, levels)
+                for s in (0, 1):
+                    for c, i in enumerate(active):
+                        p = 2 * i + s
+                        xs[p] = g[s][c] * h
+                        q[p, j + 1] = xs[p] * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
+            active = _still_open(q, t, active, j1, levels, n_paths)
             continue
         n_exp, odd = divmod(int(alpha) - 1, 2)
         xi = gen.standard_normal((k, n)).tolist()
         e = gen.standard_exponential((n_exp, k, n)).tolist() if n_exp else []
         g = gen.standard_normal((k, n)).tolist() if odd else None
-        for c, p in enumerate(active):
-            for i in range(k):
-                j = j0 + i
-                ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
-                step = math.sqrt(ds) * xi[i][c]
-                if alpha == 1:
-                    r[p] = r[p] + step
-                    x = r[p] * r[p]
-                else:
-                    chi = 0.0
-                    if n_exp:
-                        chi = e[0][i][c]
-                        for extra in e[1:]:
-                            chi = chi + extra[i][c]
-                        chi = chi + chi
-                    if odd:
-                        chi = chi + g[i][c] * g[i][c] if n_exp else g[i][c] * g[i][c]
-                    u = r[p] + step
-                    x = u * u + chi * ds
-                    r[p] = math.sqrt(x)
-                q[p, j + 1] = x * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
-        active = _still_open(q, t, active, j1, levels)
-    return t, q
+        for c, i in enumerate(active):
+            for p in (2 * i, 2 * i + 1):
+                for ii in range(k):
+                    j = j0 + ii
+                    ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
+                    step = math.sqrt(ds) * xi[ii][c]
+                    u = r[p] + step if p % 2 == 0 else r[p] - step
+                    if alpha == 1:
+                        x = u * u
+                        r[p] = abs(u)
+                    else:
+                        chi = 0.0
+                        if n_exp:
+                            chi = e[0][ii][c]
+                            for extra in e[1:]:
+                                chi = chi + extra[ii][c]
+                            chi = chi + chi
+                        if odd:
+                            chi = chi + g[ii][c] * g[ii][c] if n_exp else g[ii][c] * g[ii][c]
+                        x = u * u + chi * ds
+                        r[p] = math.sqrt(x)
+                    q[p, j + 1] = x * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
+        active = _still_open(q, t, active, j1, levels, n_paths)
+    return t, q[:n_paths]
 
 
-def _still_open(q, t, active, j1, levels):
-    """The active paths with a level that nodes 0 .. j1 have not met."""
+def _still_open(q, t, active, j1, levels, n_paths):
+    """The active pairs with a path that has a level nodes 0 .. j1 have not met."""
     bound = 1.0 - t[: j1 + 1]
-    return [p for p in active if any(np.all(q[p, : j1 + 1] < z * bound) for z in levels)]
+    return [
+        i
+        for i in active
+        if any(
+            np.all(q[p, : j1 + 1] < z * bound)
+            for p in (2 * i, 2 * i + 1)
+            if p < n_paths
+            for z in levels
+        )
+    ]
+
+
+def _assert_engine_matches_paths(t, q, levels, payoffs, stopped, n):
+    """Every engine payoff and stop flag equals ``apply_policy`` on the replayed path."""
+    for i in range(q.shape[0]):
+        path = BridgePath(times=t, q=q[i], seed_used=0)
+        for l, z in enumerate(levels):
+            outcome = apply_policy(path, ThresholdPolicy(z), n)
+            assert payoffs[i, l] == outcome.payoff
+            assert bool(stopped[i, l]) == outcome.stopped
 
 
 def test_config_validation():
@@ -294,12 +321,7 @@ def test_engine_matches_replayed_whole_paths():
         payoffs, stopped = _threshold_payoffs(cfg, levels)
         reached_end = q[:, -2] > 0.0
         assert 0 < reached_end.sum() < cfg.n_paths
-        for i in range(cfg.n_paths):
-            path = BridgePath(times=t, q=q[i], seed_used=0)
-            for l, z in enumerate(levels):
-                outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
-                assert payoffs[i, l] == outcome.payoff
-                assert bool(stopped[i, l]) == outcome.stopped
+        _assert_engine_matches_paths(t, q, levels, payoffs, stopped, cfg.params.n)
 
 
 @pytest.mark.parametrize(
@@ -314,18 +336,26 @@ def test_engine_matches_replayed_paths_any_dimension_and_start(alpha, t0, q0):
     t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels, t0, q0)
     payoffs, stopped = _threshold_payoffs(cfg, levels)
     assert 0 < stopped[:, 2].sum() < cfg.n_paths
-    for i in range(cfg.n_paths):
-        path = BridgePath(times=t, q=q[i], seed_used=0)
-        for l, z in enumerate(levels):
-            outcome = apply_policy(path, ThresholdPolicy(z), cfg.params.n)
-            assert payoffs[i, l] == outcome.payoff
-            assert bool(stopped[i, l]) == outcome.stopped
+    _assert_engine_matches_paths(t, q, levels, payoffs, stopped, cfg.params.n)
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 0.5])
+def test_odd_block_last_path_is_a_group_of_one(alpha):
+    # 41 paths: the last pair has no path B.  The engine steps the missing
+    # path but never scores it, and path A matches the replay like any other
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=41, n_steps=150, seed=8)
+    z = find_Z(cfg.params).value
+    levels = np.array([0.5 * z, z, 2.0 * z])
+    t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels)
+    payoffs, stopped = _threshold_payoffs(cfg, levels)
+    assert 0 < stopped[:, 2].sum() < cfg.n_paths
+    _assert_engine_matches_paths(t, q, levels, payoffs, stopped, cfg.params.n)
 
 
 def _tight_equality_level(cfg):
     """A path p and a level z that q meets with equality at node 1, kept only by the slack.
 
-    Draws the first time block with the engine's kernel; every path is still
+    Draws the first time block with the engine's kernel; every pair is still
     open there, so its draws do not depend on the levels.  Looks for a path
     whose q_1 == z (1 - t_1) exactly while X_max (1 - t_1) < z in floating
     point, X_max the path's largest X in the block: the pre-filter's bound is
@@ -334,8 +364,10 @@ def _tight_equality_level(cfg):
     """
     t, step, x0, width = _sampler(cfg)
     n = cfg.n_paths
-    buf = np.empty(width * _BLOCK_STEPS * n)
-    x = step(_path_generator(cfg.seed, 0), np.full(n, x0), 0, _BLOCK_STEPS, buf)
+    pairs = n // 2
+    buf = np.empty(width * _BLOCK_STEPS * pairs)
+    x = step(_path_generator(cfg.seed, 0), np.full((2, pairs), x0), 0, _BLOCK_STEPS, buf)
+    x = x.transpose(0, 2, 1).reshape(_BLOCK_STEPS, n)  # column 2i + s: path s of pair i
     tau = 1.0 - t[1]
     for p in range(n):
         q1 = x[0, p] * (tau * tau)
@@ -353,8 +385,9 @@ def test_engine_matches_replayed_paths_late_start(alpha):
     # X_max (1 - t_{j0+1}) is loose there and tight at a block's first node.
     # The first level equals one path's q/(1-t) at node 1 exactly, at a tight
     # bound: the engine must stop that path there, as apply_policy does.
+    # Such a path is rare at alpha = 3; seed 10 has one for every alpha here.
     t0, q0 = 0.95, 0.02
-    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=120, n_steps=150, seed=9, t0=t0, q0=q0)
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=120, n_steps=150, seed=10, t0=t0, q0=q0)
     p, z_eq = _tight_equality_level(cfg)
     z = find_Z(cfg.params).value
     levels = np.array([z_eq, z, 2.0 * z])
@@ -363,12 +396,7 @@ def test_engine_matches_replayed_paths_late_start(alpha):
     assert q[p, 1] == z_eq * (1.0 - t[1])
     assert stopped[p, 0] and payoffs[p, 0] == _payoff(q[p, 1], cfg.params.n)
     assert 0 < stopped[:, 2].sum() < cfg.n_paths
-    for i in range(cfg.n_paths):
-        path = BridgePath(times=t, q=q[i], seed_used=0)
-        for l, level in enumerate(levels):
-            outcome = apply_policy(path, ThresholdPolicy(level), cfg.params.n)
-            assert payoffs[i, l] == outcome.payoff
-            assert bool(stopped[i, l]) == outcome.stopped
+    _assert_engine_matches_paths(t, q, levels, payoffs, stopped, cfg.params.n)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3])
@@ -427,17 +455,18 @@ def test_engine_payoffs_match_policy_on_many_stops(n):
         assert payoffs[i, 0] == apply_policy(path, ThresholdPolicy(1e-9), n).payoff
 
 
-def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0):
-    """q at the 9 inner nodes of linspace(t0, 1, 11) for n_paths rows, one kernel call.
+def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0, side=0):
+    """q at the 9 inner nodes of linspace(t0, 1, 11) for n_paths independent rows.
 
-    The kernel is the engine's choice for alpha: radial for integer alpha,
-    the Poisson mixture otherwise.  It returns X, and q = (1-t)(1-t) X is the
-    product the engine forms.
+    One kernel call on n_paths antithetic pairs keeps path A (``side`` 0) or
+    path B (``side`` 1) of each, so the rows are independent.  The kernel is the engine's choice for alpha:
+    radial for integer alpha, the Poisson mixture otherwise.  It returns X,
+    and q = (1-t)(1-t) X is the product the engine forms.
     """
     cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
     t, step, x0, width = _sampler(cfg)
     buf = np.empty(width * 9 * n_paths)
-    x = step(np.random.default_rng(seed), np.full(n_paths, x0), 0, 9, buf)
+    x = step(np.random.default_rng(seed), np.full((2, n_paths), x0), 0, 9, buf)[:, side]
     tau = 1.0 - t[1:-1, None]
     return t[1:-1], x * (tau * tau)
 
@@ -469,10 +498,8 @@ def test_kernel_marginals_off_origin_are_noncentral_chi_square(alpha):
         assert stats.kstest(scaled, stats.ncx2(alpha, x0 / gap).cdf).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
-def test_kernel_covariance_matches_bridge(alpha):
+def _assert_bridge_covariance(alpha, t, q):
     # Cov(Q_t1, Q_t2) = 2 alpha t1^2 (1 - t2)^2 for t1 <= t2
-    t, q = _grid_q(alpha, 20_000, _case_seed(200, alpha))
     for i, j in ((0, 4), (4, 8), (0, 8), (4, 4)):
         x = q[i] - q[i].mean()
         y = q[j] - q[j].mean()
@@ -481,6 +508,23 @@ def test_kernel_covariance_matches_bridge(alpha):
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         target = 2.0 * alpha * t[i] ** 2 * (1.0 - t[j]) ** 2
         assert abs(cov - target) <= 4.0 * se
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
+def test_kernel_covariance_matches_bridge(alpha):
+    t, q = _grid_q(alpha, 20_000, _case_seed(200, alpha))
+    _assert_bridge_covariance(alpha, t, q)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_mirrored_path_has_the_bridge_law(alpha):
+    # path B of each pair steps by -sqrt(ds) xi, reflected at alpha = 1; its
+    # marginals and covariance are those of path A
+    t, q = _grid_q(alpha, 20_000, _case_seed(400, alpha), side=1)
+    for j in (0, 4, 8):
+        scaled = q[j] / (t[j] * (1.0 - t[j]))
+        assert stats.kstest(scaled, stats.chi2(alpha).cdf).pvalue > 1e-3
+    _assert_bridge_covariance(alpha, t, q)
 
 
 def test_stopped_payoffs_match_component_sum_reference():
@@ -503,8 +547,9 @@ def test_stopped_payoffs_match_component_sum_reference():
 
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads):
-    # two full path blocks, a partial third and 22 time blocks per path
-    cfg = _exact_config(n_paths=2 * _BLOCK_PATHS + 500, n_steps=700, seed=17)
+    # two full path blocks, a partial third with an odd path count, whose
+    # last path is a group of one, and 22 time blocks per path
+    cfg = _exact_config(n_paths=2 * _BLOCK_PATHS + 501, n_steps=700, seed=17)
     mult = [0.5, 0.75, 1.0, 1.5, 2.0]
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     est1 = mc_estimate(cfg, ThresholdPolicy(Z31))
@@ -552,6 +597,50 @@ def test_results_independent_of_worker_count(monkeypatch):
         monkeypatch.setenv("BESSELSTOP_THREADS", "4")
         r2 = mc_estimate(cfg, ThresholdPolicy(Z31))
         assert r1 == r2
+
+
+@pytest.mark.parametrize("alpha, bound", [(3, -0.2), (1, -0.1)])
+def test_antithetic_pair_payoffs_are_negatively_correlated(alpha, bound):
+    # the two paths of a pair mirror xi and share chi2; at the candidate level
+    # their payoffs correlate at about -0.45 at (3, 1) and -0.27 at (1, 1).
+    # Equal steps would make them equal, and a signed coordinate at alpha = 1
+    # would make -W and W the same path, both correlation +1
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=8192, n_steps=2000, seed=71)
+    payoffs, _ = _threshold_payoffs(cfg, np.array([find_Z(cfg.params).value]))
+    assert np.corrcoef(payoffs[0::2, 0], payoffs[1::2, 0])[0, 1] < bound
+
+
+def test_stderr_is_taken_over_pair_means():
+    # 2001 paths: 1000 pairs and a last path that is a group of one
+    cfg = _exact_config(n_paths=2001, n_steps=200, seed=23)
+
+    def pair_stderr(col):
+        groups = np.append(col[:-1].reshape(-1, 2).mean(axis=1), col[-1])
+        return groups.std(ddof=1) / math.sqrt(groups.size)
+
+    payoffs, _ = _threshold_payoffs(cfg, np.array([Z31]))
+    res = mc_estimate(cfg, ThresholdPolicy(Z31))
+    assert res.mean == np.mean(payoffs[:, 0])
+    assert res.stderr == pytest.approx(pair_stderr(payoffs[:, 0]), rel=1e-12)
+    # antithetic pairs beat independent paths at (3, 1)
+    assert res.stderr < 0.9 * payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
+
+    table = policy_sweep(cfg, [1.0, 1.5], Z=Z31)
+    payoffs, _ = _threshold_payoffs(cfg, np.array([Z31, 1.5 * Z31]))
+    assert table.rows[0].result.stderr == pytest.approx(pair_stderr(payoffs[:, 0]), rel=1e-12)
+    diff = payoffs[:, 0] - payoffs[:, 1]
+    assert table.rows[1].paired_stderr_vs_candidate == pytest.approx(pair_stderr(diff), rel=1e-12)
+
+
+def test_pair_stderr_matches_independent_paths_for_the_mixture():
+    # the mixture's two paths draw independently, so the pair-mean stderr and
+    # the independent-path formula estimate the same quantity
+    cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=16_384, n_steps=500, seed=29)
+    z = find_Z(cfg.params).value
+    res = mc_estimate(cfg, ThresholdPolicy(z))
+    payoffs, _ = _threshold_payoffs(cfg, np.array([z]))
+    independent = payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
+    assert abs(res.stderr / independent - 1.0) < 0.1
 
 
 @pytest.mark.parametrize(

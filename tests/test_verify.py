@@ -151,6 +151,12 @@ def test_parity_bounds():
         check_delta_bounds(1.0, 5)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_delta_bounds_reject_nonpositive_or_nan_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        check_delta_bounds(delta, 20)
+
+
 def test_dominance_bounds():
     assert check_dominance(2.0, 1.0, 30).all_passed
     assert check_dominance(0.5, 4.0, 50).all_passed
