@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 from scipy.special import erfi
 
-from .series import F_derivative, F_eval, ModelParams, build_coefficients
+from .series import F_derivative, F_eval, ModelParams, _require, build_coefficients
 
 NEWTON_POLISHED = "newton_polished"
 
@@ -110,8 +110,7 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     The coefficient table is rebuilt transparently if the bracket outgrows
     its validated range.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
     table = build_coefficients(params)
 
     def F(z: float) -> float:
@@ -141,8 +140,7 @@ def find_C_excursion(tol: float = 1e-8) -> RootResult:
     on [1, 2], where the sign change is guaranteed, with one Newton polish
     using h'(c) = e^{c^2/2} (1 - c^2).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
     return solve_root(
         excursion_h, 1.0, 2.0, tol, lambda c: math.exp(0.5 * c * c) * (1.0 - c * c)
     )

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
 from .oracles import LatticeError, Z_from_ode, closed_form_Z, dp_value, ode_residual
-from .series import ModelParams, build_coefficients
+from .series import ModelParams, _require, build_coefficients
 from .simulate import (
     SimConfig,
     SweepTable,
@@ -94,8 +94,7 @@ def emit_boundary_curve(sol: CandidateSolution, t_points: int) -> list[list]:
     Includes the pinned t = 1 row where the boundary and the value at the
     origin are both zero.
     """
-    if t_points < 2:
-        raise UsageError("t_points must be at least 2")
+    _require("t_points", t_points, 2)
     rows = [["t", "z_q", "x_boundary", "value_at_zero"]]
     n = sol.params.n
     for i in range(t_points):
@@ -105,43 +104,6 @@ def emit_boundary_curve(sol: CandidateSolution, t_points: int) -> list[list]:
         v0 = 0.0 if t == 1.0 else sol.E1 * (1.0 - t) ** (n / 2.0)
         rows.append([t, zq, xb, v0])
     return rows
-
-
-def emit_sweep_table(table: SweepTable) -> list[list]:
-    """CSV rows per multiplier; the m = 1 row carries candidate=true."""
-    rows = [
-        [
-            "multiplier",
-            "Z_level",
-            "mean",
-            "stderr",
-            "ci_lo",
-            "ci_hi",
-            "stop_fraction",
-            "candidate",
-        ]
-    ]
-    for r in table.rows:
-        rows.append(
-            [
-                r.multiplier,
-                r.Z_level,
-                r.result.mean,
-                r.result.stderr,
-                r.result.ci95[0],
-                r.result.ci95[1],
-                r.result.stop_fraction,
-                r.multiplier == 1.0,
-            ]
-        )
-    return rows
-
-
-def _params(config: RunConfig) -> ModelParams:
-    try:
-        return ModelParams(config.alpha, config.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _sweep_rows_payload(table: SweepTable) -> dict:
@@ -183,9 +145,9 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
     start = time.perf_counter()
     csv_rows = None
     cmd = config.command
+    params = ModelParams(config.alpha, config.n)
 
     if cmd == "boundary":
-        params = _params(config)
         root = find_Z(params, tol=config.tol)
         is_excursion = math.isclose(params.alpha, 3.0) and math.isclose(params.n, 1.0)
         try:
@@ -205,7 +167,6 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
             csv_rows = emit_boundary_curve(build_candidate(params), config.t_points)
 
     elif cmd == "coeffs":
-        params = _params(config)
         table = build_coefficients(params, ymax=config.ymax, eps=config.eps)
         results = {
             "K": table.K,
@@ -217,11 +178,8 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
             csv_rows = [["k", "A_k"]] + [[k, float(c)] for k, c in enumerate(table.coeffs)]
 
     elif cmd == "value":
-        params = _params(config)
-        if not (0.0 <= config.t0 <= 1.0):
-            raise UsageError("t0 must lie in [0, 1]")
-        if not 0.0 <= config.q0 < math.inf:
-            raise UsageError("q0 must be nonnegative and finite")
+        _require("t0", config.t0, 0.0, 1.0)
+        _require("q0", config.q0, 0.0, math.inf, open_hi=True)
         sol = build_candidate(params, tol=config.tol)
         zq = boundary_q(sol, config.t0)
         results = {
@@ -235,18 +193,14 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         }
 
     elif cmd in ("simulate", "sweep"):
-        params = _params(config)
-        try:
-            sim = SimConfig(
-                params=params,
-                t0=config.t0,
-                q0=config.q0,
-                n_paths=config.paths,
-                n_steps=config.steps,
-                seed=config.seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        sim = SimConfig(
+            params=params,
+            t0=config.t0,
+            q0=config.q0,
+            n_paths=config.paths,
+            n_steps=config.steps,
+            seed=config.seed,
+        )
         z = find_Z(params, tol=config.tol).value
         if cmd == "simulate":
             res = mc_estimate(sim, ThresholdPolicy(z))
@@ -255,10 +209,12 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
             table = policy_sweep(sim, list(config.multipliers), Z=z)
             results = _sweep_rows_payload(table)
             if config.out_format == "csv":
-                csv_rows = emit_sweep_table(table)
+                cols = ["multiplier", "Z_level", "mean", "stderr", "ci_lo", "ci_hi"]
+                cols += ["stop_fraction", "candidate"]
+                flat = [dict(r, ci_lo=r["ci95"][0], ci_hi=r["ci95"][1]) for r in results["rows"]]
+                csv_rows = [cols] + [[r[c] for c in cols] for r in flat]
 
     elif cmd == "dp-oracle":
-        params = _params(config)
         sol = build_candidate(params, tol=config.tol)
         q_max = config.q_max if config.q_max is not None else 6.0 * sol.Z
         lattice = dp_value(params, config.t_steps, q_max, config.q_steps, t0=config.t0)
@@ -275,7 +231,6 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         }
 
     elif cmd == "ode-oracle":
-        params = _params(config)
         z_series = find_Z(params, tol=config.tol).value
         z_ode, sol = Z_from_ode(params)
         results = {
@@ -294,7 +249,7 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
     elif cmd == "verify-lemmas":
         extra = ()
         if config.alpha != 3.0 or config.n != 1.0:
-            extra = (_params(config),)
+            extra = (params,)
         base: tuple[ModelParams, ...] = (
             ModelParams(3, 1),
             ModelParams(1, 1),
@@ -309,18 +264,7 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         rows = run_acceptance(indices=config.criteria)
         results = {
             "all_passed": all(r.ok for r in rows),
-            "criteria": [
-                {
-                    "index": r.index,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "within_budget": r.within_budget,
-                    "elapsed": r.elapsed,
-                    "budget": r.budget,
-                    "detail": r.detail,
-                }
-                for r in rows
-            ],
+            "criteria": [asdict(r) for r in rows],
         }
 
     else:  # pragma: no cover - argparse restricts choices

@@ -16,9 +16,9 @@ coordinate singularity:
   gather, a weighted sum and a maximum, and the memory is the value table
   plus about 1 MB of scratch at any grid width.
 * ``closed_form_Z`` and ``explicit_special_values`` solve the three special
-  parameter families, alpha = n, n = alpha - 2 and n = 2 < alpha, through
-  their closed or integral forms (``quadrature_H``), and never touch the
-  series.
+  parameter families without the series: alpha = n in closed form, n =
+  alpha - 2 by adaptive quadrature, and n = 2 < alpha through scipy's
+  Kummer function ``hyp1f1`` (``quadrature_H``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,22 @@ from functools import partial
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, hyp1f1
+from scipy.special import hyp1f1
 
 from .boundary import find_Z, solve_root
-from .series import ModelParams, build_coefficients, default_ymax, psi_derivative, psi_eval
-from .value import _check_time
+from .series import (
+    ModelParams,
+    _require,
+    build_coefficients,
+    default_ymax,
+    psi_derivative,
+    psi_eval,
+)
 
 
 # Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
 # steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
 _BLOCK_CELLS = 16 * 801
-_LN2 = math.log(2.0)
 
 
 class AccuracyError(RuntimeError):
@@ -131,8 +136,8 @@ def ode_shoot(
     divided by 1 + |g|, exceeds ``residual_tol`` anywhere (g'' estimated by a
     fourth-order difference of the stored slopes).
     """
-    if ymax <= 0.0 or step <= 0.0:
-        raise ValueError("ymax and step must be positive")
+    ymax = _require("ymax", ymax, 0.0, math.inf, open_lo=True, open_hi=True)
+    step = _require("step", step, 0.0, math.inf, open_lo=True, open_hi=True)
     m = int(round(ymax / step))
     if m < 6:
         raise ValueError("grid too coarse: need at least 6 steps")
@@ -242,30 +247,10 @@ def _first_form_H(n: float, y: float) -> float:
     return y ** (-0.5 * n) * _quad(lambda t: math.exp(0.5 * t ** (2.0 / n)), y ** (0.5 * n)) / n
 
 
-def _second_form_log_J(alpha: float, y: float) -> float:
-    """log J(y), J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, for y > 0.
-
-    With v = 2w and b = alpha/2 - 1, J(y) = 2^{b-1} Gamma(b) P(b, y/2), P the
-    regularized lower incomplete gamma function; summed in logs, so Gamma(b)
-    may overflow.  Where P(b, x) falls below the normal range, x lies far
-    below b and Kummer's form P(b, x) = x^b e^{-x} M(1, b+1, x) / Gamma(b+1)
-    takes over.
-    """
-    b = 0.5 * alpha - 1.0
-    x = 0.5 * y
-    p = float(gammainc(b, x))
-    if p >= np.finfo(float).tiny:
-        log_p = math.log(p)
-    else:
-        kummer = float(hyp1f1(1.0, b + 1.0, x))
-        log_p = b * math.log(x) - x - float(gammaln(b + 1.0)) + math.log(kummer)
-    return (b - 1.0) * _LN2 + float(gammaln(b)) + log_p
-
-
 def _second_form_H(alpha: float, y: float) -> float:
-    if y == 0.0:
-        return 1.0 / (alpha - 2.0)
-    return math.exp((1.0 - 0.5 * alpha) * math.log(y) + 0.5 * y + _second_form_log_J(alpha, y))
+    # y^{1-alpha/2} e^{y/2} J(y) with J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2
+    # is Kummer's M(1, alpha/2, y/2) / (alpha - 2)
+    return float(hyp1f1(1.0, 0.5 * alpha, 0.5 * y)) / (alpha - 2.0)
 
 
 def _family(params: ModelParams):
@@ -278,8 +263,10 @@ def _family(params: ModelParams):
     * n = alpha - 2: H(y) = y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2, and Z
       solves e^{z/2} = 2 n H(z).
     * n = 2 < alpha: H(y) = y^{1-alpha/2} e^{y/2} J(y) with
-      J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, and Z solves the
-      smooth-fit ratio H'/H = 1/Z.
+      J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, which is Kummer's
+      M(1, alpha/2, y/2) / (alpha - 2); Z solves the smooth-fit ratio
+      H'/H = 1/Z, where M'(a, b, x) = (a/b) M(a+1, b+1, x) gives
+      H'/H = M(2, alpha/2 + 1, z/2) / (alpha M(1, alpha/2, z/2)).
 
     At alpha = 4, n = 2 both integral forms apply; the first is used.
     """
@@ -297,15 +284,11 @@ def _family(params: ModelParams):
     if math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12:
 
         def ratio(z: float) -> float:
-            log_J = _second_form_log_J(a, z)
-            return (
-                (1.0 - 0.5 * a) / z
-                + 0.5
-                + math.exp((0.5 * a - 2.0) * math.log(z) - 0.5 * z - _LN2 - log_J)
-                - 1.0 / z
-            )
+            x = 0.5 * z
+            m2 = float(hyp1f1(2.0, 0.5 * a + 1.0, x))
+            return m2 / (a * float(hyp1f1(1.0, 0.5 * a, x))) - 1.0 / z
 
-        # ratio ~ 0.5 - 1/z < 0 at the lower end for every alpha > 2
+        # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2
         return partial(_second_form_H, a), lambda tol: solve_root(
             ratio, 1e-6, max(4.0, 2.0 * a), tol, grow_cap=2.0**40
         ).value
@@ -316,15 +299,13 @@ def quadrature_H(params: ModelParams, y: float) -> float:
     """Bounded solution H of the special family of ``params`` (see ``_family``).
 
     e^{y/2} for alpha = n; for n = alpha - 2 the integral form, evaluated by
-    adaptive quadrature, and for n = 2 < alpha the integral form through the
-    incomplete gamma function (``_second_form_log_J``).  All are strictly
-    positive with finite limits at zero, which is what makes them usable as
-    value-function building blocks.  y = 0 returns the limit.  Raises
-    ValueError outside the three families.
+    adaptive quadrature, and for n = 2 < alpha Kummer's M(1, alpha/2, y/2) /
+    (alpha - 2) from scipy's ``hyp1f1``.  All are strictly positive with
+    finite limits at zero, which is what makes them usable as value-function
+    building blocks.  y = 0 returns the limit.  Raises ValueError outside the
+    three families.
     """
-    y = float(y)
-    if not y >= 0.0:
-        raise ValueError("y must be nonnegative")
+    y = _require("y", y, 0.0)
     family = _family(params)
     if family is None:
         raise ValueError(
@@ -355,10 +336,8 @@ def explicit_special_values(params: ModelParams, t: float, q: float) -> float | 
     the constant fixed by value matching.  Returns None outside the three
     families.
     """
-    t = _check_time(t)
-    q = float(q)
-    if not q >= 0.0:
-        raise ValueError("q must be nonnegative")
+    t = _require("t", t, 0.0, 1.0)
+    q = _require("q", q, 0.0)
     family = _family(params)
     if family is None:
         return None
@@ -460,20 +439,14 @@ def dp_value(
     block height.
     """
     a, n = params.alpha, params.n
-    if t_steps < 100:
-        raise ValueError("t_steps must be at least 100")
-    if q_steps < 50:
-        raise ValueError("q_steps must be at least 50")
-    if not (0.0 <= t0 < 1.0):
-        raise ValueError("t0 must lie in [0, 1)")
-    if not (0.0 < eps_end < 1.0 - t0):
-        raise ValueError("eps_end must lie in (0, 1 - t0)")
+    _require("t_steps", t_steps, 100)
+    _require("q_steps", q_steps, 50)
+    _require("t0", t0, 0.0, 1.0, open_hi=True)
+    _require("eps_end", eps_end, 0.0, 1.0 - t0, open_lo=True, open_hi=True)
     Z = find_Z(params).value
     if q_max is None:
         q_max = 6.0 * Z * (1.0 - t0)
-    q_max = float(q_max)
-    if not 3.0 * Z * (1.0 - t0) <= q_max < math.inf:
-        raise ValueError(f"q_max={q_max} must be finite and at least the 3*Z*(1-t0) scale")
+    q_max = _require("q_max", q_max, 3.0 * Z * (1.0 - t0), math.inf, open_hi=True)
 
     t_grid = np.linspace(t0, 1.0 - eps_end, t_steps + 1)
     q_grid = np.linspace(0.0, q_max, q_steps + 1)

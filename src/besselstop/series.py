@@ -36,6 +36,27 @@ _RANGE_SLACK = 1.0 + 1e-9
 _TINY = np.finfo(float).tiny  # smallest normal float64
 
 
+def _require(name, x, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False) -> float:
+    """``float(x)`` if it lies between ``lo`` and ``hi``, else a ValueError naming ``name``.
+
+    Each end is included unless its ``open_*`` flag is set, and a NaN fails
+    every bound.  The scalar range checks of every layer go through here, so
+    they share one NaN policy and one message form.
+    """
+    v = float(x)
+    if (v > lo if open_lo else v >= lo) and (v < hi if open_hi else v <= hi):
+        return v
+    if hi < math.inf:
+        what = f"lie in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+    elif lo == 0.0:
+        what = "be positive" if open_lo else "be nonnegative"
+    else:
+        what = f"be {'above' if open_lo else 'at least'} {lo:g}"
+    if hi == math.inf and open_hi:
+        what += " and finite"
+    raise ValueError(f"{name} must {what}, got {x}")
+
+
 class TruncationError(RuntimeError):
     """Coefficient recursion hit the hard cap before the tail test passed.
 
@@ -58,12 +79,9 @@ class ModelParams:
     n: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "n", float(self.n))
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be a positive real, got {self.alpha}")
-        if not (math.isfinite(self.n) and self.n > 0.0):
-            raise ValueError(f"n must be a positive real, got {self.n}")
+        for name in ("alpha", "n"):
+            value = _require(name, getattr(self, name), 0.0, math.inf, open_lo=True, open_hi=True)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +136,10 @@ def build_coefficients(
     times the partial sum, capped at K_MAX.  Raises TruncationError (carrying
     the partial table) if the cap is hit first.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _require("eps", eps, 0.0, math.inf, open_lo=True, open_hi=True)
     if ymax is None:
         ymax = default_ymax(params)
-    ymax = float(ymax)
-    if not 0.0 < ymax < math.inf:
-        raise ValueError(f"ymax must be positive and finite, got {ymax}")
+    ymax = _require("ymax", ymax, 0.0, math.inf, open_lo=True, open_hi=True)
 
     a, n = params.alpha, params.n
     coeffs = [1.0]
@@ -163,7 +178,11 @@ def build_coefficients(
     return CoefficientTable(params, K, arr, eps, ymax)
 
 
-def _validate_range(table: CoefficientTable, y):
+def _horner(table: CoefficientTable, y, c):
+    """sum_k c_k y^k by Horner's rule, for y inside the table's validated range.
+
+    Scalar y gives a float, array y an array of its shape.
+    """
     arr = np.asarray(y, dtype=float)
     if not np.all(arr >= 0.0):  # a NaN fails this too
         raise ValueError("series argument must be nonnegative")
@@ -172,7 +191,8 @@ def _validate_range(table: CoefficientTable, y):
             f"series argument {np.max(arr)} outside the table's validated range "
             f"[0, {table.ymax}]"
         )
-    return arr
+    out = np.polynomial.polynomial.polyval(arr, c if c.size else np.zeros(1))
+    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
 def psi_eval(table: CoefficientTable, y):
@@ -180,25 +200,17 @@ def psi_eval(table: CoefficientTable, y):
 
     Accepts a scalar or array y inside the table's validated range.
     """
-    arr = _validate_range(table, y)
-    out = np.polynomial.polynomial.polyval(arr, table.coeffs)
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+    return _horner(table, y, table.coeffs)
+
 
 def psi_derivative(table: CoefficientTable, y, order: int = 1):
     """Term-wise derivative of psi of the given order (1 or 2)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    arr = _validate_range(table, y)
     k = np.arange(table.K + 1, dtype=float)
     if order == 1:
-        c = (k * table.coeffs)[1:]
-    else:
-        c = (k * (k - 1.0) * table.coeffs)[2:]
-    if c.size == 0:
-        out = np.zeros_like(arr)
-    else:
-        out = np.polynomial.polynomial.polyval(arr, c)
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+        return _horner(table, y, (k * table.coeffs)[1:])
+    return _horner(table, y, (k * (k - 1.0) * table.coeffs)[2:])
 
 
 def F_eval(params: ModelParams, z, table: CoefficientTable):
@@ -209,30 +221,20 @@ def F_eval(params: ModelParams, z, table: CoefficientTable):
     """
     if params != table.params:
         raise ValueError("params do not match the coefficient table")
-    arr = _validate_range(table, z)
     k = np.arange(table.K + 1, dtype=float)
-    c = (2.0 * k - params.n) * table.coeffs
-    out = np.polynomial.polynomial.polyval(arr, c)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _horner(table, z, (2.0 * k - params.n) * table.coeffs)
 
 
 def F_derivative(table: CoefficientTable, z):
     """d/dz of the smooth-fit function: sum k (2k - n) A_k z^{k-1}."""
-    arr = _validate_range(table, z)
-    n = table.params.n
     k = np.arange(table.K + 1, dtype=float)
-    c = (k * (2.0 * k - n) * table.coeffs)[1:]
-    if c.size == 0:
-        out = np.zeros_like(arr)
-    else:
-        out = np.polynomial.polynomial.polyval(arr, c)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _horner(table, z, (k * (2.0 * k - table.params.n) * table.coeffs)[1:])
 
 
 def ode_residual_series(table: CoefficientTable, y):
     """Residual of 4y psi'' + 2(alpha - y) psi' - n psi at y, from the series."""
     a, n = table.params.alpha, table.params.n
-    arr = _validate_range(table, y)
+    arr = np.asarray(y, dtype=float)
     p = psi_eval(table, arr)
     p1 = psi_derivative(table, arr, 1)
     p2 = psi_derivative(table, arr, 2)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ModelParams
+from .series import ModelParams, _require
 
 SCHEME_EXACT = "exact"
 _MAX_U64 = 2**64
@@ -104,13 +104,11 @@ class SimConfig:
     scheme: str = SCHEME_EXACT
 
     def __post_init__(self):
-        if not (0.0 <= self.t0 < 1.0):
-            raise ValueError("t0 must lie in [0, 1)")
-        if not (0.0 <= self.q0 < math.inf):
-            raise ValueError("q0 must be finite and nonnegative")
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be positive")
-        if not (0 <= self.seed < _MAX_U64):
+        _require("t0", self.t0, 0.0, 1.0, open_hi=True)
+        _require("q0", self.q0, 0.0, math.inf, open_hi=True)
+        _require("n_paths", self.n_paths, 1)
+        _require("n_steps", self.n_steps, 1)
+        if not (0 <= self.seed < _MAX_U64):  # in integers: float(2**64 - 1) is 2**64
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.scheme != SCHEME_EXACT:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -137,8 +135,7 @@ class ThresholdPolicy:
     Z: float
 
     def __post_init__(self):
-        if self.Z <= 0.0:
-            raise ValueError("Z must be positive")
+        _require("Z", self.Z, 0.0, math.inf, open_lo=True, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -503,13 +500,16 @@ def policy_sweep(
     Z the m = 1 row should have the maximal mean up to confidence-interval
     overlap.
     """
-    mult = [float(m) for m in multipliers]
-    if not mult or any(m <= 0.0 for m in mult):
-        raise ValueError("multipliers must be positive")
+    mult = [
+        _require("multiplier", m, 0.0, math.inf, open_lo=True, open_hi=True) for m in multipliers
+    ]
+    if not mult:
+        raise ValueError("multipliers must not be empty")
     if Z is None:
         from .boundary import find_Z
 
         Z = find_Z(config.params).value
+    Z = _require("Z", Z, 0.0, math.inf, open_lo=True, open_hi=True)
     levels = np.array([m * Z for m in mult])
     payoffs, stopped = _threshold_payoffs(config, levels)
 

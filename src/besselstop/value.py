@@ -29,6 +29,7 @@ from .boundary import exp_t2_integral, find_C_excursion, find_Z
 from .series import (
     CoefficientTable,
     ModelParams,
+    _require,
     build_coefficients,
     ode_residual_series,
     psi_derivative,
@@ -84,17 +85,9 @@ def build_excursion(tol: float = 1e-10) -> ExcursionSolution:
     return ExcursionSolution(C=C, B=B_exp)
 
 
-def _check_time(t: float, allow_one: bool = True) -> float:
-    t = float(t)
-    hi_ok = (t <= 1.0) if allow_one else (t < 1.0)
-    if not (t >= 0.0 and hi_ok):
-        raise ValueError(f"t={t} outside the admissible time range")
-    return t
-
-
 def U_star(sol: CandidateSolution, t: float, q):
     """Candidate value in squared coordinates; scalar t, scalar or array q."""
-    t = _check_time(t)
+    t = _require("t", t, 0.0, 1.0)
     scalar = np.isscalar(q) or np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float)).copy()
     if not np.all(qa >= 0.0):  # a NaN fails this too
@@ -121,7 +114,7 @@ def V_star(sol: CandidateSolution, t: float, x):
 def boundary_q(sol: CandidateSolution, t):
     """Stopping boundary in squared coordinates, z(t) = Z (1 - t)."""
     ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0) or np.any(ta > 1.0):
+    if not np.all((ta >= 0.0) & (ta <= 1.0)):  # a NaN fails this too
         raise ValueError("t must lie in [0, 1]")
     out = sol.Z * (1.0 - ta)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
@@ -143,10 +136,8 @@ def excursion_value(t: float, x: float) -> float:
     with the l'Hopital limit B sqrt(1-t) as x -> 0; on the stopping branch it
     is the identity payoff x.
     """
-    t = _check_time(t)
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError("x must be nonnegative")
+    t = _require("t", t, 0.0, 1.0)
+    x = _require("x", x, 0.0)
     if t == 1.0:
         return x
     exc = build_excursion()
@@ -165,7 +156,7 @@ def smooth_fit_residual(sol: CandidateSolution, t: float) -> float:
     The derivative comes from the series, never finite differences, because
     the second derivative is kinked across the boundary.
     """
-    t = _check_time(t, allow_one=False)
+    t = _require("t", t, 0.0, 1.0, open_hi=True)
     n = sol.params.n
     tau = 1.0 - t
     inner = sol.E1 * psi_derivative(sol.table, sol.Z) - 0.5 * n * sol.Z ** (n / 2.0 - 1.0)
@@ -178,7 +169,7 @@ def pde_residual(sol: CandidateSolution, t: float, q) -> float:
     Through the self-similar ansatz this is the series ODE residual scaled by
     (1-t)^{n/2 - 1} / 2, so it inherits the truncation-level smallness.
     """
-    t = _check_time(t, allow_one=False)
+    t = _require("t", t, 0.0, 1.0, open_hi=True)
     tau = 1.0 - t
     qa = np.asarray(q, dtype=float)
     if np.any(qa >= sol.Z * tau):

@@ -26,12 +26,12 @@ line can serialize them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .series import ModelParams
+from .series import ModelParams, _require
 
 GAMMA_FORM = "gamma_form"
 DELTA_FORM = "delta_form"
@@ -55,16 +55,12 @@ class LambdaParams:
     K: int = 400
 
     def __post_init__(self):
-        if self.n <= 0.0:
-            raise ValueError("n must be positive")
-        if self.n + self.gamma <= 0.0:
-            raise ValueError("n + gamma must be positive")
-        if self.Delta < 0.0:
-            raise ValueError("Delta must be nonnegative")
-        if 0.5 * self.n + 1.0 + self.gamma + self.Delta <= 0.0:
-            raise ValueError("gamma-function argument must stay positive")
-        if self.K < 10:
-            raise ValueError("K too small")
+        _require("n", self.n, 0.0, math.inf, open_lo=True, open_hi=True)
+        _require("n + gamma", self.n + self.gamma, 0.0, math.inf, open_lo=True, open_hi=True)
+        _require("Delta", self.Delta, 0.0, math.inf, open_hi=True)
+        arg = 0.5 * self.n + 1.0 + self.gamma + self.Delta
+        _require("gamma-function argument", arg, 0.0, open_lo=True)
+        _require("K", self.K, 10)
 
 
 @dataclass(frozen=True)
@@ -120,15 +116,7 @@ class VerificationReport:
         return {
             "summary": self.summary,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "margin": c.margin,
-                    "tolerance": c.tolerance,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -216,8 +204,7 @@ def iterate_DB(
     ``delta_form`` takes (alpha, delta):
         D' = (a+d) D + (a + 2 + 2d) B,  B' = (a+d) D + (2r + a) B.
     """
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
+    _require("r_max", r_max, 0)
     x, y = float(params[0]), float(params[1])
     D, B = 1.0, -1.0
     out = [IterState(0, D, B, parameterization, (x, y))]
@@ -296,8 +283,7 @@ def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport
     checks the termination device: one step past any r0 > g^2/(2n) the D
     coefficient is strictly negative.
     """
-    if gamma <= 0.0:
-        raise ValueError("bounds regime needs gamma > 0")
+    _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
     r0 = int(math.floor(gamma * gamma / (2.0 * n))) + 1
     states = iterate_DB(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1))
     checks = []
@@ -324,10 +310,8 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
     Also checks that the first odd r* >= 7 with 2 r* > delta has both
     coefficients strictly negative, which is what terminates the argument.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if r_max < 7:
-        raise ValueError(f"r_max must be at least 7, where the bounds start; got {r_max}")
+    _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require("r_max", r_max, 7)  # where the bounds start
     r_star = 7
     while not (r_star % 2 == 1 and 2 * r_star > delta):
         r_star += 1
@@ -363,8 +347,8 @@ def check_dominance(alpha: float, delta: float, r_max: int) -> VerificationRepor
     Checks D_{a,r} <= D_{0,r}, B_{a,r} <= B_{0,r}, and the sum inequality
     D_{0,r} + B_{0,r} <= 0 for r = 0..r_max.
     """
-    if alpha < 0.0 or delta <= 0.0:
-        raise ValueError("need alpha >= 0 and delta > 0")
+    _require("alpha", alpha, 0.0, math.inf, open_hi=True)
+    _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
     with_a = iterate_DB(DELTA_FORM, (alpha, delta), r_max)
     at_zero = iterate_DB(DELTA_FORM, (0.0, delta), r_max)
     checks = []
@@ -508,8 +492,7 @@ def run_iteration_checks(
 
     from .series import build_coefficients, F_eval
 
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    _require("steps", steps, 1)
     report = VerificationReport()
     for n, g in INVARIANCE_CASES:
         inv = lambda_iterate_invariance(

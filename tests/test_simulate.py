@@ -173,8 +173,9 @@ def test_config_validation():
             SimConfig(params=ModelParams(3, 1), t0=t0)
     with pytest.raises(ValueError):
         SimConfig(params=ModelParams(3, 1), scheme="euler_full_truncation")
-    with pytest.raises(ValueError):
-        ThresholdPolicy(0.0)
+    for z in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Z must be positive and finite"):
+            ThresholdPolicy(z)
 
 
 def test_exact_path_pins_and_stays_nonnegative():
@@ -360,7 +361,7 @@ def _tight_equality_level(cfg):
     whose q_1 == z (1 - t_1) exactly while X_max (1 - t_1) < z in floating
     point, X_max the path's largest X in the block: the pre-filter's bound is
     tight there, and only ``_PEAK_SLACK`` keeps the hit.  The start must not
-    meet z.
+    meet z.  Returns ``(p, z)``, or None when no path of the block qualifies.
     """
     t, step, x0, width = _sampler(cfg)
     n = cfg.n_paths
@@ -375,7 +376,7 @@ def _tight_equality_level(cfg):
         for z in (z, np.nextafter(z, 0.0), np.nextafter(z, math.inf)):
             if z * tau == q1 and x[:, p].max() * tau < z and cfg.q0 < z * (1.0 - t[0]):
                 return p, float(z)
-    raise AssertionError("no path meets a level with equality at a tight bound")
+    return None
 
 
 @pytest.mark.parametrize("alpha", [1, 3, 0.5])
@@ -385,10 +386,17 @@ def test_engine_matches_replayed_paths_late_start(alpha):
     # X_max (1 - t_{j0+1}) is loose there and tight at a block's first node.
     # The first level equals one path's q/(1-t) at node 1 exactly, at a tight
     # bound: the engine must stop that path there, as apply_policy does.
-    # Such a path is rare at alpha = 3; seed 10 has one for every alpha here.
+    # Such a path is rare at alpha = 3 (4 of seeds 5-15 have one), so the
+    # test takes the first seed from 10 on that has one; a change to the draw
+    # schedule then moves the seed instead of breaking the test.
     t0, q0 = 0.95, 0.02
-    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=120, n_steps=150, seed=10, t0=t0, q0=q0)
-    p, z_eq = _tight_equality_level(cfg)
+    for seed in range(10, 61):
+        cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=120, n_steps=150, seed=seed, t0=t0, q0=q0)
+        hit = _tight_equality_level(cfg)
+        if hit is not None:
+            break
+    assert hit is not None, "no seed in 10-60 has a path meeting a level at a tight bound"
+    p, z_eq = hit
     z = find_Z(cfg.params).value
     levels = np.array([z_eq, z, 2.0 * z])
     t, q = _replay_q(cfg.seed, 0, alpha, cfg.n_steps, cfg.n_paths, levels, t0, q0)
@@ -687,8 +695,11 @@ def test_sweep_validation():
     cfg = _exact_config()
     with pytest.raises(ValueError):
         policy_sweep(cfg, [])
-    with pytest.raises(ValueError):
-        policy_sweep(cfg, [-1.0])
+    for bad in ([-1.0], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="multiplier"):
+            policy_sweep(cfg, bad)
+    with pytest.raises(ValueError, match="Z must be positive"):
+        policy_sweep(cfg, [1.0], Z=math.nan)
 
 
 def test_path_seeds_are_distinct_and_stable():

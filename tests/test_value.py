@@ -81,8 +81,9 @@ def test_argument_validation(sol31):
         U_star(sol31, -0.1, 0.0)
     with pytest.raises(ValueError):
         U_star(sol31, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        boundary_q(sol31, 1.2)
+    for t in (1.2, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            boundary_q(sol31, t)
     for q in (-1.0, math.nan):
         with pytest.raises(ValueError, match="q must be nonnegative"):
             explicit_special_values(ModelParams(1, 1), 0.5, q)
@@ -204,6 +205,13 @@ def test_special_values_second_form():
     assert explicit_special_values(ModelParams(7, 2), 0.0, 0.0) == pytest.approx(
         E1_72_REF, rel=1e-8
     )
+    # at large alpha and tiny q the special form keeps full double precision
+    params = ModelParams(400, 2)
+    sol = build_candidate(params)
+    for q in (1e-300, 1e-8):
+        for t in (0.0, 0.5):
+            want = U_star(sol, t, q)
+            assert explicit_special_values(params, t, q) == pytest.approx(want, rel=1e-13)
 
 
 def test_special_values_absent():

@@ -56,6 +56,8 @@ def test_lambda_validation():
         LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=1.0, gamma=-1.5)  # n + gamma < 0
     with pytest.raises(ValueError):
         LambdaParams(D=1.0, B=-1.0, Delta=-1.0, n=1.0, gamma=0.0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=math.nan, gamma=0.0)
     with pytest.raises(ValueError):
         lambda_eval(LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=2.0, gamma=18.0, K=12))
 
@@ -160,6 +162,8 @@ def test_delta_bounds_reject_nonpositive_or_nan_delta(delta):
 def test_dominance_bounds():
     assert check_dominance(2.0, 1.0, 30).all_passed
     assert check_dominance(0.5, 4.0, 50).all_passed
+    with pytest.raises(ValueError, match="alpha"):
+        check_dominance(math.nan, 1.0, 10)
     states_a = iterate_DB(DELTA_FORM, (2.0, 1.0), 0)
     states_0 = iterate_DB(DELTA_FORM, (0.0, 1.0), 0)
     assert states_a[0].D_r == states_0[0].D_r == 1.0
