@@ -2,8 +2,8 @@
 
 Each criterion pins a tolerance and a wall-clock budget.  Reference values
 are either recomputed on the spot from an independent construction
-(quadrature, exact arithmetic) or taken from the one published reference
-digit string for the excursion threshold.
+(quadrature, exact arithmetic) or, for the excursion threshold, a 30-digit
+root computed once in extended precision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .simulate import SimConfig, ThresholdPolicy, mc_estimate, policy_sweep
 from .value import U_star, build_candidate, build_excursion, smooth_fit_residual
 from .verify import PARAMETER_GRID, run_iteration_checks, run_shape_checks
 
-REFERENCE_C = 1.50339538  # eight-digit reference value of the excursion threshold
+# Root of h(c) = 2 int_0^c e^{t^2/2} dt - c e^{c^2/2} in (1, 2), from mpmath at
+# 50 digits with int_0^c e^{t^2/2} dt = sqrt(pi/2) erfi(c/sqrt 2).
+REFERENCE_C = 1.50339537647078180456434151335
 
 MC_PATHS = 200_000
 MC_STEPS = 2000
@@ -72,7 +74,9 @@ def criterion_1_excursion_constant() -> CriterionResult:
     def body():
         root = find_C_excursion(1e-8)
         err = abs(root.value - REFERENCE_C)
-        return err <= 1e-6, f"C={root.value:.10f} |C-ref|={err:.2e} (tol 1e-6)"
+        # The Newton polish leaves the root within a few ulp (2.2e-16 each);
+        # 1e-14 allows for erfi and exp differing by some ulp across libms.
+        return err <= 1e-14, f"C={root.value:.10f} |C-ref|={err:.2e} (tol 1e-14)"
 
     return _timed(1, "excursion constant", 1.0, body)
 
@@ -144,10 +148,13 @@ def criterion_6_lattice_oracle() -> CriterionResult:
                 return False, "series value at the origin disagrees with quadrature"
             # keep the scalar only, so one lattice at a time is alive
             v0 = dp_value(params, DP_T_STEPS, 6.0 * sol.Z, DP_Q_STEPS).value_at_origin
-            rel = abs(v0 - target) / target
-            ok = ok and rel <= 0.02
-            lines.append(f"({a},{n}) rel={rel:.4%}")
-        return ok, "; ".join(lines) + " (tol 2%)"
+            # The lattice is deterministic and reads 1.5e-4 to 6.3e-4 above U*
+            # on all three pairs; a value below U* or 2e-3 above it means the
+            # lattice or the series moved.
+            rel = (v0 - target) / target
+            ok = ok and 0.0 <= rel <= 2e-3
+            lines.append(f"({a},{n}) rel={rel:+.4%}")
+        return ok, "; ".join(lines) + " (need 0 <= rel <= 0.2%)"
 
     return _timed(6, "lattice oracle", 120.0, body)
 

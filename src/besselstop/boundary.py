@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.optimize import brentq
 from scipy.special import erfi
@@ -108,9 +109,17 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     Brackets by doubling from [0, max(1, (alpha+n)/2)] until F turns
     positive, runs Brent's method to ``tol``, then applies one Newton step.
     The coefficient table is rebuilt transparently if the bracket outgrows
-    its validated range.
+    its validated range.  The last root is remembered, so asking again for
+    the same ``(params, tol)`` returns the same, immutable, ``RootResult``
+    without solving; errors are raised afresh on every call.
     """
-    _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
+    return _solve_Z(params, _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True))
+
+
+@lru_cache(maxsize=1)
+def _solve_Z(params: ModelParams, tol: float) -> RootResult:
+    # One slot: callers ask for a root right after it was solved (a candidate
+    # and its margin, a candidate and its lattice), never for an older one.
     table = build_coefficients(params)
 
     def F(z: float) -> float:

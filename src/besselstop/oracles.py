@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
@@ -235,7 +234,10 @@ def Z_from_ode(
 
 
 def _quad(f, upper: float) -> float:
-    # int_0^upper f, at the one accuracy setting every integral form uses
+    # int_0^upper f, at the one accuracy setting every integral form uses;
+    # imported here, since only the n = alpha - 2 form needs scipy.integrate
+    from scipy.integrate import quad
+
     return quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=300)[0]
 
 
@@ -288,9 +290,11 @@ def _family(params: ModelParams):
             m2 = float(hyp1f1(2.0, 0.5 * a + 1.0, x))
             return m2 / (a * float(hyp1f1(1.0, 0.5 * a, x))) - 1.0 / z
 
-        # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2
+        # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2, and
+        # alpha/2 <= Z < alpha/2 + 2; an upper end far past Z overflows
+        # M(1, alpha/2, z/2) at large alpha, so doubling is only a safeguard
         return partial(_second_form_H, a), lambda tol: solve_root(
-            ratio, 1e-6, max(4.0, 2.0 * a), tol, grow_cap=2.0**40
+            ratio, 1e-6, max(4.0, 0.5 * a + 4.0), tol, grow_cap=2.0**40
         ).value
     return None
 

@@ -4,6 +4,7 @@ One line per criterion is printed (run pytest with -s to see them live; the
 full table also lands in the captured output).
 """
 
+import mpmath as mp
 import pytest
 
 from besselstop import acceptance
@@ -14,6 +15,17 @@ def _run(fn):
     print(row.line())
     assert row.passed, row.detail
     assert row.within_budget, f"budget exceeded: {row.elapsed:.1f}s > {row.budget:.0f}s"
+
+
+def test_reference_C_is_the_30_digit_root():
+    # h(c) = 2 int_0^c e^{t^2/2} dt - c e^{c^2/2}, recomputed at 50 digits
+    with mp.workdps(50):
+        root = mp.findroot(
+            lambda c: 2 * mp.sqrt(mp.pi / 2) * mp.erfi(c / mp.sqrt(2)) - c * mp.exp(c * c / 2),
+            mp.mpf("1.5"),
+        )
+        assert mp.nstr(root, 30) == "1.50339537647078180456434151335"
+        assert float(root) == acceptance.REFERENCE_C
 
 
 def test_criterion_01_excursion_constant():

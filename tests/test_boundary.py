@@ -1,10 +1,13 @@
+import inspect
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from besselstop import boundary
 from besselstop.boundary import (
     NoRootError,
     exp_t2_integral,
@@ -15,7 +18,7 @@ from besselstop.boundary import (
     solve_root,
 )
 from besselstop.oracles import closed_form_Z, explicit_special_values
-from besselstop.series import F_eval, ModelParams, build_coefficients
+from besselstop.series import F_eval, ModelParams, TruncationError, build_coefficients
 from besselstop.value import U_star, build_candidate
 from besselstop.verify import PARAMETER_GRID
 
@@ -107,6 +110,74 @@ def test_find_Z_tol_validation():
             find_Z(ModelParams(3, 1), tol=tol)
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Coefficient tables built for roots, counted from an empty root memo."""
+    builds = []
+    real = boundary.build_coefficients
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "build_coefficients", counting)
+    boundary._solve_Z.cache_clear()
+    yield builds
+    boundary._solve_Z.cache_clear()
+
+
+def test_find_Z_is_a_plain_function():
+    # the benchmark tracer wraps only plain functions
+    assert inspect.isfunction(find_Z)
+
+
+def test_find_Z_returns_the_last_root_again(table_builds):
+    params = ModelParams(2.7, 1.3)
+    root = find_Z(params)
+    assert find_Z(params, 1e-10) is root
+    assert find_Z(params, tol=1e-10) is root
+    assert find_Z(ModelParams(2.7, 1.3)) is root
+    assert len(table_builds) == 1
+
+
+def test_find_Z_solves_again_for_another_tol(table_builds):
+    params = ModelParams(2.7, 1.3)
+    root = find_Z(params)
+    other = find_Z(params, tol=1e-12)
+    assert other is not root
+    assert len(table_builds) == 2
+    boundary._solve_Z.cache_clear()
+    fresh = find_Z(params, tol=1e-12)
+    assert fresh is not other
+    assert fresh == other
+
+
+def test_find_Z_keeps_only_the_last_root(table_builds):
+    p1, p2 = ModelParams(3, 1), ModelParams(5, 3)
+    first = find_Z(p1)
+    find_Z(p2)
+    again = find_Z(p1)
+    assert table_builds == [p1, p2, p1]
+    assert again is not first
+    assert again == first
+
+
+def test_find_Z_does_not_remember_errors(table_builds):
+    params = ModelParams(1, 300)
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            find_Z(params)
+    assert table_builds == [params, params]
+
+
+def test_candidate_and_margin_share_one_solve(table_builds):
+    params = ModelParams(3.3, 1.7)
+    sol = build_candidate(params)
+    margin = boundary_margin(params)
+    assert table_builds == [params]
+    assert margin == sol.Z - 0.5 * (params.alpha + params.n - 2.0)
+
+
 def test_closed_form_equal_parameters():
     assert closed_form_Z(ModelParams(2, 2)) == 2.0
     assert closed_form_Z(ModelParams(0.5, 0.5)) == 0.5
@@ -122,7 +193,7 @@ def test_closed_form_integral_family(a):
 
 @pytest.mark.parametrize("a", [80.0, 150.0])
 def test_closed_form_integral_family_large_alpha(a):
-    # both forms stay finite here; the second sums its incomplete gamma in logs
+    # both forms stay finite here; the second is Kummer's function from hyp1f1
     z = closed_form_Z(ModelParams(a, a - 2.0))
     assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
     z2 = closed_form_Z(ModelParams(a, 2.0))
@@ -131,11 +202,43 @@ def test_closed_form_integral_family_large_alpha(a):
 
 @pytest.mark.parametrize("a", [3.0, 7.0, 40.0, 100.0])
 def test_second_integral_form_matches_series_root(a):
-    # J(y) = 2^{b-1} Gamma(b) P(b, y/2): no quadrature, no IntegrationWarning
+    # H is hyp1f1 in closed form: no quadrature, no IntegrationWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z = closed_form_Z(ModelParams(a, 2.0))
     assert abs(z - find_Z(ModelParams(a, 2.0)).value) <= 1e-10 * z
+
+
+def _kummer_root(a):
+    # z M(2, a/2 + 1, z/2) = a M(1, a/2, z/2), the n = 2 smooth fit, at 40 digits
+    with mp.workdps(40):
+        a = mp.mpf(a)
+        return mp.findroot(
+            lambda z: z * mp.hyp1f1(2, a / 2 + 1, z / 2) - a * mp.hyp1f1(1, a / 2, z / 2),
+            a / 2 + 1,
+        )
+
+
+@pytest.mark.parametrize("a", [5000.0, 2e4])
+def test_second_integral_form_root_at_very_large_alpha(a):
+    # M(1, alpha/2, z/2) overflows well above Z here, so the bracket must start near Z
+    z = closed_form_Z(ModelParams(a, 2.0))
+    assert abs(z - float(_kummer_root(a))) <= 1e-12 * z
+
+
+def test_second_form_value_at_very_large_alpha():
+    # U*(t, q) = (1 - t) Z M(1, a/2, q / (2 (1 - t))) / M(1, a/2, Z/2) below the boundary
+    a = 5000.0
+    params = ModelParams(a, 2.0)
+    with mp.workdps(40):
+        Z = _kummer_root(a)
+        for t, q in ((0.0, 0.0), (0.0, 1000.0), (0.5, 1000.0), (0.5, 1250.0), (0.0, 3000.0)):
+            tau = 1 - mp.mpf(t)
+            if q >= Z * tau:
+                want = mp.mpf(q)
+            else:
+                want = tau * Z * mp.hyp1f1(1, a / 2, q / (2 * tau)) / mp.hyp1f1(1, a / 2, Z / 2)
+            assert explicit_special_values(params, t, q) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_closed_form_absent():

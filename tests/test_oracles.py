@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -121,6 +124,25 @@ def test_quadrature_H_both_forms_coincide_at_overlap():
     for y in (0.5, 1.5, 3.0):
         h1 = quadrature_H(params, y)
         assert h1 == pytest.approx((math.exp(0.5 * y) - 1.0) / y, rel=1e-9)
+
+
+def test_integral_module_loads_only_for_the_integral_form():
+    # a fresh interpreter, since this suite's warning filter imports scipy.integrate
+    repo_root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys, besselstop, besselstop.acceptance\n"
+        "besselstop.build_candidate(besselstop.ModelParams(3, 1))\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "besselstop.quadrature_H(besselstop.ModelParams(3, 1), 1.0)\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=str(repo_root),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lattice_converges_to_candidate_value():
