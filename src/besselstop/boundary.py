@@ -9,7 +9,7 @@ excursion threshold C, the root in (1, 2) of
 Both go through ``solve_root``: a sign-change bracket, Brent's method inside
 it and a single Newton polish, so convergence is guaranteed by the sign
 structure and the last step restores full floating-point accuracy.  The
-closed and integral forms of the special families, which check Z without the
+closed and Kummer forms of the special families, which check Z without the
 series, live in ``oracles`` and use the same helper.
 """
 
@@ -86,7 +86,8 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
         raise NoRootError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
 
     value, info = brentq(call, lo, hi, xtol=tol, full_output=True)
-    iterations += info.iterations
+    # brentq returns an exact zero at a bracket end without setting its count
+    iterations += info.iterations if flo != 0.0 and fhi != 0.0 else 0
     method = "brentq"
     fval = call(value)
     slope = fprime(value) if fprime is not None and fval != 0.0 else 0.0
@@ -155,12 +156,11 @@ def find_C_excursion(tol: float = 1e-8) -> RootResult:
     )
 
 
-def boundary_margin(params: ModelParams, tol: float = 1e-10) -> float:
+def boundary_margin(params: ModelParams) -> float:
     """Gap Z - (alpha + n - 2)/2, nonnegative for every valid parameter pair.
 
     The quantity (alpha + n - 2)/2 is where the payoff drift changes sign, so
     a nonnegative gap makes the drift nonpositive on the whole stopping
     region.
     """
-    root = find_Z(params, tol=tol)
-    return root.value - 0.5 * (params.alpha + params.n - 2.0)
+    return find_Z(params).value - 0.5 * (params.alpha + params.n - 2.0)

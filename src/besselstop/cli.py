@@ -35,7 +35,7 @@ from .simulate import (
     policy_sweep,
 )
 from .value import CandidateSolution, U_star, boundary_q, boundary_x, build_candidate
-from .verify import run_iteration_checks, run_shape_checks
+from .verify import SHAPE_CASES, run_iteration_checks, run_shape_checks
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -152,7 +152,7 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         is_excursion = math.isclose(params.alpha, 3.0) and math.isclose(params.n, 1.0)
         try:
             closed = closed_form_Z(params)
-        except NoRootError:  # an integral form breaks down at large alpha; Z still stands
+        except NoRootError:  # a Kummer form overflows at large alpha; Z still stands
             closed = None
         results = {
             "Z": root.value,
@@ -247,15 +247,8 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         results = report.to_dict()
 
     elif cmd == "verify-lemmas":
-        extra = ()
-        if config.alpha != 3.0 or config.n != 1.0:
-            extra = (params,)
-        base: tuple[ModelParams, ...] = (
-            ModelParams(3, 1),
-            ModelParams(1, 1),
-            ModelParams(2, 2),
-        )
-        report = run_shape_checks(base + extra)
+        extra = (params,) if config.alpha != 3.0 or config.n != 1.0 else ()
+        report = run_shape_checks(SHAPE_CASES + extra)
         results = report.to_dict()
 
     elif cmd == "acceptance":

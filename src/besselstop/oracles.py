@@ -16,16 +16,15 @@ coordinate singularity:
   gather, a weighted sum and a maximum, and the memory is the value table
   plus about 1 MB of scratch at any grid width.
 * ``closed_form_Z`` and ``explicit_special_values`` solve the three special
-  parameter families without the series: alpha = n in closed form, n =
-  alpha - 2 by adaptive quadrature, and n = 2 < alpha through scipy's
-  Kummer function ``hyp1f1`` (``quadrature_H``).
+  parameter families without the series: alpha = n in closed form, and n =
+  alpha - 2 and n = 2 < alpha through scipy's Kummer function ``hyp1f1``
+  (``quadrature_H``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -45,6 +44,11 @@ from .series import (
 # Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
 # steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
 _BLOCK_CELLS = 16 * 801
+
+# The largest normalized residual ode_shoot accepts, and how far short of the
+# pin time t = 1 dp_value's time grid stops.
+_RESIDUAL_TOL = 1e-8
+_EPS_END = 1e-4
 
 
 class AccuracyError(RuntimeError):
@@ -120,7 +124,6 @@ def ode_shoot(
     params: ModelParams,
     ymax: float,
     step: float,
-    residual_tol: float = 1e-8,
 ) -> OdeSolution:
     """Integrate the self-similar ODE from the origin by RK4.
 
@@ -132,7 +135,7 @@ def ode_shoot(
     (``_rk4_step_matrices``); all M_i are built in one vectorised pass and the
     integration is the two-term recurrence over their entries.  Raises
     AccuracyError when the normalized residual 4y g'' + 2(alpha - y) g' - n g,
-    divided by 1 + |g|, exceeds ``residual_tol`` anywhere (g'' estimated by a
+    divided by 1 + |g|, exceeds ``_RESIDUAL_TOL`` anywhere (g'' estimated by a
     fourth-order difference of the stored slopes).
     """
     ymax = _require("ymax", ymax, 0.0, math.inf, open_lo=True, open_hi=True)
@@ -163,9 +166,9 @@ def ode_shoot(
 
     sol = OdeSolution(params, grid, g, p, step)
     worst = float(np.max(ode_residual(sol)))
-    if worst > residual_tol:
+    if worst > _RESIDUAL_TOL:
         raise AccuracyError(
-            f"normalized ODE residual {worst:.3e} exceeds {residual_tol:.1e}; reduce step"
+            f"normalized ODE residual {worst:.3e} exceeds {_RESIDUAL_TOL:.1e}; reduce step"
         )
     return sol
 
@@ -233,26 +236,13 @@ def Z_from_ode(
     raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
 
 
-def _quad(f, upper: float) -> float:
-    # int_0^upper f, at the one accuracy setting every integral form uses;
-    # imported here, since only the n = alpha - 2 form needs scipy.integrate
-    from scipy.integrate import quad
-
-    return quad(f, 0.0, upper, epsabs=0.0, epsrel=1e-10, limit=300)[0]
-
-
-def _first_form_H(n: float, y: float) -> float:
-    # H(y) = y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2; the substitution
-    # s = t^{2/n} removes the endpoint singularity for n < 2.
-    if y == 0.0:
-        return 1.0 / n
-    return y ** (-0.5 * n) * _quad(lambda t: math.exp(0.5 * t ** (2.0 / n)), y ** (0.5 * n)) / n
-
-
-def _second_form_H(alpha: float, y: float) -> float:
-    # y^{1-alpha/2} e^{y/2} J(y) with J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2
-    # is Kummer's M(1, alpha/2, y/2) / (alpha - 2)
-    return float(hyp1f1(1.0, 0.5 * alpha, 0.5 * y)) / (alpha - 2.0)
+def _kummer(a: float, b: float, x: float) -> float:
+    # Kummer's M(a, b, x); past float range it is an OverflowError, which
+    # solve_root reports as NoRootError naming the point
+    m = float(hyp1f1(a, b, x))
+    if not math.isfinite(m):
+        raise OverflowError(f"M({a!r}, {b!r}, {x!r}) is not finite")
+    return m
 
 
 def _family(params: ModelParams):
@@ -262,52 +252,48 @@ def _family(params: ModelParams):
     factor, and ``solve_Z(tol)`` finds the boundary scale without the series:
 
     * alpha = n: H(y) = e^{y/2} and Z = n.
-    * n = alpha - 2: H(y) = y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2, and Z
-      solves e^{z/2} = 2 n H(z).
-    * n = 2 < alpha: H(y) = y^{1-alpha/2} e^{y/2} J(y) with
-      J(y) = int_0^y e^{-v/2} v^{alpha/2-2} dv / 2, which is Kummer's
-      M(1, alpha/2, y/2) / (alpha - 2); Z solves the smooth-fit ratio
-      H'/H = 1/Z, where M'(a, b, x) = (a/b) M(a+1, b+1, x) gives
-      H'/H = M(2, alpha/2 + 1, z/2) / (alpha M(1, alpha/2, z/2)).
-
-    At alpha = 4, n = 2 both integral forms apply; the first is used.
+    * n = alpha - 2 and n = 2 < alpha: H(y) = M(n/2, alpha/2, y/2) / (alpha - 2),
+      Kummer's function, which equals the integral forms
+      y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2 (n = alpha - 2, DLMF 13.4.1)
+      and y^{1-alpha/2} e^{y/2} int_0^y e^{-v/2} v^{alpha/2-2} dv / 2 (n = 2).
+      Z solves the smooth-fit ratio H'/H = 1/Z, where
+      M'(a, b, x) = (a/b) M(a+1, b+1, x) gives
+      H'/H = M(n/2 + 1, alpha/2 + 1, z/2) / (alpha M(n/2, alpha/2, z/2)).
     """
     a, n = params.alpha, params.n
     if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
         return (lambda y: math.exp(0.5 * y)), (lambda tol: n)
-    if math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12):
-        H = partial(_first_form_H, n)
+    if not (
+        math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12)
+        or (math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12)
+    ):
+        return None
 
-        def phi(z: float) -> float:
-            return 2.0 * n * H(z) * math.exp(-0.5 * z) - 1.0
+    def H(y: float) -> float:
+        return _kummer(0.5 * n, 0.5 * a, 0.5 * y) / (a - 2.0)
 
-        # phi(0) = 1 exactly; Z lies just below alpha, and ends far past it overflow H.
-        return H, lambda tol: solve_root(phi, 0.0, a, tol, grow_cap=2.0**40).value
-    if math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12:
+    def ratio(z: float) -> float:
+        x = 0.5 * z
+        m2 = _kummer(0.5 * n + 1.0, 0.5 * a + 1.0, x)
+        return m2 / (a * _kummer(0.5 * n, 0.5 * a, x)) - 1.0 / z
 
-        def ratio(z: float) -> float:
-            x = 0.5 * z
-            m2 = float(hyp1f1(2.0, 0.5 * a + 1.0, x))
-            return m2 / (a * float(hyp1f1(1.0, 0.5 * a, x))) - 1.0 / z
-
-        # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2, and
-        # alpha/2 <= Z < alpha/2 + 2; an upper end far past Z overflows
-        # M(1, alpha/2, z/2) at large alpha, so doubling is only a safeguard
-        return partial(_second_form_H, a), lambda tol: solve_root(
-            ratio, 1e-6, max(4.0, 0.5 * a + 4.0), tol, grow_cap=2.0**40
-        ).value
-    return None
+    # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2; an upper
+    # end far past Z overflows M(n/2, alpha/2, z/2) at large alpha, so
+    # doubling is only a safeguard
+    return H, lambda tol: solve_root(
+        ratio, 1e-6, max(4.0, 0.5 * a + 4.0), tol, grow_cap=2.0**40
+    ).value
 
 
 def quadrature_H(params: ModelParams, y: float) -> float:
     """Bounded solution H of the special family of ``params`` (see ``_family``).
 
-    e^{y/2} for alpha = n; for n = alpha - 2 the integral form, evaluated by
-    adaptive quadrature, and for n = 2 < alpha Kummer's M(1, alpha/2, y/2) /
-    (alpha - 2) from scipy's ``hyp1f1``.  All are strictly positive with
-    finite limits at zero, which is what makes them usable as value-function
-    building blocks.  y = 0 returns the limit.  Raises ValueError outside the
-    three families.
+    e^{y/2} for alpha = n; for n = alpha - 2 and n = 2 < alpha Kummer's
+    M(n/2, alpha/2, y/2) / (alpha - 2) from scipy's ``hyp1f1``.  All are
+    strictly positive with finite limits at zero, which is what makes them
+    usable as value-function building blocks.  y = 0 returns the limit.
+    Raises ValueError outside the three families, and OverflowError where H
+    exceeds float range.
     """
     y = _require("y", y, 0.0)
     family = _family(params)
@@ -320,9 +306,9 @@ def quadrature_H(params: ModelParams, y: float) -> float:
 
 
 def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
-    """Boundary scale from the closed or integral form of a special family.
+    """Boundary scale from the closed or Kummer form of a special family.
 
-    Exact for alpha = n; for the integral forms a root found by Brent's method
+    Exact for alpha = n; for the Kummer forms a root found by Brent's method
     to ``tol``.  Returns None outside the three families.
     """
     family = _family(params)
@@ -330,7 +316,7 @@ def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
 
 
 def explicit_special_values(params: ModelParams, t: float, q: float) -> float | None:
-    """U*(t, q) from the closed or integral form of a special family.
+    """U*(t, q) from the closed or Kummer form of a special family.
 
     With the family's H and Z this is
 
@@ -417,7 +403,6 @@ def dp_value(
     q_max: float | None,
     q_steps: int,
     t0: float = 0.0,
-    eps_end: float = 1e-4,
 ) -> LatticeResult:
     """Optimal stopping value by backward induction on a (t, q) lattice.
 
@@ -427,8 +412,8 @@ def dp_value(
     whose move is nearly deterministic fall back to a mean-exact two-point
     split.  Probability falling below q = 0 is reflected; indices above the
     grid are valued with the payoff, which is exact that deep in the stopping
-    region.  The time grid stops at 1 - eps_end where the terminal value is
-    the payoff; the drift blows up at the pin time and the bridge ends at
+    region.  The time grid stops at 1 - ``_EPS_END`` where the terminal value
+    is the payoff; the drift blows up at the pin time and the bridge ends at
     zero anyway.
 
     The stencil depends on the time step only through 1 - t, so it is built
@@ -445,14 +430,13 @@ def dp_value(
     a, n = params.alpha, params.n
     _require("t_steps", t_steps, 100)
     _require("q_steps", q_steps, 50)
-    _require("t0", t0, 0.0, 1.0, open_hi=True)
-    _require("eps_end", eps_end, 0.0, 1.0 - t0, open_lo=True, open_hi=True)
+    _require("t0", t0, 0.0, 1.0 - _EPS_END, open_hi=True)
     Z = find_Z(params).value
     if q_max is None:
         q_max = 6.0 * Z * (1.0 - t0)
     q_max = _require("q_max", q_max, 3.0 * Z * (1.0 - t0), math.inf, open_hi=True)
 
-    t_grid = np.linspace(t0, 1.0 - eps_end, t_steps + 1)
+    t_grid = np.linspace(t0, 1.0 - _EPS_END, t_steps + 1)
     q_grid = np.linspace(0.0, q_max, q_steps + 1)
     dq = q_grid[1] - q_grid[0]
     h = t_grid[1] - t_grid[0]

@@ -75,9 +75,8 @@ def build_candidate(params: ModelParams, tol: float = 1e-10) -> CandidateSolutio
 
 
 @lru_cache(maxsize=1)
-def build_excursion(tol: float = 1e-10) -> ExcursionSolution:
-    root = find_C_excursion(tol=tol)
-    C = root.value
+def build_excursion() -> ExcursionSolution:
+    C = find_C_excursion(tol=1e-10).value
     B_exp = 2.0 * C * math.exp(-0.5 * C * C)
     B_int = C * C / exp_t2_integral(C)
     if abs(B_exp / B_int - 1.0) > 1e-10:

@@ -36,6 +36,9 @@ from .series import ModelParams, _require
 GAMMA_FORM = "gamma_form"
 DELTA_FORM = "delta_form"
 
+# Relative change of the series value that an index shift may cause.
+_INVARIANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LambdaParams:
@@ -68,8 +71,6 @@ class IterState:
     r: int
     D_r: float
     B_r: float
-    parameterization: str
-    params: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,7 @@ def tilde_map(D: float, B: float, Delta: float, n: float, gamma: float):
     )
 
 
-def lambda_iterate_invariance(
-    p: LambdaParams, steps: int, rel_tol: float = 1e-8
-) -> VerificationReport:
+def lambda_iterate_invariance(p: LambdaParams, steps: int) -> VerificationReport:
     """Check that the series value is unchanged by repeated index shifts.
 
     The coefficients grow roughly factorially, so each stage is rescaled by
@@ -186,9 +185,9 @@ def lambda_iterate_invariance(
         checks.append(
             CheckResult(
                 name=f"shift_invariance_stage_{r:02d}",
-                passed=margin <= rel_tol,
+                passed=margin <= _INVARIANCE_TOL,
                 margin=margin,
-                tolerance=rel_tol,
+                tolerance=_INVARIANCE_TOL,
             )
         )
     return VerificationReport(tuple(checks))
@@ -207,7 +206,7 @@ def iterate_DB(
     _require("r_max", r_max, 0)
     x, y = float(params[0]), float(params[1])
     D, B = 1.0, -1.0
-    out = [IterState(0, D, B, parameterization, (x, y))]
+    out = [IterState(0, D, B)]
     for r in range(r_max):
         if parameterization == GAMMA_FORM:
             n, g = x, y
@@ -217,7 +216,7 @@ def iterate_DB(
             D, B = (a + d) * D + (a + 2.0 + 2.0 * d) * B, (a + d) * D + (2.0 * r + a) * B
         else:
             raise ValueError(f"unknown parameterization {parameterization!r}")
-        out.append(IterState(r + 1, D, B, parameterization, (x, y)))
+        out.append(IterState(r + 1, D, B))
     return out
 
 
@@ -366,14 +365,14 @@ def gamma_from_params(params: ModelParams) -> float:
     return 0.5 * (params.alpha - params.n - 2.0)
 
 
-def H_value(params: ModelParams, K: int = 400) -> float:
+def H_value(params: ModelParams) -> float:
     """The scaled smooth-fit value H = Lam(1, -1, 0) at argument n + g.
 
     Negative exactly when the boundary scale clears (alpha + n - 2)/2, which
     is the content of the margin check in :mod:`besselstop.boundary`.
     """
     g = gamma_from_params(params)
-    return lambda_eval(LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=params.n, gamma=g, K=K))
+    return lambda_eval(LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=params.n, gamma=g))
 
 
 def candidate_shape_checks(
@@ -503,7 +502,7 @@ def run_iteration_checks(
             VerificationReport(
                 (
                     CheckResult(
-                        f"invariance_n{n:g}_g{g:g}", inv.all_passed, worst, 1e-8
+                        f"invariance_n{n:g}_g{g:g}", inv.all_passed, worst, _INVARIANCE_TOL
                     ),
                 )
             )
@@ -558,10 +557,12 @@ def run_iteration_checks(
     return report
 
 
-def run_shape_checks(params_list: tuple[ModelParams, ...] | None = None) -> VerificationReport:
+# Instances the shape battery always covers: the excursion and two alpha = n.
+SHAPE_CASES = (ModelParams(3, 1), ModelParams(1, 1), ModelParams(2, 2))
+
+
+def run_shape_checks(params_list: tuple[ModelParams, ...] = SHAPE_CASES) -> VerificationReport:
     """Shape-property battery: the excursion profile plus a list of instances."""
-    if params_list is None:
-        params_list = (ModelParams(3, 1), ModelParams(1, 1), ModelParams(2, 2))
     report = candidate_shape_checks(None)
     for params in params_list:
         sub = candidate_shape_checks(params)

@@ -193,7 +193,7 @@ def test_closed_form_integral_family(a):
 
 @pytest.mark.parametrize("a", [80.0, 150.0])
 def test_closed_form_integral_family_large_alpha(a):
-    # both forms stay finite here; the second is Kummer's function from hyp1f1
+    # both families are Kummer's function from hyp1f1 and stay finite here
     z = closed_form_Z(ModelParams(a, a - 2.0))
     assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
     z2 = closed_form_Z(ModelParams(a, 2.0))
@@ -217,6 +217,27 @@ def _kummer_root(a):
             lambda z: z * mp.hyp1f1(2, a / 2 + 1, z / 2) - a * mp.hyp1f1(1, a / 2, z / 2),
             a / 2 + 1,
         )
+
+
+def _first_form_root(a):
+    # M(n/2 + 1, a/2 + 1, z/2) / (a M(n/2, a/2, z/2)) = 1/z with n = a - 2, at 50
+    # digits; Z lies between the margin's a - 2 and a
+    with mp.workdps(50):
+        a = mp.mpf(a)
+        n = a - 2
+
+        def ratio(z):
+            m2 = mp.hyp1f1(n / 2 + 1, a / 2 + 1, z / 2)
+            return m2 / (a * mp.hyp1f1(n / 2, a / 2, z / 2)) - 1 / z
+
+        return mp.findroot(ratio, (max(a - 2, mp.mpf("0.01")), a), solver="anderson")
+
+
+@pytest.mark.parametrize("a", [2.05, 2.5, 3.0, 30.0, 150.0, 300.0, 400.0, 1000.0])
+def test_first_integral_form_root_matches_mpmath(a):
+    # at 300, 400 and 1000 find_Z raises TruncationError; this form still holds
+    z = closed_form_Z(ModelParams(a, a - 2.0))
+    assert abs(z - float(_first_form_root(a))) <= 1e-12 * z
 
 
 @pytest.mark.parametrize("a", [5000.0, 2e4])
@@ -283,6 +304,7 @@ def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
     assert root.value == 1.0
     assert root.residual == 0.0
     assert root.bracket == (lo, hi)
+    assert root.iterations == 0  # brentq leaves its own count unset here
 
 
 def test_solve_root_polish_stays_within_tol():
@@ -307,8 +329,8 @@ def test_solve_root_grows_bracket():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: closed_form_Z(ModelParams(400, 398))],
-    ids=["integral_form_a400"],
+    [lambda: closed_form_Z(ModelParams(1400, 1398))],
+    ids=["kummer_form_a1400"],
 )
 def test_special_family_breakdown_is_typed(call):
     with pytest.raises(NoRootError, match="evaluating at"):

@@ -126,15 +126,21 @@ def test_quadrature_H_both_forms_coincide_at_overlap():
         assert h1 == pytest.approx((math.exp(0.5 * y) - 1.0) / y, rel=1e-9)
 
 
-def test_integral_module_loads_only_for_the_integral_form():
+def test_quadrature_H_overflow_raises():
+    with pytest.raises(OverflowError):
+        quadrature_H(ModelParams(3, 1), 1500.0)
+
+
+def test_special_families_never_load_scipy_integrate():
     # a fresh interpreter, since this suite's warning filter imports scipy.integrate
     repo_root = pathlib.Path(__file__).resolve().parents[1]
     script = (
-        "import sys, besselstop, besselstop.acceptance\n"
-        "besselstop.build_candidate(besselstop.ModelParams(3, 1))\n"
+        "import sys\n"
+        "from besselstop import ModelParams, closed_form_Z, explicit_special_values, quadrature_H\n"
+        "for a, n in ((3, 1), (7, 2), (2, 2)):\n"
+        "    p = ModelParams(a, n)\n"
+        "    closed_form_Z(p), quadrature_H(p, 1.0), explicit_special_values(p, 0.2, 0.5)\n"
         "assert 'scipy.integrate' not in sys.modules\n"
-        "besselstop.quadrature_H(besselstop.ModelParams(3, 1), 1.0)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
