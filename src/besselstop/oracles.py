@@ -14,7 +14,13 @@ coordinate singularity:
   and weights) are precomputed a block of time steps at a time, the block
   sized by a cell budget (``_BLOCK_CELLS``), so each backward step is one
   gather, a weighted sum and a maximum, and the memory is the value table
-  plus about 1 MB of scratch at any grid width.
+  plus about 1 MB of scratch at any grid width.  A block steps only the
+  cells [0, W) below a payoff window: from W up the payoff is concave, the
+  drift pulls down with a floating-point margin, and every stencil point
+  reads a payoff cell of the next row, so by Jensen's inequality the step
+  would return the payoff there and the table is bit-identical to stepping
+  every cell.  A guard checked after each block, n > 2 and the last steps
+  before t = 1 fall back to the full width; ``dp_value`` has the proof.
 * ``closed_form_Z`` and ``explicit_special_values`` solve the three special
   parameter families without the series: alpha = n in closed form, and n =
   alpha - 2 and n = 2 < alpha through scipy's Kummer function ``hyp1f1``
@@ -44,6 +50,12 @@ from .series import (
 # Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
 # steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
 _BLOCK_CELLS = 16 * 801
+
+# dp_value's payoff window: the cells a block's rows may move the last
+# non-payoff cell up by, and the relative slack the drift must leave below the
+# payoff (six times the rounding it covers, see dp_value).
+_GUARD_CELLS = 8
+_WINDOW_SLACK = 256 * np.finfo(float).eps
 
 # The largest normalized residual ode_shoot accepts, and how far short of the
 # pin time t = 1 dp_value's time grid stops.
@@ -87,6 +99,7 @@ class LatticeResult:
     value: np.ndarray
     boundary_estimate: np.ndarray
     value_at_origin: float
+    cells_stepped: int
 
 
 def _rk4_step_matrices(a: float, n: float, y: np.ndarray, h: float):
@@ -343,7 +356,10 @@ def explicit_special_values(params: ModelParams, t: float, q: float) -> float | 
 def _lattice_stencils(a, q_grid, tau, h, dq):
     """Three-point stencils of the lattice transition for a block of time steps.
 
-    ``tau`` holds 1 - t for each step of the block.  Returns ``(idx, wts)`` of
+    ``tau`` holds 1 - t for each step of the block, and ``q_grid`` the cells
+    to step (``dp_value`` passes its window, a prefix of the grid).  The
+    stencil of a cell depends only on its own q, so the result for a cell is
+    the same whatever the window.  Returns ``(idx, wts)`` of
     shape (steps, 3, q cells): the continuation value at cell j of step r is
     sum_k wts[r, k, j] * vnext[idx[r, k, j]], summed in the order k = 0, 1, 2.
     Indices are folded at q = 0 (reflection) and may exceed the grid, where the
@@ -397,6 +413,34 @@ def _lattice_stencils(a, q_grid, tau, h, dq):
     return np.abs(idx, out=idx), wts
 
 
+def _window(a, n, tau, h, dq, floor, M):
+    """First cell from which every row of ``tau`` may keep value = payoff, or M + 1.
+
+    From the returned cell up, for each 1 - t in ``tau``: the drift leaves a
+    relative slack (n/2)(2/tau - a/q) h of at least ``_WINDOW_SLACK``, and
+    the lowest stencil point is at or above cell ``floor`` (so none folds
+    below 0).  With c = rint(mu/dq), L <= sqrt(1.5 sig2)/dq + 1 and
+    sig2 <= dq^2/4 + 4 q h, the lowest point is at least
+    mu - sqrt(3/8 dq^2 + 6 q h) - 1.5 dq, and mu >= beta q with
+    beta = 1 - 2h/tau, so beta q - sqrt(6 h q) >= (floor + 3) dq suffices,
+    with 0.88 dq to spare for rounding.  Both conditions, once met, hold for
+    every larger q, so each row's is one root in q; beta <= 0 (1 - t <= 2h)
+    has none.
+    """
+    if n > 2.0:
+        return M + 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = 2.0 / tau - _WINDOW_SLACK / (0.5 * n * h)
+        beta = 1.0 - 2.0 * h / tau
+        root = (math.sqrt(6.0 * h) + np.sqrt(6.0 * h + 4.0 * beta * (floor + 3) * dq)) / (
+            2.0 * beta
+        )
+        q_low = np.where((drift > 0.0) & (beta > 0.0), np.maximum(a / drift, root * root), np.inf)
+    q_low = float(q_low.max())
+    # a cell of room past q_low absorbs the rounding of q_low / dq and of the grid
+    return int(q_low // dq) + 2 if q_low < (M - 2) * dq else M + 1
+
+
 def dp_value(
     params: ModelParams,
     t_steps: int,
@@ -418,14 +462,49 @@ def dp_value(
 
     The stencil depends on the time step only through 1 - t, so it is built
     for a block of steps at a time (``_lattice_stencils``), the two-point
-    split written as a third point of weight 0.  A block holds
-    ``_BLOCK_CELLS // (q_steps + 1)`` steps, at least one, so its scratch
+    split written as a third point of weight 0.  Each backward step gathers
+    three values per cell from the next row, extended past the grid with the
+    payoff, and sums them in the per-step order, so the result is the same to
+    the last bit as stepping one row at a time over the whole grid.
+
+    Payoff window.  Deep in the stopping region the step only confirms
+    value = payoff, so each block steps the cells [0, W) and keeps value =
+    payoff, counted as stopped, at every cell from W up.  W (``_window``) is
+    the first cell from which every row of the block has
+
+    1. a concave payoff q^{n/2} (n <= 2);
+    2. a stencil mean mu = q + (a - 2q/tau) h <= q, with relative slack
+       s = (n/2)(2/tau - a/q) h >= ``_WINDOW_SLACK``;
+    3. no stencil point below q = 0;
+    4. every stencil point at or above K + g, where K is one past the last
+       cell of the row above the block whose value differs from its payoff
+       and g = ``_GUARD_CELLS``.
+
+    Then the next row is the payoff f at every stencil point (4), and the
+    weights are nonnegative, sum to one and are mean-exact (3: nothing is
+    reflected), so Jensen's inequality and the tangent of the concave f at
+    q give sum w f(x) <= f(mu) <= f(q) - f'(q)(q - mu) = f(q)(1 - s): the
+    step would return the payoff.  In floating point (eps = 2^-52) the
+    weights sum to one within eps; their mean is within about 6 eps of the
+    top stencil point, which is at most 3q once nothing folds, so within
+    18 eps of q; a weight that is zero in exact arithmetic may come out
+    about eps negative, and dropping it only raises the sum; the three-term
+    dot product rounds within 2 eps and each payoff power within 4 eps.
+    Together that is under 40 eps relative to f(q), which ``_WINDOW_SLACK``
+    (256 eps) covers sixfold, so the value table, ``boundary_estimate`` and
+    ``value_at_origin`` are bit-identical to stepping every cell.  (4)
+    holds only while no row inside the block moves K past K + g.  That is
+    checked after the block; if a row did, the block's stencils are freed
+    and its rows are redone at full width.  The same loop runs at full
+    width, W = q_steps + 1, for n > 2, for rows with 1 - t below about 2h
+    (the drift folds the stencil there) and for a failed guard.
+
+    A block holds ``_BLOCK_CELLS // W`` steps, at least one, so its scratch
     stays near 1 MB whatever the grid width and the returned table is the
-    only allocation that grows with the grid.  Each backward step then
-    gathers three values per cell from the next row, extended past the grid
-    with the payoff, and sums them in the per-step order, so the result is
-    the same to the last bit as stepping one row at a time, whatever the
-    block height.
+    only allocation that grows with the grid.  A windowed block also holds
+    no more steps than the boundary Z (1 - t) takes to climb g/2 cells, so
+    the guard seldom fails.  ``cells_stepped`` counts the (row, cell)
+    continuation values of the kept blocks.
     """
     a, n = params.alpha, params.n
     _require("t_steps", t_steps, 100)
@@ -451,24 +530,43 @@ def dp_value(
 
     # vnext in the first M + 1 slots, then the payoff at q = k dq for k > M
     vext = np.empty(M + 1)
-    block = max(1, _BLOCK_CELLS // (M + 1))
-    for hi in range(t_steps, 0, -block):
+    cells_stepped = 0
+    # rows over which the boundary Z (1 - t) climbs half the guard; halved
+    # after each failed guard, where the lattice's boundary climbs faster
+    climb = max(1, int(0.5 * _GUARD_CELLS * dq / (Z * h)))
+    hi, redo_lo = t_steps, t_steps  # rows above redo_lo are redone at full width
+    while hi > 0:
+        W = M + 1
+        if hi <= redo_lo:
+            live = np.flatnonzero(value[hi] != payoff)
+            floor = (int(live[-1]) + 1 if live.size else 0) + _GUARD_CELLS
+            W = _window(a, n, 1.0 - t_grid[max(hi - climb, 0) : hi], h, dq, floor, M)
+        block = max(1, _BLOCK_CELLS // W)
+        if W <= M:
+            block = min(block, climb)
         rows = np.arange(hi - 1, max(hi - block, 0) - 1, -1)
-        idx, wts = _lattice_stencils(a, q_grid, 1.0 - t_grid[rows], h, dq)
+        lo = int(rows[-1])
+        idx, wts = _lattice_stencils(a, q_grid[:W], 1.0 - t_grid[rows], h, dq)
         top = int(idx.max())
         if top >= vext.size:
             beyond = np.arange(vext.size, top + 1) * dq
             vext = np.concatenate((vext, beyond ** (0.5 * n)))
-        cont = np.empty((rows.size, M + 1))
+        value[lo:hi, W:] = payoff[W:]
+        cont = np.empty((rows.size, W))
         for r, i in enumerate(rows):
             vext[: M + 1] = value[i + 1]
             x = wts[r] * vext[idx[r]]
             np.add(x[0] + x[1], x[2], out=cont[r])
-            np.maximum(payoff, cont[r], out=value[i])
-        stopped = cont <= stop_level
+            np.maximum(payoff[:W], cont[r], out=value[i, :W])
+        del idx, wts  # free this block's stencils before the next are built
+        if W <= M and not np.all(value[lo + 1 : hi, floor:W] == payoff[floor:W]):
+            redo_lo, climb = lo, max(1, climb // 2)
+            continue
+        stopped = cont <= stop_level[:W]
         first = np.argmax(stopped, axis=1)
-        boundary[rows] = np.where(stopped.any(axis=1), q_grid[first], q_max)
-        del idx, wts, cont  # free this block's scratch before the next one is built
+        boundary[rows] = np.where(stopped.any(axis=1), q_grid[first], q_grid[min(W, M)])
+        cells_stepped += cont.size
+        hi = lo
 
     return LatticeResult(
         t_grid=t_grid,
@@ -476,4 +574,5 @@ def dp_value(
         value=value,
         boundary_estimate=boundary,
         value_at_origin=float(value[0, 0]),
+        cells_stepped=cells_stepped,
     )

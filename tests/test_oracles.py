@@ -317,6 +317,10 @@ def _reference_lattice(params, t_steps, q_max, q_steps, t0=0.0, eps_end=1e-4):
     return value, boundary, edges
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
 @pytest.mark.parametrize(
     "alpha, n, t_steps, q_steps, t0",
     [
@@ -328,23 +332,98 @@ def _reference_lattice(params, t_steps, q_max, q_steps, t0=0.0, eps_end=1e-4):
         (1, 1, 125, 1600, 0.2),
     ],
 )
-def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0):
+def test_block_lattice_bit_identical_to_per_step(alpha, n, t_steps, q_steps, t0, monkeypatch):
     params = ModelParams(alpha, n)
     # the smallest admissible q_max pushes stencils past the last cell, and
     # q cells fine against the time step make stencils near q = 0 fold
     q_max = 3.0 * find_Z(params).value * (1.0 - t0)
+    blocks = _count_blocks(monkeypatch)
     lat = dp_value(params, t_steps, q_max, q_steps, t0=t0)
     value, boundary, edges = _reference_lattice(params, t_steps, q_max, q_steps, t0)
-    block = max(1, oracles._BLOCK_CELLS // (q_steps + 1))
-    assert block < t_steps and t_steps % block != 0  # several blocks, the last partial
+    assert len(blocks) >= 2 and sum(rows for rows, _ in blocks) >= t_steps
+    # a concave payoff runs a window; a convex one steps every cell
+    assert (min(width for _, width in blocks) < q_steps + 1) == (n <= 2)
+    assert (lat.cells_stepped == t_steps * (q_steps + 1)) == (n > 2)
     assert edges["folded"] and edges["beyond"] and edges["two_point"]
     assert np.array_equal(lat.value, value)
     assert np.array_equal(lat.boundary_estimate, boundary)
     assert lat.value_at_origin == value[0, 0]
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+def _count_blocks(monkeypatch):
+    """Record (rows, width) of every block of stencils dp_value builds."""
+    blocks = []
+    real = oracles._lattice_stencils
+
+    def counting(a, q_grid, tau, h, dq):
+        blocks.append((tau.size, q_grid.size))
+        return real(a, q_grid, tau, h, dq)
+
+    monkeypatch.setattr(oracles, "_lattice_stencils", counting)
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=_log_uniform(0.05, 60.0),
+    n=_log_uniform(0.05, 60.0),
+    t0=st.sampled_from([0.0, 0.5, 0.9]),
+    q_scale=st.floats(3.0, 50.0),
+    t_steps=st.integers(100, 400),
+    q_steps=st.integers(50, 400),
+)
+def test_windowed_lattice_bit_identical_to_per_step(alpha, n, t0, q_scale, t_steps, q_steps):
+    params = ModelParams(alpha, n)
+    q_max = q_scale * find_Z(params).value * (1.0 - t0)
+    lat = dp_value(params, t_steps, q_max, q_steps, t0=t0)
+    value, boundary, _ = _reference_lattice(params, t_steps, q_max, q_steps, t0)
+    assert np.array_equal(lat.value, value)
+    assert np.array_equal(lat.boundary_estimate, boundary)
+    assert lat.value_at_origin == value[0, 0]
+
+
+def test_failed_guard_redoes_the_block_at_full_width(monkeypatch):
+    # at small alpha the lattice's boundary climbs about three times faster
+    # than Z (1 - t), past the guard inside a windowed block, whose rows are
+    # then stepped again at full width
+    params = ModelParams(0.1, 0.1)
+    q_max = 6.0 * find_Z(params).value
+    blocks = _count_blocks(monkeypatch)
+    lat = dp_value(params, 400, q_max, 200)
+    value, boundary, _ = _reference_lattice(params, 400, q_max, 200)
+    assert sum(rows for rows, _ in blocks) > 400
+    assert lat.cells_stepped < sum(rows * width for rows, width in blocks)
+    assert np.array_equal(lat.value, value)
+    assert np.array_equal(lat.boundary_estimate, boundary)
+
+
+def test_lattice_reads_no_unwritten_cell(monkeypatch):
+    # every buffer dp_value allocates starts as NaN (or -1): a cell read
+    # before it is written would fail the guard and widen the steps, or
+    # change the table
+    params = ModelParams(1, 1)
+    clean = dp_value(params, 1000, None, 400)
+
+    class Poisoned:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, dtype=float):
+            return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else -1, dtype)
+
+    monkeypatch.setattr(oracles, "np", Poisoned())
+    dirty = dp_value(params, 1000, None, 400)
+    assert dirty.cells_stepped == clean.cells_stepped
+    assert np.array_equal(dirty.value, clean.value)
+    assert np.array_equal(dirty.boundary_estimate, clean.boundary_estimate)
+
+
+def test_gate_lattice_steps_under_15_percent_of_its_cells():
+    params = ModelParams(3, 1)
+    t_steps, q_steps = acceptance.DP_T_STEPS, acceptance.DP_Q_STEPS
+    lat = dp_value(params, t_steps, None, q_steps)
+    assert lat.cells_stepped <= 0.15 * t_steps * (q_steps + 1)
 
 
 @settings(max_examples=150, deadline=None)
