@@ -4,7 +4,7 @@ The library computes the free boundary z(t) = Z (1 - t) and the value
 function of the stopping problem sup E[Q_tau^{n/2}] for the alpha-dimensional
 squared Bessel bridge, via a power-series solution of the associated ODE, and
 cross-checks the construction against independent oracles: ODE shooting, a
-dynamic-programming lattice, and Monte Carlo path simulation.
+one-sweep lattice on the self-similar line, and Monte Carlo path simulation.
 """
 
 from .boundary import (
@@ -16,14 +16,14 @@ from .boundary import (
 )
 from .oracles import (
     AccuracyError,
+    FdResult,
     LatticeError,
-    LatticeResult,
     OdeSolution,
     RangeError,
     Z_from_ode,
     closed_form_Z,
-    dp_value,
     explicit_special_values,
+    fd_value,
     ode_residual,
     ode_shoot,
     quadrature_H,

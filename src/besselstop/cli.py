@@ -8,8 +8,7 @@ locale.
 
 Exit codes: 0 success, 1 numeric failure (machine-readable error payload on
 stdout), 2 usage error.  A ``ValueError`` from the library is an argument it
-rejected, so it is a usage error too; ``LatticeError``, a ``ValueError`` that
-reports a lattice too coarse for valid arguments, stays a numeric failure.
+rejected, so it is a usage error too.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
-from .oracles import LatticeError, Z_from_ode, closed_form_Z, dp_value, ode_residual
+from .oracles import Z_from_ode, closed_form_Z, fd_value, ode_residual
 from .series import ModelParams, _require, build_coefficients
 from .simulate import (
     SimConfig,
@@ -58,8 +57,7 @@ class RunConfig:
     out_format: str = "json"
     out_path: str | None = None
     t_points: int = 101
-    t_steps: int = 4000
-    q_steps: int = 800
+    q_steps: int = 4000
     q_max: float | None = None
     eps: float = 1e-14
     ymax: float | None = None
@@ -215,18 +213,21 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
                 csv_rows = [cols] + [[r[c] for c in cols] for r in flat]
 
     elif cmd == "dp-oracle":
+        # one lattice on y = q/(1-t) carries every t0: U*(t0, 0) = (1-t0)^{n/2} u(0)
+        tau = 1.0 - _require("t0", config.t0, 0.0, 1.0, open_hi=True)
         sol = build_candidate(params, tol=config.tol)
-        q_max = config.q_max if config.q_max is not None else 6.0 * sol.Z
-        lattice = dp_value(params, config.t_steps, q_max, config.q_steps, t0=config.t0)
+        lattice = fd_value(params, config.q_steps, config.q_max)
+        value = tau ** (0.5 * params.n) * float(lattice.g[0])
         target = U_star(sol, config.t0, 0.0)
         results = {
-            "value_at_origin": lattice.value_at_origin,
+            "value_at_origin": value,
             "candidate_value": target,
-            "rel_gap": abs(lattice.value_at_origin - target) / target,
-            "t_steps": config.t_steps,
+            "rel_gap": value / target - 1.0,
             "q_steps": config.q_steps,
-            "q_max": q_max,
-            "boundary_estimate_t0": float(lattice.boundary_estimate[0]),
+            "q_max": float(lattice.y[-1]),
+            "Z_fd": lattice.Z_fd,
+            "complementarity_residual": lattice.residual,
+            "boundary_estimate_t0": lattice.Z_fd * tau,
             "boundary_scale_Z": sol.Z,
         }
 
@@ -350,11 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--multipliers", help="comma-separated threshold multipliers")
 
-    p = command("dp-oracle", "backward-induction lattice value")
+    p = command("dp-oracle", "one-sweep lattice value on y = q/(1-t)")
     p.add_argument("--t0", type=float)
-    p.add_argument("--t-steps", type=int)
-    p.add_argument("--q-steps", type=int)
-    p.add_argument("--q-max", type=float)
+    p.add_argument("--q-steps", type=int, help=f"lattice cells (default {RunConfig.q_steps})")
+    p.add_argument("--q-max", type=float, help="lattice top in y = q/(1-t), above Z (default 6 Z)")
 
     command("ode-oracle", "shooting-method boundary vs series")
 
@@ -404,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         envelope, csv_rows = run(config)
     except Exception as exc:
-        if isinstance(exc, ValueError) and not isinstance(exc, LatticeError):
+        if isinstance(exc, ValueError):
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
         # numeric failure: machine-readable payload

@@ -8,19 +8,16 @@ coordinate singularity:
   scale off that solution by a sign change plus local Hermite interpolation.
   The ODE is linear in (g, g'), so every RK4 step is a 2x2 matrix; all of
   them are built in one vectorised pass and applied by a two-term recurrence.
-* ``dp_value`` solves the discrete-time optimal stopping problem directly by
-  backward induction on a lattice, with a moment-matched trinomial transition
-  built from the Euler step of the bridge dynamics.  The stencils (indices
-  and weights) are precomputed a block of time steps at a time, the block
-  sized by a cell budget (``_BLOCK_CELLS``), so each backward step is one
-  gather, a weighted sum and a maximum, and the memory is the value table
-  plus about 1 MB of scratch at any grid width.  A block steps only the
-  cells [0, W) below a payoff window: from W up the payoff is concave, the
-  drift pulls down with a floating-point margin, and every stencil point
-  reads a payoff cell of the next row, so by Jensen's inequality the step
-  would return the payoff there and the table is bit-identical to stepping
-  every cell.  A guard checked after each block, n > 2 and the last steps
-  before t = 1 fall back to the full width; ``dp_value`` has the proof.
+* ``fd_value`` solves the stopping problem on a lattice in y = q/(1-t).  With
+  s = -ln(1-t), Ito's formula makes Y = Q/(1-t) the diffusion
+  dY = (alpha - Y) ds + 2 sqrt(Y) dB_s and the payoff e^{-ns/2} Y^{n/2}:
+  perpetual stopping at rate n/2, whose generator L g = 2y g'' +
+  (alpha - y) g' - (n/2) g is half the ODE's operator, so U*(t, q) =
+  (1-t)^{n/2} u(q/(1-t)) exactly.  One Brennan-Schwartz sweep (Brennan &
+  Schwartz 1977) solves the discrete obstacle problem min(-L g, g - y^{n/2})
+  = 0 when the stopping set is an upper interval, the discrete ratio rule
+  u = psi sup phi/psi (Dayanik & Karatzas 2003); a complementarity residual
+  checked afterwards confirms it.
 * ``closed_form_Z`` and ``explicit_special_values`` solve the three special
   parameter families without the series: alpha = n in closed form, and n =
   alpha - 2 and n = 2 < alpha through scipy's Kummer function ``hyp1f1``
@@ -47,20 +44,10 @@ from .series import (
 )
 
 
-# Lattice cells whose stencils dp_value builds in one vectorised pass: 16 time
-# steps at the gate's 801 q cells, and about 1 MB of scratch at any grid width.
-_BLOCK_CELLS = 16 * 801
-
-# dp_value's payoff window: the cells a block's rows may move the last
-# non-payoff cell up by, and the relative slack the drift must leave below the
-# payoff (six times the rounding it covers, see dp_value).
-_GUARD_CELLS = 8
-_WINDOW_SLACK = 256 * np.finfo(float).eps
-
-# The largest normalized residual ode_shoot accepts, and how far short of the
-# pin time t = 1 dp_value's time grid stops.
+# The largest normalized residual ode_shoot accepts, and the largest row-scaled
+# complementarity residual fd_value accepts (an exact sweep reads about 1e-16).
 _RESIDUAL_TOL = 1e-8
-_EPS_END = 1e-4
+_LCP_TOL = 1e-12
 
 
 class AccuracyError(RuntimeError):
@@ -71,12 +58,8 @@ class RangeError(RuntimeError):
     """No sign change found inside the integration range."""
 
 
-class LatticeError(ValueError):
-    """Transition weights would go negative; carries a suggested refinement."""
-
-    def __init__(self, message: str, suggested_q_steps: int):
-        super().__init__(message)
-        self.suggested_q_steps = suggested_q_steps
+class LatticeError(RuntimeError):
+    """The lattice's complementarity check failed: its stopping set is not an upper interval."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +74,13 @@ class OdeSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeResult:
-    """Backward-induction lattice for the discrete optimal stopping value."""
+class FdResult:
+    """Lattice value g >= y^{n/2} on ``y``, its first stopping node and LCP residual."""
 
-    t_grid: np.ndarray
-    q_grid: np.ndarray
-    value: np.ndarray
-    boundary_estimate: np.ndarray
-    value_at_origin: float
-    cells_stepped: int
+    y: np.ndarray
+    g: np.ndarray
+    Z_fd: float
+    residual: float
 
 
 def _rk4_step_matrices(a: float, n: float, y: np.ndarray, h: float):
@@ -353,226 +334,61 @@ def explicit_special_values(params: ModelParams, t: float, q: float) -> float | 
     return tau ** (n / 2.0) * (Z ** (n / 2.0) / H(Z)) * H(q / tau)
 
 
-def _lattice_stencils(a, q_grid, tau, h, dq):
-    """Three-point stencils of the lattice transition for a block of time steps.
+def _fd_stencil(a: float, n: float, y: np.ndarray, dy: float):
+    """Rows (lo, mid, up) of (L g)_i = lo_i g_{i-1} + mid_i g_i + up_i g_{i+1} at ``y``.
 
-    ``tau`` holds 1 - t for each step of the block, and ``q_grid`` the cells
-    to step (``dp_value`` passes its window, a prefix of the grid).  The
-    stencil of a cell depends only on its own q, so the result for a cell is
-    the same whatever the window.  Returns ``(idx, wts)`` of
-    shape (steps, 3, q cells): the continuation value at cell j of step r is
-    sum_k wts[r, k, j] * vnext[idx[r, k, j]], summed in the order k = 0, 1, 2.
-    Indices are folded at q = 0 (reflection) and may exceed the grid, where the
-    caller supplies the payoff.  Trinomial cells use the points c - L, c, c + L;
-    the rest use the mean-exact two-point split on f, f + 1 plus a third point
-    of weight 0.  Each (steps, q cells) temporary is overwritten in place once
-    it is dead, so the peak is about 75 bytes per cell, the 48 bytes of the
-    returned stencils included.
+    The drift is central where 2y/dy^2 >= |a - y|/(2 dy) and upwind elsewhere,
+    so y = 0 gets a forward difference (lo_0 = 0).  Then lo, up >= 0 and
+    mid = -(lo + up) - n/2: the rows form an M-matrix.
     """
-    mu = q_grid + (a - 2.0 * q_grid / tau[:, None]) * h
-    r = mu / dq
-    c = np.rint(r).astype(np.int64)
-    delta = np.subtract(mu, c * dq, out=mu)
-    sig2 = delta * delta
-    sig2 += 4.0 * q_grid * h
-    # u = L dq, with L = max(1, ceil(sqrt(1.5 sig2) / dq)) held exactly as a float
-    u = np.sqrt(1.5 * sig2)
-    u /= dq
-    np.ceil(u, out=u)
-    np.maximum(u, 1.0, out=u)
-    L = u.astype(np.int64)
-    u *= dq
-
-    rows, cols = np.nonzero((sig2 <= 0.0) | (np.abs(delta) * u > sig2))
-    r = r[rows, cols]
-    d = np.divide(delta, u, out=delta)
-    v = np.divide(sig2, np.multiply(u, u, out=u), out=sig2)
-    del u
-
-    idx = np.empty((tau.size, 3, q_grid.size), dtype=np.int64)
-    np.subtract(c, L, out=idx[:, 0])
-    idx[:, 1] = c
-    np.add(c, L, out=idx[:, 2])
-    del c, L
-    wts = np.empty((tau.size, 3, q_grid.size))
-    np.subtract(v, d, out=wts[:, 0])
-    wts[:, 0] *= 0.5
-    np.subtract(1.0, v, out=wts[:, 1])
-    np.add(v, d, out=wts[:, 2])
-    wts[:, 2] *= 0.5
-
-    if rows.size:
-        f = np.floor(r).astype(np.int64)
-        w = r - f
-        idx[rows, :, cols] = np.stack((f, f + 1, f), axis=1)
-        wts[rows, :, cols] = np.stack((1.0 - w, w, np.zeros_like(w)), axis=1)
-    if wts.min() < -1e-12:
-        raise LatticeError(
-            "trinomial weights went negative", suggested_q_steps=2 * (q_grid.size - 1)
-        )
-    return np.abs(idx, out=idx), wts
+    diff = 2.0 * y / (dy * dy)
+    drift = a - y
+    central = diff >= np.abs(drift) / (2.0 * dy)
+    lo = np.where(central, diff - drift / (2.0 * dy), diff + np.maximum(-drift, 0.0) / dy)
+    up = np.where(central, diff + drift / (2.0 * dy), diff + np.maximum(drift, 0.0) / dy)
+    return lo, -(lo + up) - 0.5 * n, up
 
 
-def _window(a, n, tau, h, dq, floor, M):
-    """First cell from which every row of ``tau`` may keep value = payoff, or M + 1.
-
-    From the returned cell up, for each 1 - t in ``tau``: the drift leaves a
-    relative slack (n/2)(2/tau - a/q) h of at least ``_WINDOW_SLACK``, and
-    the lowest stencil point is at or above cell ``floor`` (so none folds
-    below 0).  With c = rint(mu/dq), L <= sqrt(1.5 sig2)/dq + 1 and
-    sig2 <= dq^2/4 + 4 q h, the lowest point is at least
-    mu - sqrt(3/8 dq^2 + 6 q h) - 1.5 dq, and mu >= beta q with
-    beta = 1 - 2h/tau, so beta q - sqrt(6 h q) >= (floor + 3) dq suffices,
-    with 0.88 dq to spare for rounding.  Both conditions, once met, hold for
-    every larger q, so each row's is one root in q; beta <= 0 (1 - t <= 2h)
-    has none.
-    """
-    if n > 2.0:
-        return M + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        drift = 2.0 / tau - _WINDOW_SLACK / (0.5 * n * h)
-        beta = 1.0 - 2.0 * h / tau
-        root = (math.sqrt(6.0 * h) + np.sqrt(6.0 * h + 4.0 * beta * (floor + 3) * dq)) / (
-            2.0 * beta
-        )
-        q_low = np.where((drift > 0.0) & (beta > 0.0), np.maximum(a / drift, root * root), np.inf)
-    q_low = float(q_low.max())
-    # a cell of room past q_low absorbs the rounding of q_low / dq and of the grid
-    return int(q_low // dq) + 2 if q_low < (M - 2) * dq else M + 1
+def _complementarity(lo, mid, up, g, phi) -> float:
+    """max |min(-L g, g - phi)| over the rows, -L g scaled by |lo| g_{i-1} +
+    |mid| g_i + |up| g_{i+1} and g - phi by g, so an exact sweep reads rounding."""
+    below, here, above = np.concatenate(([0.0], g[:-2])), g[:-1], g[1:]
+    Lg = lo * below + mid * here + up * above
+    scale = np.abs(lo) * below + np.abs(mid) * here + np.abs(up) * above
+    return float(np.max(np.abs(np.minimum(-Lg / scale, (here - phi[:-1]) / here))))
 
 
-def dp_value(
-    params: ModelParams,
-    t_steps: int,
-    q_max: float | None,
-    q_steps: int,
-    t0: float = 0.0,
-) -> LatticeResult:
-    """Optimal stopping value by backward induction on a (t, q) lattice.
+def fd_value(params: ModelParams, cells: int, ymax: float | None = None) -> FdResult:
+    """Value u on y = q/(1-t) in [0, ymax] by one Brennan-Schwartz sweep.
 
-    One step of the chain matches the mean and variance of the Euler
-    transition of the bridge dynamics with a symmetric trinomial stencil on
-    the grid (span widened as needed so no weight can go negative); cells
-    whose move is nearly deterministic fall back to a mean-exact two-point
-    split.  Probability falling below q = 0 is reflected; indices above the
-    grid are valued with the payoff, which is exact that deep in the stopping
-    region.  The time grid stops at 1 - ``_EPS_END`` where the terminal value
-    is the payoff; the drift blows up at the pin time and the bridge ends at
-    zero anyway.
-
-    The stencil depends on the time step only through 1 - t, so it is built
-    for a block of steps at a time (``_lattice_stencils``), the two-point
-    split written as a third point of weight 0.  Each backward step gathers
-    three values per cell from the next row, extended past the grid with the
-    payoff, and sums them in the per-step order, so the result is the same to
-    the last bit as stepping one row at a time over the whole grid.
-
-    Payoff window.  Deep in the stopping region the step only confirms
-    value = payoff, so each block steps the cells [0, W) and keeps value =
-    payoff, counted as stopped, at every cell from W up.  W (``_window``) is
-    the first cell from which every row of the block has
-
-    1. a concave payoff q^{n/2} (n <= 2);
-    2. a stencil mean mu = q + (a - 2q/tau) h <= q, with relative slack
-       s = (n/2)(2/tau - a/q) h >= ``_WINDOW_SLACK``;
-    3. no stencil point below q = 0;
-    4. every stencil point at or above K + g, where K is one past the last
-       cell of the row above the block whose value differs from its payoff
-       and g = ``_GUARD_CELLS``.
-
-    Then the next row is the payoff f at every stencil point (4), and the
-    weights are nonnegative, sum to one and are mean-exact (3: nothing is
-    reflected), so Jensen's inequality and the tangent of the concave f at
-    q give sum w f(x) <= f(mu) <= f(q) - f'(q)(q - mu) = f(q)(1 - s): the
-    step would return the payoff.  In floating point (eps = 2^-52) the
-    weights sum to one within eps; their mean is within about 6 eps of the
-    top stencil point, which is at most 3q once nothing folds, so within
-    18 eps of q; a weight that is zero in exact arithmetic may come out
-    about eps negative, and dropping it only raises the sum; the three-term
-    dot product rounds within 2 eps and each payoff power within 4 eps.
-    Together that is under 40 eps relative to f(q), which ``_WINDOW_SLACK``
-    (256 eps) covers sixfold, so the value table, ``boundary_estimate`` and
-    ``value_at_origin`` are bit-identical to stepping every cell.  (4)
-    holds only while no row inside the block moves K past K + g.  That is
-    checked after the block; if a row did, the block's stencils are freed
-    and its rows are redone at full width.  The same loop runs at full
-    width, W = q_steps + 1, for n > 2, for rows with 1 - t below about 2h
-    (the drift folds the stencil there) and for a failed guard.
-
-    A block holds ``_BLOCK_CELLS // W`` steps, at least one, so its scratch
-    stays near 1 MB whatever the grid width and the returned table is the
-    only allocation that grows with the grid.  A windowed block also holds
-    no more steps than the boundary Z (1 - t) takes to climb g/2 cells, so
-    the guard seldom fails.  ``cells_stepped`` counts the (row, cell)
-    continuation values of the kept blocks.
+    ``ymax`` defaults to 6 Z and must exceed Z; U*(t0, 0) = (1-t0)^{n/2} g[0].
+    Continuation from the origin is eliminated forward, g_i = r_i g_{i+1} with
+    r_i = -up_i/(mid_i + lo_i r_{i-1}) and r_{-1} = 0, and the sweep back from
+    g_M = y_M^{n/2} takes g_i = max(phi_i, r_i g_{i+1}).  Both loops run over
+    Python floats: the vectorised g = w revcummax(phi/w) loses digits where the
+    continuation solution w spans many decades.  The sweep is exact when the
+    stopping set is an upper interval; a larger ``_complementarity`` residual
+    than ``_LCP_TOL`` raises LatticeError.
     """
     a, n = params.alpha, params.n
-    _require("t_steps", t_steps, 100)
-    _require("q_steps", q_steps, 50)
-    _require("t0", t0, 0.0, 1.0 - _EPS_END, open_hi=True)
+    M = int(_require("cells", cells, 50, math.inf, open_hi=True))
     Z = find_Z(params).value
-    if q_max is None:
-        q_max = 6.0 * Z * (1.0 - t0)
-    q_max = _require("q_max", q_max, 3.0 * Z * (1.0 - t0), math.inf, open_hi=True)
+    ymax = 6.0 * Z if ymax is None else ymax
+    ymax = _require("ymax", ymax, Z, math.inf, open_lo=True, open_hi=True)
+    y = np.linspace(0.0, ymax, M + 1)
+    phi = y ** (0.5 * n)
+    lo, mid, up = _fd_stencil(a, n, y[:-1], ymax / M)
 
-    t_grid = np.linspace(t0, 1.0 - _EPS_END, t_steps + 1)
-    q_grid = np.linspace(0.0, q_max, q_steps + 1)
-    dq = q_grid[1] - q_grid[0]
-    h = t_grid[1] - t_grid[0]
-    payoff = q_grid ** (0.5 * n)
-    M = q_steps
+    r, prev = [], 0.0
+    for lo_i, mid_i, up_i in zip(lo.tolist(), mid.tolist(), up.tolist()):
+        prev = -up_i / (mid_i + lo_i * prev)
+        r.append(prev)
+    g = phi.tolist()
+    for i in range(M - 1, -1, -1):
+        g[i] = max(g[i], r[i] * g[i + 1])
+    g = np.array(g)
 
-    value = np.empty((t_steps + 1, q_steps + 1))
-    boundary = np.empty(t_steps + 1)
-    value[-1] = payoff
-    boundary[-1] = 0.0
-    stop_level = payoff + 1e-12 * (1.0 + payoff)
-
-    # vnext in the first M + 1 slots, then the payoff at q = k dq for k > M
-    vext = np.empty(M + 1)
-    cells_stepped = 0
-    # rows over which the boundary Z (1 - t) climbs half the guard; halved
-    # after each failed guard, where the lattice's boundary climbs faster
-    climb = max(1, int(0.5 * _GUARD_CELLS * dq / (Z * h)))
-    hi, redo_lo = t_steps, t_steps  # rows above redo_lo are redone at full width
-    while hi > 0:
-        W = M + 1
-        if hi <= redo_lo:
-            live = np.flatnonzero(value[hi] != payoff)
-            floor = (int(live[-1]) + 1 if live.size else 0) + _GUARD_CELLS
-            W = _window(a, n, 1.0 - t_grid[max(hi - climb, 0) : hi], h, dq, floor, M)
-        block = max(1, _BLOCK_CELLS // W)
-        if W <= M:
-            block = min(block, climb)
-        rows = np.arange(hi - 1, max(hi - block, 0) - 1, -1)
-        lo = int(rows[-1])
-        idx, wts = _lattice_stencils(a, q_grid[:W], 1.0 - t_grid[rows], h, dq)
-        top = int(idx.max())
-        if top >= vext.size:
-            beyond = np.arange(vext.size, top + 1) * dq
-            vext = np.concatenate((vext, beyond ** (0.5 * n)))
-        value[lo:hi, W:] = payoff[W:]
-        cont = np.empty((rows.size, W))
-        for r, i in enumerate(rows):
-            vext[: M + 1] = value[i + 1]
-            x = wts[r] * vext[idx[r]]
-            np.add(x[0] + x[1], x[2], out=cont[r])
-            np.maximum(payoff[:W], cont[r], out=value[i, :W])
-        del idx, wts  # free this block's stencils before the next are built
-        if W <= M and not np.all(value[lo + 1 : hi, floor:W] == payoff[floor:W]):
-            redo_lo, climb = lo, max(1, climb // 2)
-            continue
-        stopped = cont <= stop_level[:W]
-        first = np.argmax(stopped, axis=1)
-        boundary[rows] = np.where(stopped.any(axis=1), q_grid[first], q_grid[min(W, M)])
-        cells_stepped += cont.size
-        hi = lo
-
-    return LatticeResult(
-        t_grid=t_grid,
-        q_grid=q_grid,
-        value=value,
-        boundary_estimate=boundary,
-        value_at_origin=float(value[0, 0]),
-        cells_stepped=cells_stepped,
-    )
+    residual = _complementarity(lo, mid, up, g, phi)
+    if not residual <= _LCP_TOL:
+        raise LatticeError(f"complementarity residual {residual:.3e} exceeds {_LCP_TOL:.0e}")
+    return FdResult(y=y, g=g, Z_fd=float(y[np.argmax(g == phi)]), residual=residual)

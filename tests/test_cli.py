@@ -136,7 +136,7 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv, bad):
         ["coeffs", "--ymax", "-1"],
         ["coeffs", "--eps", "0"],
         ["dp-oracle", "--q-max", "-1"],
-        ["dp-oracle", "--t-steps", "10"],
+        ["dp-oracle", "--q-max", "2"],  # ymax at or below Z(3,1) = 2.26
         ["dp-oracle", "--q-steps", "10"],
         ["dp-oracle", "--t0", "1.0"],
         ["verify-appendix", "--r-max", "3"],
@@ -165,16 +165,14 @@ def test_verify_appendix_r_max_below_seven_names_r_max(capsys):
         TruncationError("K_MAX reached"),
         AccuracyError("residual too large"),
         RangeError("no sign change below ymax"),
-        LatticeError("trinomial weights went negative", suggested_q_steps=1600),
+        LatticeError("complementarity residual 1.000e-03 exceeds 1e-12"),
     ],
 )
 def test_typed_numeric_failure_keeps_exit_one(capsys, monkeypatch, error):
-    # LatticeError is a ValueError, yet it reports a lattice too coarse for valid
-    # arguments, so it stays a numeric failure with its payload
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "dp_value", fail)
+    monkeypatch.setattr(cli, "fd_value", fail)
     assert main(["dp-oracle"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"type": type(error).__name__, "message": str(error)}
@@ -298,13 +296,24 @@ def test_simulate_fractional_dimension_off_origin(capsys):
 
 def test_dp_oracle_payload(capsys):
     code, out = run_cli(
-        capsys, "dp-oracle", "--alpha", "3", "--n", "1",
-        "--t-steps", "150", "--q-steps", "120",
+        capsys, "dp-oracle", "--alpha", "3", "--n", "1", "--t0", "0.5",
+        "--q-steps", "1000", "--q-max", "9",
     )
     env = json.loads(out)
     assert code == 0
-    assert env["results"]["rel_gap"] <= 0.05
-    assert env["results"]["value_at_origin"] == pytest.approx(0.9712, abs=0.05)
+    res = env["results"]
+    assert set(res) == {
+        "value_at_origin", "candidate_value", "rel_gap", "q_steps", "q_max", "Z_fd",
+        "complementarity_residual", "boundary_estimate_t0", "boundary_scale_Z",
+    }
+    # signed: the lattice reads 3.5e-6 above U* here
+    assert 0.0 < res["rel_gap"] <= 3e-5
+    assert res["rel_gap"] == pytest.approx(res["value_at_origin"] / res["candidate_value"] - 1.0)
+    assert res["value_at_origin"] == pytest.approx(0.9711974211 * 0.5**0.5, rel=3e-5)
+    assert (res["q_steps"], res["q_max"]) == (1000, 9.0)
+    assert abs(res["Z_fd"] - res["boundary_scale_Z"]) <= 9.0 / 1000
+    assert res["boundary_estimate_t0"] == pytest.approx(0.5 * res["Z_fd"])
+    assert res["complementarity_residual"] <= 1e-12
 
 
 def test_ode_oracle_payload(capsys):
