@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import boundary_margin, find_C_excursion, find_Z
-from .oracles import Z_from_ode, fd_value, ode_residual
+from .oracles import Z_from_ode, fd_value
 from .series import ModelParams, ode_residual_series, psi_eval
 from .simulate import SimConfig, ThresholdPolicy, mc_estimate, policy_sweep
 from .value import U_star, build_candidate, build_excursion, smooth_fit_residual
@@ -135,7 +135,7 @@ def criterion_5_ode_oracle() -> CriterionResult:
                 z_series = find_Z(params).value
                 z_ode, sol = Z_from_ode(params)
                 worst_gap = max(worst_gap, abs(z_ode - z_series))
-                worst_res = max(worst_res, float(np.max(ode_residual(sol))))
+                worst_res = max(worst_res, sol.residual)
         ok = worst_gap <= 5e-11 and worst_res <= 1e-8
         gaps = f"max |Z_ode-Z|={worst_gap:.2e} (tol 5e-11)"
         return ok, f"{gaps}, max residual={worst_res:.2e} (tol 1e-8)"

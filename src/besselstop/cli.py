@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
-from .oracles import Z_from_ode, closed_form_Z, fd_value, ode_residual
+from .oracles import Z_from_ode, closed_form_Z, fd_value
 from .series import ModelParams, _require, build_coefficients
 from .simulate import (
     SimConfig,
@@ -238,7 +238,7 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
             "Z_ode": z_ode,
             "Z_series": z_series,
             "abs_gap": abs(z_ode - z_series),
-            "max_residual": float(max(ode_residual(sol))),
+            "max_residual": sol.residual,
             "ymax": float(sol.grid[-1]),
             "step": sol.step,
         }

@@ -7,7 +7,8 @@ coordinate singularity:
   reports the solution on a uniform grid; ``Z_from_ode`` reads the boundary
   scale off that solution by a sign change plus local Hermite interpolation.
   The ODE is linear in (g, g'), so every RK4 step is a 2x2 matrix; all of
-  them are built in one vectorised pass and applied by a two-term recurrence.
+  them are built in one vectorised pass, and the recurrence they define is
+  one unit lower-triangular banded system, solved by a single LAPACK call.
 * ``fd_value`` solves the stopping problem on a lattice in y = q/(1-t).  With
   s = -ln(1-t), Ito's formula makes Y = Q/(1-t) the diffusion
   dY = (alpha - Y) ds + 2 sqrt(Y) dB_s and the payoff e^{-ns/2} Y^{n/2}:
@@ -27,9 +28,10 @@ coordinate singularity:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
@@ -64,13 +66,17 @@ class LatticeError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OdeSolution:
-    """RK4 solution of 4y g'' + 2(alpha - y) g' - n g = 0 with g(0) = 1."""
+    """RK4 solution of 4y g'' + 2(alpha - y) g' - n g = 0 with g(0) = 1.
+
+    ``residual`` is the largest normalized residual (``ode_residual``) on it.
+    """
 
     params: ModelParams
     grid: np.ndarray
     g_values: np.ndarray
     g_prime_values: np.ndarray
     step: float
+    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +127,20 @@ def ode_shoot(
 ) -> OdeSolution:
     """Integrate the self-similar ODE from the origin by RK4.
 
-    The equation degenerates at y = 0 (the leading coefficient vanishes), so
-    the first two nodes are filled from the series expansion and RK4 starts
-    at 2*step.  The initial slope n/(2 alpha) is forced by the equation
-    itself at the origin.  The ODE is linear in u = (g, g'), so each classical
-    RK4 step is a fixed 2x2 matrix M_i with u_{i+1} = M_i u_i
-    (``_rk4_step_matrices``); all M_i are built in one vectorised pass and the
-    integration is the two-term recurrence over their entries.  Raises
-    AccuracyError when the normalized residual 4y g'' + 2(alpha - y) g' - n g,
-    divided by 1 + |g|, exceeds ``_RESIDUAL_TOL`` anywhere (g'' estimated by a
-    fourth-order difference of the stored slopes).
+    The equation degenerates at y = 0 (the leading coefficient vanishes) and
+    is stiff near it, with step stiffness h alpha/(2y), so the nodes below
+    y = alpha h/2, and at least the first two, are filled from the series
+    expansion, and RK4 starts from the first node at or past that point.  The
+    initial slope n/(2 alpha) is forced by the equation itself at the origin.
+    The ODE is linear in u = (g, g'), so each classical RK4 step is a fixed
+    2x2 matrix M_i with u_{i+1} = M_i u_i (``_rk4_step_matrices``).  Over the
+    interleaved unknowns (g_s, g'_s, g_{s+1}, ...) the steps u_{i+1} - M_i u_i
+    = 0 form a unit lower-triangular banded system with 3 subdiagonals, which
+    one LAPACK ``dtbtrs`` call solves by forward substitution.  Raises
+    AccuracyError unless the normalized residual 4y g'' + 2(alpha - y) g' - n g,
+    divided by 1 + |g|, is at most ``_RESIDUAL_TOL`` everywhere (g'' estimated
+    by a fourth-order difference of the stored slopes); a non-finite solution
+    fails too.
     """
     ymax = _require("ymax", ymax, 0.0, math.inf, open_lo=True, open_hi=True)
     step = _require("step", step, 0.0, math.inf, open_lo=True, open_hi=True)
@@ -140,31 +150,38 @@ def ode_shoot(
     a, n = params.alpha, params.n
     grid = np.linspace(0.0, m * step, m + 1)
 
-    table = build_coefficients(params, ymax=max(default_ymax(params), 4.0 * step))
+    # series nodes 1..s, s = max(2, ceil(alpha/2)): RK4 starts where y >= alpha h/2
+    s = min(max(2, math.ceil(0.5 * a)), m - 1)
+    table = build_coefficients(params, ymax=max(default_ymax(params), 2.0 * s * step))
     g = np.empty(m + 1)
     p = np.empty(m + 1)
     g[0], p[0] = 1.0, n / (2.0 * a)
-    for i in (1, 2):
-        g[i] = psi_eval(table, grid[i])
-        p[i] = psi_derivative(table, grid[i], 1)
+    g[1 : s + 1] = psi_eval(table, grid[1 : s + 1])
+    p[1 : s + 1] = psi_derivative(table, grid[1 : s + 1], 1)
 
-    m00, m01, m10, m11 = (e.tolist() for e in _rk4_step_matrices(a, n, grid[2:m], step))
-    gs, ps = [], []
-    gv, pv = float(g[2]), float(p[2])
-    for e00, e01, e10, e11 in zip(m00, m01, m10, m11):
-        gv, pv = e00 * gv + e01 * pv, e10 * gv + e11 * pv
-        gs.append(gv)
-        ps.append(pv)
-    g[3:] = gs
-    p[3:] = ps
+    m00, m01, m10, m11 = _rk4_step_matrices(a, n, grid[s:m], step)
+    size = 2 * (m - s + 1)
+    ab = np.zeros((4, size), order="F")  # ab[d, j] holds A[j + d, j]
+    ab[1, 1:-1:2] = -m01
+    ab[2, 0:-2:2] = -m00
+    ab[2, 1:-1:2] = -m11
+    ab[3, 0:-2:2] = -m10
+    rhs = np.zeros((size, 1))
+    rhs[0, 0], rhs[1, 0] = g[s], p[s]
+    u, info = dtbtrs(ab, rhs, uplo="L", diag="U")
+    if info != 0:
+        raise RuntimeError(f"banded RK4 solve failed: LAPACK dtbtrs info={info}")
+    g[s + 1 :] = u[2::2, 0]
+    p[s + 1 :] = u[3::2, 0]
 
-    sol = OdeSolution(params, grid, g, p, step)
-    worst = float(np.max(ode_residual(sol)))
-    if worst > _RESIDUAL_TOL:
+    sol = OdeSolution(params, grid, g, p, step, math.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(ode_residual(sol)))
+    if not worst <= _RESIDUAL_TOL:
         raise AccuracyError(
             f"normalized ODE residual {worst:.3e} exceeds {_RESIDUAL_TOL:.1e}; reduce step"
         )
-    return sol
+    return replace(sol, residual=worst)
 
 
 def ode_residual(sol: OdeSolution) -> np.ndarray:
@@ -192,7 +209,7 @@ def Z_from_ode(
     solution and refines it on the bracketing cell with cubic Hermite
     interpolation.  Enlarges the range once if no sign change shows up.
     Returns ``(Z, sol)``, where ``sol`` is the solution Z was read from, so a
-    caller can check its residual without shooting again.
+    caller can read its residual (``sol.residual``) without shooting again.
     """
     a, n = params.alpha, params.n
     if ymax is None:

@@ -181,7 +181,11 @@ def build_coefficients(
 def _horner(table: CoefficientTable, y, c):
     """sum_k c_k y^k by Horner's rule, for y inside the table's validated range.
 
-    Scalar y gives a float, array y an array of its shape.
+    One loop over ``c.tolist()`` in the operation order of numpy's ``polyval``
+    (``acc = c_K + y*0``, then ``acc = c_k + acc*y``), so results are bit for
+    bit polyval's.  A scalar y runs in Python floats and gives a float, an
+    array y runs in numpy and gives an array of its shape; no coefficients
+    give 0.
     """
     arr = np.asarray(y, dtype=float)
     if not np.all(arr >= 0.0):  # a NaN fails this too
@@ -191,8 +195,12 @@ def _horner(table: CoefficientTable, y, c):
             f"series argument {np.max(arr)} outside the table's validated range "
             f"[0, {table.ymax}]"
         )
-    out = np.polynomial.polynomial.polyval(arr, c if c.size else np.zeros(1))
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+    x = float(arr) if arr.ndim == 0 else arr
+    coeffs = c.tolist() or [0.0]
+    acc = coeffs[-1] + x * 0.0
+    for ck in reversed(coeffs[:-1]):
+        acc = ck + acc * x
+    return acc
 
 
 def psi_eval(table: CoefficientTable, y):

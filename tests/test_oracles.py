@@ -268,6 +268,56 @@ def test_step_matrices_match_scalar_rk4(alpha, n, ymax):
     assert np.max(np.abs(sol.g_prime_values / p - 1.0)) <= 1e-13
 
 
+C5_GRID = (0.5, 1.0, 2.0, 3.0, 5.0)
+
+
+@pytest.mark.parametrize("alpha", C5_GRID)
+def test_banded_solve_matches_step_recurrence(alpha):
+    # the two-term loop over the step matrices that the banded solve replaces,
+    # started from the same series node, on the criterion-5 pairs
+    for n in C5_GRID:
+        params = ModelParams(alpha, n)
+        _, sol = Z_from_ode(params)
+        s = max(2, math.ceil(0.5 * alpha))
+        m00, m01, m10, m11 = (
+            e.tolist() for e in oracles._rk4_step_matrices(alpha, n, sol.grid[s:-1], sol.step)
+        )
+        gv, pv = float(sol.g_values[s]), float(sol.g_prime_values[s])
+        gs, ps = [], []
+        for e00, e01, e10, e11 in zip(m00, m01, m10, m11):
+            gv, pv = e00 * gv + e01 * pv, e10 * gv + e11 * pv
+            gs.append(gv)
+            ps.append(pv)
+        assert np.max(np.abs(sol.g_values[s + 1 :] / gs - 1.0)) <= 1e-13
+        assert np.max(np.abs(sol.g_prime_values[s + 1 :] / ps - 1.0)) <= 1e-13
+
+
+def test_shoot_carries_its_residual():
+    sol = ode_shoot(ModelParams(3, 1), 6.0, 1e-3)
+    assert sol.residual == float(np.max(ode_residual(sol)))
+
+
+def test_shoot_rejects_non_finite_solution():
+    # g overflows to inf long before y = 3000; the NaN residual must fail the check
+    with pytest.raises(AccuracyError):
+        ode_shoot(ModelParams(3, 1), 3000.0, 0.01)
+
+
+@pytest.mark.parametrize("alpha", [14.0, 20.0, 40.0, 60.0])
+def test_ode_oracle_at_stiff_alpha(alpha):
+    # the step stiffness h alpha/(2y) is what the longer series start removes
+    for n in (0.01, 1.0, 10.0):
+        params = ModelParams(alpha, n)
+        z_ode, sol = Z_from_ode(params)
+        assert abs(z_ode - find_Z(params).value) <= 5e-11
+        assert sol.residual <= 1e-8
+
+
+def test_ode_oracle_cli_at_stiff_alpha(capsys):
+    assert main(["ode-oracle", "--alpha", "40", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["abs_gap"] <= 5e-11
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 

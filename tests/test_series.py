@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp1f1
 
@@ -13,6 +15,7 @@ from besselstop.series import (
     F_eval,
     ModelParams,
     TruncationError,
+    _horner,
     build_coefficients,
     gamma_form_coefficients,
     ode_residual_series,
@@ -278,3 +281,54 @@ def test_coefficients_are_readonly():
     table = build_coefficients(ModelParams(3, 1))
     with pytest.raises(ValueError):
         table.coeffs[0] = 2.0
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=_log_uniform(0.05, 60.0),
+    n=_log_uniform(0.05, 60.0),
+    u=st.floats(0.0, 1.0),
+    eps=st.sampled_from([1e-14, 1e-8, 1.0]),
+)
+def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
+    # eps = 1 gives K = 0, so the derivative tables below are empty
+    table = build_coefficients(ModelParams(alpha, n), eps=eps)
+    k = np.arange(table.K + 1, dtype=float)
+    coeff_sets = (
+        table.coeffs,
+        (k * table.coeffs)[1:],
+        (k * (k - 1.0) * table.coeffs)[2:],
+        (2.0 * k - n) * table.coeffs,
+    )
+    y = u * table.ymax
+    args = (y, np.float64(y), np.array(y), np.linspace(0.0, table.ymax, 12).reshape(3, 4))
+    for c in coeff_sets:
+        for arg in args:
+            got = _horner(table, arg, c)
+            want = np.polynomial.polynomial.polyval(np.asarray(arg), c if c.size else np.zeros(1))
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+            if np.ndim(arg) == 0:
+                assert type(got) is float
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+    if table.K == 0:
+        assert psi_derivative(table, y, 1) == 0.0
+        assert np.array_equal(psi_derivative(table, args[3], 2), np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("y", [1.25, np.float64(1.25), np.array(1.25)])
+def test_series_functions_return_python_float_for_scalar_input(y):
+    params = ModelParams(3, 1)
+    table = build_coefficients(params)
+    for value in (
+        psi_eval(table, y),
+        psi_derivative(table, y, 1),
+        psi_derivative(table, y, 2),
+        F_eval(params, y, table),
+        F_derivative(table, y),
+    ):
+        assert type(value) is float
