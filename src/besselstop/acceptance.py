@@ -1,9 +1,9 @@
 """Acceptance gate: the fixed battery of checks a release must pass.
 
 Each criterion pins a tolerance and a wall-clock budget.  Reference values
-are either recomputed on the spot from an independent construction
-(quadrature, exact arithmetic) or, for the excursion threshold, a 30-digit
-root computed once in extended precision.
+are either recomputed on the spot from an independent construction (the
+erfi closed form of ``build_excursion``, exact rationals) or, for the
+excursion threshold, a 30-digit root computed once with mpmath.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def criterion_6_lattice_oracle() -> CriterionResult:
             sol = build_candidate(params)
             target = U_star(sol, 0.0, 0.0)
             if (a, n) == (3, 1) and abs(target - exc.B) > 1e-9:
-                return False, "series value at the origin disagrees with quadrature"
+                return False, "series value at the origin disagrees with the erfi closed form"
             fine, half = fd_value(params, FD_CELLS), fd_value(params, FD_CELLS // 2)
             rel, rel_half = (lat.g[0] / target - 1.0 for lat in (fine, half))
             dz = abs(fine.Z_fd - sol.Z) / fine.y[1]

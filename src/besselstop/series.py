@@ -20,13 +20,16 @@ throughout the package.
 Tables are truncated with a relative tail test at a declared ``ymax`` and
 carry that range so downstream evaluations can refuse arguments the table was
 never validated for.  The recursion is cross-checked against the log-gamma
-closed form of the same coefficients on every build.
+closed form of the same coefficients on every build.  A table builds the
+coefficients of psi', psi'', F and F' once, on first use; every evaluation is
+one Horner loop, in Python floats for a scalar argument, in numpy for an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -90,7 +93,9 @@ class CoefficientTable:
 
     ``eps`` is the relative tail tolerance used to select K, ``ymax`` the
     argument bound the truncation was tested at.  Valid evaluations are
-    y in [0, ymax].
+    y in [0, ymax].  ``dpsi_coeffs`` (k A_k), ``d2psi_coeffs`` (k (k-1) A_k),
+    ``F_coeffs`` ((2k - n) A_k) and ``dF_coeffs`` (k (2k - n) A_k), zero terms
+    dropped, are built on first use and, like ``coeffs``, read-only.
     """
 
     params: ModelParams
@@ -101,6 +106,31 @@ class CoefficientTable:
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
+
+    @cached_property
+    def _k(self) -> np.ndarray:
+        return np.arange(self.K + 1, dtype=float)
+
+    @cached_property
+    def dpsi_coeffs(self) -> np.ndarray:
+        return _readonly((self._k * self.coeffs)[1:])
+
+    @cached_property
+    def d2psi_coeffs(self) -> np.ndarray:
+        return _readonly((self._k * (self._k - 1.0) * self.coeffs)[2:])
+
+    @cached_property
+    def F_coeffs(self) -> np.ndarray:
+        return _readonly((2.0 * self._k - self.params.n) * self.coeffs)
+
+    @cached_property
+    def dF_coeffs(self) -> np.ndarray:
+        return _readonly((self._k * (2.0 * self._k - self.params.n) * self.coeffs)[1:])
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def default_ymax(params: ModelParams) -> float:
@@ -183,19 +213,24 @@ def _horner(table: CoefficientTable, y, c):
 
     One loop over ``c.tolist()`` in the operation order of numpy's ``polyval``
     (``acc = c_K + y*0``, then ``acc = c_k + acc*y``), so results are bit for
-    bit polyval's.  A scalar y runs in Python floats and gives a float, an
-    array y runs in numpy and gives an array of its shape; no coefficients
-    give 0.
+    bit polyval's; no coefficients give 0.  A Python float or int (or np.float64)
+    is range-checked by float comparisons, any other y by numpy, with the same
+    ValueError; a scalar or 0-d y is summed in Python floats, an array in numpy.
     """
-    arr = np.asarray(y, dtype=float)
-    if not np.all(arr >= 0.0):  # a NaN fails this too
+    if isinstance(y, (float, int)):  # np.float64 subclasses float
+        x = float(y)
+        below, above = not x >= 0.0, x > table.ymax * _RANGE_SLACK  # NaN is below
+    else:
+        x = np.asarray(y, dtype=float)
+        below, above = not np.all(x >= 0.0), np.any(x > table.ymax * _RANGE_SLACK)
+        x = float(x) if x.ndim == 0 else x
+    if below:
         raise ValueError("series argument must be nonnegative")
-    if np.any(arr > table.ymax * _RANGE_SLACK):
+    if above:
         raise ValueError(
-            f"series argument {np.max(arr)} outside the table's validated range "
+            f"series argument {np.max(x)} outside the table's validated range "
             f"[0, {table.ymax}]"
         )
-    x = float(arr) if arr.ndim == 0 else arr
     coeffs = c.tolist() or [0.0]
     acc = coeffs[-1] + x * 0.0
     for ck in reversed(coeffs[:-1]):
@@ -215,10 +250,7 @@ def psi_derivative(table: CoefficientTable, y, order: int = 1):
     """Term-wise derivative of psi of the given order (1 or 2)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    k = np.arange(table.K + 1, dtype=float)
-    if order == 1:
-        return _horner(table, y, (k * table.coeffs)[1:])
-    return _horner(table, y, (k * (k - 1.0) * table.coeffs)[2:])
+    return _horner(table, y, table.dpsi_coeffs if order == 1 else table.d2psi_coeffs)
 
 
 def F_eval(params: ModelParams, z, table: CoefficientTable):
@@ -229,14 +261,12 @@ def F_eval(params: ModelParams, z, table: CoefficientTable):
     """
     if params != table.params:
         raise ValueError("params do not match the coefficient table")
-    k = np.arange(table.K + 1, dtype=float)
-    return _horner(table, z, (2.0 * k - params.n) * table.coeffs)
+    return _horner(table, z, table.F_coeffs)
 
 
 def F_derivative(table: CoefficientTable, z):
     """d/dz of the smooth-fit function: sum k (2k - n) A_k z^{k-1}."""
-    k = np.arange(table.K + 1, dtype=float)
-    return _horner(table, z, (k * (2.0 * k - table.params.n) * table.coeffs)[1:])
+    return _horner(table, z, table.dF_coeffs)
 
 
 def ode_residual_series(table: CoefficientTable, y):

@@ -18,7 +18,13 @@ from besselstop.boundary import (
     solve_root,
 )
 from besselstop.oracles import closed_form_Z, explicit_special_values
-from besselstop.series import F_eval, ModelParams, TruncationError, build_coefficients
+from besselstop.series import (
+    F_derivative,
+    F_eval,
+    ModelParams,
+    TruncationError,
+    build_coefficients,
+)
 from besselstop.value import U_star, build_candidate
 from besselstop.verify import PARAMETER_GRID
 
@@ -290,6 +296,29 @@ def test_sign_change_unique_on_log_grid():
         signs = np.sign(F_eval(params, grid, table))
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
+
+
+def test_find_Z_float_path_matches_array_path():
+    # find_Z's solve again, with F and F' read on one-element arrays, which
+    # take the numpy path of the series Horner loop: every field agrees bit
+    # for bit, so the float path moved no root
+    for a in PARAMETER_GRID:
+        for n in PARAMETER_GRID:
+            params = ModelParams(a, n)
+            table = build_coefficients(params)
+
+            def F(z):
+                nonlocal table
+                if z > table.ymax:
+                    table = build_coefficients(params, ymax=2.0 * z)
+                return float(F_eval(params, np.array([z]), table)[0])
+
+            def dF(z):
+                return float(F_derivative(table, np.array([z]))[0])
+
+            hi = max(1.0, 0.5 * (a + n))
+            via_arrays = solve_root(F, 0.0, hi, 1e-10, dF, grow_cap=2.0**60)
+            assert repr(find_Z(params)) == repr(via_arrays)
 
 
 def test_find_Z_iterations_on_grid():

@@ -184,17 +184,34 @@ def test_range_validation():
         psi_eval(table, -0.1)
     with pytest.raises(ValueError):
         F_eval(table.params, 6.0, table)
+    # a Python float takes the float path, a one-element array the numpy path:
+    # both accept ymax (1 + 1e-9) and give the same message for everything else
+    edge = table.ymax * (1.0 + 1e-9)
+    for call in (*_series_callers(table).values(), lambda y: psi_derivative(table, y, 2)):
+        assert call(edge) == call(np.array([edge]))[0]
+        for bad in (math.nan, -0.1, math.nextafter(edge, math.inf)):
+            with pytest.raises(ValueError) as scalar:
+                call(bad)
+            with pytest.raises(ValueError) as array:
+                call(np.array([bad]))
+            assert str(scalar.value) == str(array.value)
+
+
+def _series_callers(table):
+    return {
+        "psi_eval": lambda y: psi_eval(table, y),
+        "psi_derivative": lambda y: psi_derivative(table, y, 1),
+        "F_eval": lambda y: F_eval(table.params, y, table),
+        "F_derivative": lambda y: F_derivative(table, y),
+        "ode_residual_series": lambda y: ode_residual_series(table, y),
+    }
 
 
 _TABLE31 = build_coefficients(ModelParams(3, 1))
-_SERIES_CALLERS = {
-    "psi_eval": lambda y: psi_eval(_TABLE31, y),
-    "psi_derivative": lambda y: psi_derivative(_TABLE31, y, 1),
-    "F_eval": lambda y: F_eval(_TABLE31.params, y, _TABLE31),
-    "F_derivative": lambda y: F_derivative(_TABLE31, y),
-    "ode_residual_series": lambda y: ode_residual_series(_TABLE31, y),
-    "pde_residual": lambda q: pde_residual(build_candidate(ModelParams(3, 1)), 0.5, q),
-}
+_SERIES_CALLERS = dict(
+    _series_callers(_TABLE31),
+    pde_residual=lambda q: pde_residual(build_candidate(ModelParams(3, 1)), 0.5, q),
+)
 
 
 @pytest.mark.parametrize("caller", sorted(_SERIES_CALLERS))
@@ -205,6 +222,13 @@ def test_nan_series_argument_is_rejected(caller):
     for bad in (math.nan, np.array([0.5, math.nan])):
         with pytest.raises(ValueError, match="nonnegative"):
             call(bad)
+    # the float path gives the one-element array's message
+    for bad in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="nonnegative") as scalar:
+            call(bad)
+        with pytest.raises(ValueError) as array:
+            call(np.array([bad]))
+        assert str(scalar.value) == str(array.value)
 
 
 def test_F_at_zero_and_mismatched_params():
@@ -278,9 +302,14 @@ def test_residual_spot_value_from_example_parameters():
 
 
 def test_coefficients_are_readonly():
+    # one table serves every evaluation of a root solve, so a write into any
+    # of its arrays would corrupt the later ones
     table = build_coefficients(ModelParams(3, 1))
-    with pytest.raises(ValueError):
-        table.coeffs[0] = 2.0
+    for name in ("coeffs", "dpsi_coeffs", "d2psi_coeffs", "F_coeffs", "dF_coeffs"):
+        arr = getattr(table, name)
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+        assert getattr(table, name) is arr
 
 
 def _log_uniform(lo, hi):
@@ -298,14 +327,19 @@ def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
     # eps = 1 gives K = 0, so the derivative tables below are empty
     table = build_coefficients(ModelParams(alpha, n), eps=eps)
     k = np.arange(table.K + 1, dtype=float)
-    coeff_sets = (
-        table.coeffs,
-        (k * table.coeffs)[1:],
-        (k * (k - 1.0) * table.coeffs)[2:],
-        (2.0 * k - n) * table.coeffs,
-    )
+    inline = {
+        "coeffs": table.coeffs,
+        "dpsi_coeffs": (k * table.coeffs)[1:],
+        "d2psi_coeffs": (k * (k - 1.0) * table.coeffs)[2:],
+        "F_coeffs": (2.0 * k - n) * table.coeffs,
+        "dF_coeffs": (k * (2.0 * k - n) * table.coeffs)[1:],
+    }
+    coeff_sets = [getattr(table, name) for name in inline]
+    for name, c in zip(inline, coeff_sets):
+        assert c.dtype == float and c.tobytes() == inline[name].tobytes(), name
     y = u * table.ymax
-    args = (y, np.float64(y), np.array(y), np.linspace(0.0, table.ymax, 12).reshape(3, 4))
+    grid = np.linspace(0.0, table.ymax, 12).reshape(3, 4)
+    args = (y, np.float64(y), np.array(y), grid, 0, int(table.ymax))
     for c in coeff_sets:
         for arg in args:
             got = _horner(table, arg, c)
@@ -317,10 +351,10 @@ def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
                 assert isinstance(got, np.ndarray) and got.shape == (3, 4)
     if table.K == 0:
         assert psi_derivative(table, y, 1) == 0.0
-        assert np.array_equal(psi_derivative(table, args[3], 2), np.zeros((3, 4)))
+        assert np.array_equal(psi_derivative(table, grid, 2), np.zeros((3, 4)))
 
 
-@pytest.mark.parametrize("y", [1.25, np.float64(1.25), np.array(1.25)])
+@pytest.mark.parametrize("y", [1.25, np.float64(1.25), np.array(1.25), 1])
 def test_series_functions_return_python_float_for_scalar_input(y):
     params = ModelParams(3, 1)
     table = build_coefficients(params)
