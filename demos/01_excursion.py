@@ -3,8 +3,8 @@
 The threshold curve is C * sqrt(1-t) with C the unique root in (1, 2) of
 h(c) = 2 * int_0^c exp(t^2/2) dt - c * exp(c^2/2), and the value of waiting
 at the origin is B = 2 C exp(-C^2/2).  Everything below is computed twice,
-once from quadrature and once from the power series, and printed side by
-side.
+once from the closed-form integral (through erfi) and once from the power
+series, and printed side by side.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from besselstop import (
 
 root = find_C_excursion(1e-10)
 exc = build_excursion()
-print(f"threshold constant  C = {root.value:.10f}   (Brent on {root.bracket}, {root.iterations} steps)")
+print(f"threshold constant  C = {root.value:.10f}   (bracket {root.bracket}, {root.iterations} steps)")
 print(f"origin value        B = {exc.B:.10f}")
 print(f"identity check      C^2 / integral = {exc.B:.10f} = 2 C e^(-C^2/2)")
 
@@ -29,11 +29,11 @@ sol = build_candidate(ModelParams(3, 1))
 print(f"\nseries boundary scale Z = {sol.Z:.10f} (= C^2 = {root.value**2:.10f})")
 print(f"series origin value    = {V_star(sol, 0.0, 0.0):.10f}")
 
-print("\n t      x-boundary   quadrature value(t, 0.5)   series value(t, 0.5)")
+print("\n t      x-boundary  closed-form value(t, 0.5)   series value(t, 0.5)")
 for t in np.linspace(0.0, 0.9, 7):
-    quad_v = excursion_value(t, 0.5)
+    closed_v = excursion_value(t, 0.5)
     series_v = V_star(sol, t, 0.5)
-    print(f"{t:4.2f}   {boundary_x(sol, t):10.6f}   {quad_v:24.12f}   {series_v:20.12f}")
+    print(f"{t:4.2f}   {boundary_x(sol, t):10.6f}   {closed_v:24.12f}   {series_v:20.12f}")
 
-print("\nThe two constructions agree to ~1e-12; the quadrature route never")
+print("\nThe two constructions agree to ~1e-12; the closed-form route never")
 print("touches the series coefficients, so this is a genuine cross-check.")

@@ -6,11 +6,13 @@ excursion threshold C, the root in (1, 2) of
 
     h(c) = 2 * int_0^c exp(t^2/2) dt - c * exp(c^2/2).
 
-Both go through ``solve_root``: a sign-change bracket, Brent's method inside
-it and a single Newton polish, so convergence is guaranteed by the sign
-structure and the last step restores full floating-point accuracy.  The
-closed and Kummer forms of the special families, which check Z without the
-series, live in ``oracles`` and use the same helper.
+Both go through ``solve_root``: a sign-change bracket, Chandrupatla's
+bracketed inverse quadratic interpolation inside it and a single Newton
+step to polish, so convergence is guaranteed by the sign structure and the
+last step restores full floating-point accuracy.  The closed and Kummer forms of the
+special families and the ODE oracle's root, which check Z without the
+series, live in ``oracles`` and use the same helper.  scipy is imported only
+by ``exp_t2_integral``, on first use.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import erfi
-
 from .series import F_derivative, F_eval, ModelParams, _require, build_coefficients
 
+CHANDRUPATLA = "chandrupatla"
 NEWTON_POLISHED = "newton_polished"
+SECANT_POLISHED = "secant_polished"
+_EPS = 2.0**-52  # float64 machine epsilon
 
 
 class NoRootError(RuntimeError):
@@ -38,11 +40,14 @@ class NoRootError(RuntimeError):
 class RootResult:
     """A bracketed root with its residual and bookkeeping.
 
-    ``bracket`` is the sign-change bracket handed to Brent's method: the
-    target has opposite signs at its ends, or is exactly zero at one of them
-    (negative below and positive above for F; the excursion h is decreasing
-    through its root, so the signs flip there).  ``iterations`` counts the
-    bracket doublings, the Brent iterations and the Newton polish.
+    ``bracket`` is the sign-change bracket the interpolation starts from:
+    the target has opposite signs at its ends, or is exactly zero at one of
+    them (negative below and positive above for F; the excursion h is
+    decreasing through its root, so the signs flip there).  ``iterations``
+    counts the bracket doublings, the interpolation steps and the Newton
+    polish, one target evaluation each.  ``method`` names the last step:
+    ``newton_polished`` or ``secant_polished``, or ``chandrupatla`` where the
+    loop hit an exact zero.
     """
 
     value: float
@@ -53,22 +58,30 @@ class RootResult:
 
 
 def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
-    """Root of ``f`` between ``lo`` and ``hi`` by Brent's method.
+    """Root of ``f`` between ``lo`` and ``hi`` by Chandrupatla's method.
 
     With ``grow_cap``, ``hi`` doubles (``lo`` following it) until the signs
-    differ, and ``NoRootError`` is raised once ``hi`` passes the cap.  Brent
-    runs to ``tol`` (Brent 1973, ch. 4); with ``fprime``, one Newton step,
-    clamped to the bracket and to Brent's error bound, then restores full
-    floating-point accuracy.  An exact zero at a bracket end is accepted.  An
-    ``ArithmeticError`` in ``f`` is re-raised as ``NoRootError`` naming the
-    point.
+    differ, and ``NoRootError`` is raised once ``hi`` passes the cap.  Each
+    step then tries inverse quadratic interpolation through the bracket and
+    the point it last dropped, bisecting where the interpolant is not
+    monotone (Chandrupatla 1997), until the bracket is at most
+    ``tol + 4 eps |x|`` wide, ``x`` being the end with the smaller |f|.  One
+    Newton step from ``x``, with ``fprime`` or else with the slope of that
+    last bracket's chord, clamped to the bracket and to that width, then
+    restores full floating-point accuracy; it reuses f(x), so it costs one
+    evaluation of f (and one of ``fprime``).  An exact zero at a bracket end
+    or an iterate is accepted as it is.  An ``ArithmeticError`` in ``f``, or
+    a NaN from it, is re-raised as ``NoRootError`` naming the point.
     """
 
     def call(x: float) -> float:
         try:
-            return f(x)
+            fx = f(x)
         except ArithmeticError as exc:
             raise NoRootError(f"{type(exc).__name__} evaluating at {x!r}: {exc}") from exc
+        if fx != fx:
+            raise NoRootError(f"NaN evaluating at {x!r}")
+        return fx
 
     def straddles(flo: float, fhi: float) -> bool:
         return flo <= 0.0 <= fhi or fhi <= 0.0 <= flo
@@ -85,30 +98,57 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
     if not straddles(flo, fhi):
         raise NoRootError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
 
-    value, info = brentq(call, lo, hi, xtol=tol, full_output=True)
-    # brentq returns an exact zero at a bracket end without setting its count
-    iterations += info.iterations if flo != 0.0 and fhi != 0.0 else 0
-    method = "brentq"
-    fval = call(value)
-    slope = fprime(value) if fprime is not None and fval != 0.0 else 0.0
-    if slope != 0.0 and math.isfinite(slope):
-        cand = value - fval / slope
-        # Keep the step in the open bracket and within brentq's error bound,
-        # tol + 4 eps |value| <= tol + 8 ulp(value), of Brent's root.
-        width = tol + 8.0 * math.ulp(value)
-        cand = max(cand, value - width, math.nextafter(lo, hi))
-        cand = min(cand, value + width, math.nextafter(hi, lo))
-        if math.isfinite(cand):
-            value, method, fval = cand, NEWTON_POLISHED, call(cand)
-            iterations += 1
-    return RootResult(value, fval, iterations, (lo, hi), method)
+    # a is the newest point, b the other end of the bracket, c the end dropped last
+    a, fa, b, fb = hi, fhi, lo, flo
+    x, fx = (lo, flo) if flo == 0.0 else (hi, fhi)
+    t = 0.5
+    while fx != 0.0:
+        x = a + t * (b - a)
+        fx = call(x)
+        iterations += 1
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        if abs(fb) < abs(fa):
+            x, fx = b, fb
+        width = tol + 4.0 * _EPS * abs(x)
+        if abs(b - a) <= width:
+            break
+        lim = 0.5 * width / abs(b - a)
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc)
+            t += (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        else:
+            t = 0.5
+        t = min(1.0 - lim, max(lim, t))
+
+    method = CHANDRUPATLA
+    if fx != 0.0:
+        # one more step from x: Newton's with fprime, else the final chord's,
+        # which lands inside the last bracket
+        slope = fprime(x) if fprime is not None else (fb - fa) / (b - a)
+        if slope != 0.0 and math.isfinite(slope):
+            cand = x - fx / slope
+            # Keep the step in the open bracket and within the loop's error
+            # bound, tol + 4 eps |x| <= tol + 8 ulp(x), of its root.
+            width = tol + 8.0 * math.ulp(x)
+            cand = max(cand, x - width, math.nextafter(lo, hi))
+            cand = min(cand, x + width, math.nextafter(hi, lo))
+            if math.isfinite(cand):
+                x, fx = cand, call(cand)
+                method = NEWTON_POLISHED if fprime is not None else SECANT_POLISHED
+                iterations += 1
+    return RootResult(x, fx, iterations, (lo, hi), method)
 
 
 def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     """Unique positive root of the smooth-fit series for ``params``.
 
     Brackets by doubling from [0, max(1, (alpha+n)/2)] until F turns
-    positive, runs Brent's method to ``tol``, then applies one Newton step.
+    positive, runs ``solve_root`` to ``tol``, then applies one Newton step.
     The coefficient table is rebuilt transparently if the bracket outgrows
     its validated range.  The last root is remembered, so asking again for
     the same ``(params, tol)`` returns the same, immutable, ``RootResult``
@@ -135,6 +175,8 @@ def _solve_Z(params: ModelParams, tol: float) -> RootResult:
 
 def exp_t2_integral(c):
     """int_0^c e^{t^2/2} dt = sqrt(pi/2) erfi(c / sqrt 2), scalar or array ``c``."""
+    from scipy.special import erfi
+
     return math.sqrt(0.5 * math.pi) * erfi(c / math.sqrt(2.0))
 
 
@@ -146,7 +188,7 @@ def excursion_h(c: float) -> float:
 def find_C_excursion(tol: float = 1e-8) -> RootResult:
     """Excursion threshold constant: the root of h in (1, 2).
 
-    The integral is the closed form ``exp_t2_integral``; Brent's method runs
+    The integral is the closed form ``exp_t2_integral``; ``solve_root`` runs
     on [1, 2], where the sign change is guaranteed, with one Newton polish
     using h'(c) = e^{c^2/2} (1 - c^2).
     """

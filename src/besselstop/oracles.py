@@ -23,6 +23,9 @@ coordinate singularity:
   parameter families without the series: alpha = n in closed form, and n =
   alpha - 2 and n = 2 < alpha through scipy's Kummer function ``hyp1f1``
   (``quadrature_H``).
+
+Every root here goes through ``boundary.solve_root``; scipy's LAPACK and
+``hyp1f1`` are imported on first use, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
-from scipy.special import hyp1f1
 
 from .boundary import find_Z, solve_root
 from .series import (
@@ -159,6 +159,8 @@ def ode_shoot(
     g[1 : s + 1] = psi_eval(table, grid[1 : s + 1])
     p[1 : s + 1] = psi_derivative(table, grid[1 : s + 1], 1)
 
+    from scipy.linalg.lapack import dtbtrs
+
     m00, m01, m10, m11 = _rk4_step_matrices(a, n, grid[s:m], step)
     size = 2 * (m - s + 1)
     ab = np.zeros((4, size), order="F")  # ab[d, j] holds A[j + d, j]
@@ -223,12 +225,12 @@ def Z_from_ode(
             j = int(pos[0])
             if j == 0:
                 raise RangeError("sign change at the origin node; grid unusable")
-            y0, y1 = y[j - 1], y[j]
-            w0, w1 = w[j - 1], w[j]
+            y0, y1 = float(y[j - 1]), float(y[j])
+            w0, w1 = float(w[j - 1]), float(w[j])
 
             def wprime(i: int) -> float:
                 yp = (n * g[i] - 2.0 * (a - y[i]) * p[i]) / (4.0 * y[i])
-                return 2.0 * p[i] + 2.0 * y[i] * yp - n * p[i]
+                return float(2.0 * p[i] + 2.0 * y[i] * yp - n * p[i])
 
             d0, d1 = wprime(j - 1), wprime(j)
             h = y1 - y0
@@ -241,19 +243,9 @@ def Z_from_ode(
                 h11 = u * u * (u - 1.0)
                 return h00 * w0 + h10 * h * d0 + h01 * w1 + h11 * h * d1
 
-            z = float(brentq(hermite, y0, y1, xtol=1e-14))
-            return z, sol
+            return solve_root(hermite, y0, y1, 1e-14).value, sol
         ymax *= 2.0
     raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
-
-
-def _kummer(a: float, b: float, x: float) -> float:
-    # Kummer's M(a, b, x); past float range it is an OverflowError, which
-    # solve_root reports as NoRootError naming the point
-    m = float(hyp1f1(a, b, x))
-    if not math.isfinite(m):
-        raise OverflowError(f"M({a!r}, {b!r}, {x!r}) is not finite")
-    return m
 
 
 def _family(params: ModelParams):
@@ -279,14 +271,23 @@ def _family(params: ModelParams):
         or (math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12)
     ):
         return None
+    from scipy.special import hyp1f1
+
+    def kummer(b: float, c: float, x: float) -> float:
+        # Kummer's M(b, c, x); past float range it is an OverflowError, which
+        # solve_root reports as NoRootError naming the point
+        m = float(hyp1f1(b, c, x))
+        if not math.isfinite(m):
+            raise OverflowError(f"M({b!r}, {c!r}, {x!r}) is not finite")
+        return m
 
     def H(y: float) -> float:
-        return _kummer(0.5 * n, 0.5 * a, 0.5 * y) / (a - 2.0)
+        return kummer(0.5 * n, 0.5 * a, 0.5 * y) / (a - 2.0)
 
     def ratio(z: float) -> float:
         x = 0.5 * z
-        m2 = _kummer(0.5 * n + 1.0, 0.5 * a + 1.0, x)
-        return m2 / (a * _kummer(0.5 * n, 0.5 * a, x)) - 1.0 / z
+        m2 = kummer(0.5 * n + 1.0, 0.5 * a + 1.0, x)
+        return m2 / (a * kummer(0.5 * n, 0.5 * a, x)) - 1.0 / z
 
     # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2; an upper
     # end far past Z overflows M(n/2, alpha/2, z/2) at large alpha, so
@@ -319,8 +320,8 @@ def quadrature_H(params: ModelParams, y: float) -> float:
 def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
     """Boundary scale from the closed or Kummer form of a special family.
 
-    Exact for alpha = n; for the Kummer forms a root found by Brent's method
-    to ``tol``.  Returns None outside the three families.
+    Exact for alpha = n; for the Kummer forms a root found by
+    ``boundary.solve_root`` to ``tol``.  Returns None outside the three families.
     """
     family = _family(params)
     return None if family is None else family[1](tol)

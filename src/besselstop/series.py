@@ -32,11 +32,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 K_MAX = 500
 _RANGE_SLACK = 1.0 + 1e-9
 _TINY = np.finfo(float).tiny  # smallest normal float64
+# ln(2^k k!) for k = 0..K_MAX, the integer-argument part of the closed form
+_LOG_2K_FACTORIAL = np.array(
+    [k * math.log(2.0) + math.lgamma(k + 1.0) for k in range(K_MAX + 1)]
+)
 
 
 def _require(name, x, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False) -> float:
@@ -142,19 +145,14 @@ def default_ymax(params: ModelParams) -> float:
 def gamma_form_coefficients(params: ModelParams, K: int) -> np.ndarray:
     """Closed-form coefficients via log-gamma, A_k for k = 0..K.
 
-    Evaluated in log space so large k never overflows.
+    A_k = Gamma(alpha/2) Gamma(k + n/2) / (Gamma(n/2) Gamma(k + alpha/2) 2^k k!),
+    evaluated in log space with ``math.lgamma`` so large k never overflows.
     """
-    a, n = params.alpha, params.n
-    k = np.arange(K + 1, dtype=float)
-    log_ak = (
-        gammaln(a / 2.0)
-        - gammaln(n / 2.0)
-        + gammaln(k + n / 2.0)
-        - gammaln(k + a / 2.0)
-        - k * math.log(2.0)
-        - gammaln(k + 1.0)
-    )
-    return np.exp(log_ak)
+    ha, hn = 0.5 * params.alpha, 0.5 * params.n
+    lg = math.lgamma
+    c = lg(ha) - lg(hn)
+    log_ratio = np.array([c + lg(k + hn) - lg(k + ha) for k in range(K + 1)])
+    return np.exp(log_ratio - _LOG_2K_FACTORIAL[: K + 1])
 
 
 def build_coefficients(
@@ -184,28 +182,27 @@ def build_coefficients(
         coeffs.append(coeffs[-1] * ratio)
         term *= ratio * ymax
         total += term
-    arr = np.asarray(coeffs[: (K + 1) if K is not None else K_MAX + 1], dtype=float)
-
     if K is None:
-        partial = CoefficientTable(params, K_MAX, arr[: K_MAX + 1], eps, ymax)
+        partial = CoefficientTable(params, K_MAX, np.array(coeffs[: K_MAX + 1]), eps, ymax)
         raise TruncationError(
             f"series truncation failed: no K <= {K_MAX} meets eps={eps} at ymax={ymax}",
             partial=partial,
         )
 
     # compare where the closed form is a normal float; past its underflow both
-    # forms must be zero or subnormal.  A NaN fails both tests.
-    closed = gamma_form_coefficients(params, K)
-    normal = closed >= _TINY
-    rest = ~normal
-    if not ((arr[rest] < _TINY).all() and (closed[rest] < _TINY).all()):
-        raise RuntimeError("recursion disagrees with gamma closed form past underflow")
-    rel = np.max(np.abs(arr[normal] / closed[normal] - 1.0), initial=0.0)
+    # forms must be zero or subnormal.  A NaN in the closed form fails both
+    # tests; the recursion's positive ratios never give a NaN.
+    rel = 0.0
+    for x, c in zip(coeffs, gamma_form_coefficients(params, K).tolist()):
+        if c >= _TINY:
+            rel = max(rel, abs(x / c - 1.0))
+        elif not (x < _TINY and c < _TINY):
+            raise RuntimeError("recursion disagrees with gamma closed form past underflow")
     if not rel <= 1e-10:
         raise RuntimeError(
             f"recursion disagrees with gamma closed form (max rel {rel:.3e})"
         )
-    return CoefficientTable(params, K, arr, eps, ymax)
+    return CoefficientTable(params, K, np.array(coeffs), eps, ymax)
 
 
 def _horner(table: CoefficientTable, y, c):
@@ -270,11 +267,14 @@ def F_derivative(table: CoefficientTable, z):
 
 
 def ode_residual_series(table: CoefficientTable, y):
-    """Residual of 4y psi'' + 2(alpha - y) psi' - n psi at y, from the series."""
+    """Residual of 4y psi'' + 2(alpha - y) psi' - n psi at y, from the series.
+
+    A Python float or int y stays a float throughout, as in ``_horner``.
+    """
     a, n = table.params.alpha, table.params.n
-    arr = np.asarray(y, dtype=float)
-    p = psi_eval(table, arr)
-    p1 = psi_derivative(table, arr, 1)
-    p2 = psi_derivative(table, arr, 2)
-    out = 4.0 * arr * p2 + 2.0 * (a - arr) * p1 - n * p
-    return float(out) if np.isscalar(y) or np.ndim(y) == 0 else out
+    x = float(y) if isinstance(y, (float, int)) else np.asarray(y, dtype=float)
+    p = psi_eval(table, x)
+    p1 = psi_derivative(table, x, 1)
+    p2 = psi_derivative(table, x, 2)
+    out = 4.0 * x * p2 + 2.0 * (a - x) * p1 - n * p
+    return float(out) if np.ndim(out) == 0 else out

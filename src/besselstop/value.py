@@ -166,13 +166,14 @@ def pde_residual(sol: CandidateSolution, t: float, q) -> float:
     """Residual of the backward equation at continuation points.
 
     Through the self-similar ansatz this is the series ODE residual scaled by
-    (1-t)^{n/2 - 1} / 2, so it inherits the truncation-level smallness.
+    (1-t)^{n/2 - 1} / 2, so it inherits the truncation-level smallness.  A
+    Python float or int q is kept a float, as in ``ode_residual_series``.
     """
     t = _require("t", t, 0.0, 1.0, open_hi=True)
     tau = 1.0 - t
-    qa = np.asarray(q, dtype=float)
+    qa = float(q) if isinstance(q, (float, int)) else np.asarray(q, dtype=float)
     if np.any(qa >= sol.Z * tau):
         raise ValueError("pde_residual is defined on the continuation region only")
     res = ode_residual_series(sol.table, qa / tau)
     out = 0.5 * tau ** (sol.params.n / 2.0 - 1.0) * sol.E1 * res
-    return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out

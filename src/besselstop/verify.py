@@ -20,7 +20,7 @@ runs both coefficient iterations (the (n, g) form and the reparameterized
 monotone bounds that drive the induction, all numerically.
 
 Checks are returned as :class:`VerificationReport` objects so the command
-line can serialize them.
+line can serialize them.  scipy's ``gammaln`` is imported on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .series import ModelParams, _require
 
@@ -128,6 +127,8 @@ def lambda_eval(p: LambdaParams) -> float:
     change sign term by term, so it multiplies the positive prefactor
     directly.  Fails loudly if the truncation tail is not negligible.
     """
+    from scipy.special import gammaln
+
     n, g, Delta = p.n, p.gamma, p.Delta
     k = np.arange(p.K + 1, dtype=float)
     logpref = (
@@ -488,6 +489,8 @@ def run_iteration_checks(
     exact iteration, and the three families of monotone bounds up to r_max.
     """
     from fractions import Fraction
+
+    from scipy.special import gammaln
 
     from .series import build_coefficients, F_eval
 

@@ -5,11 +5,15 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from besselstop import boundary
+from besselstop import boundary, oracles
 from besselstop.boundary import (
     NoRootError,
+    RootResult,
     exp_t2_integral,
     boundary_margin,
     excursion_h,
@@ -17,7 +21,7 @@ from besselstop.boundary import (
     find_Z,
     solve_root,
 )
-from besselstop.oracles import closed_form_Z, explicit_special_values
+from besselstop.oracles import Z_from_ode, closed_form_Z, explicit_special_values
 from besselstop.series import (
     F_derivative,
     F_eval,
@@ -333,11 +337,12 @@ def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
     assert root.value == 1.0
     assert root.residual == 0.0
     assert root.bracket == (lo, hi)
-    assert root.iterations == 0  # brentq leaves its own count unset here
+    assert root.iterations == 0  # an exact zero at an end takes no step and no polish
+    assert root.method == "chandrupatla"
 
 
 def test_solve_root_polish_stays_within_tol():
-    # a wrong derivative must not carry the polished root away from Brent's
+    # a wrong derivative must not carry the polished root away from the loop's
     tol = 1e-6
     root = solve_root(lambda x: x**3 - 2.0, 0.0, 2.0, tol, fprime=lambda x: 1e-20)
     assert abs(root.value - 2.0 ** (1.0 / 3.0)) <= 2.0 * tol
@@ -348,6 +353,110 @@ def test_solve_root_without_sign_change():
         solve_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
     with pytest.raises(NoRootError, match="no sign change below"):
         solve_root(lambda x: -1.0, 0.0, 1.0, 1e-12, grow_cap=2.0**10)
+
+
+def test_solve_root_rejects_nan_inside_the_bracket():
+    def f(x):
+        return math.nan if 0.25 < x < 0.75 else x - 0.5
+
+    with pytest.raises(NoRootError, match="NaN evaluating at 0.5"):
+        solve_root(f, 0.0, 1.0, 1e-12)
+    with pytest.raises(NoRootError, match="NaN evaluating at 2.0"):
+        solve_root(lambda x: -1.0 if x < 2.0 else math.nan, 0.0, 1.0, 1e-12, grow_cap=2.0**10)
+
+
+def _brent_reference(params, tol=1e-10):
+    """find_Z as Brent's method plus the same Newton polish: the root and the
+    (F, F') evaluation counts of that solver, which re-evaluates the bracket
+    ends and its own root."""
+    counts = {"F": 0, "dF": 0}
+    table = build_coefficients(params)
+
+    def F(z):
+        nonlocal table
+        counts["F"] += 1
+        if z > table.ymax:
+            table = build_coefficients(params, ymax=2.0 * z)
+        return F_eval(params, z, table)
+
+    lo, hi = 0.0, max(1.0, 0.5 * (params.alpha + params.n))
+    flo, fhi = F(lo), F(hi)
+    while flo * fhi > 0.0:
+        lo, flo, hi = hi, fhi, 2.0 * hi
+        fhi = F(hi)
+    value = brentq(F, lo, hi, xtol=tol)
+    fval = F(value)
+    if fval != 0.0:
+        counts["dF"] += 1
+        width = tol + 8.0 * math.ulp(value)
+        cand = value - fval / F_derivative(table, value)
+        cand = max(cand, value - width, math.nextafter(lo, hi))
+        value = min(cand, value + width, math.nextafter(hi, lo))
+        F(value)
+    return value, counts
+
+
+def _assert_within_2_ulp_of_brent(a, n):
+    params = ModelParams(a, n)
+    want, _ = _brent_reference(params)
+    assert abs(find_Z(params).value - want) <= 2.0 * math.ulp(want), (a, n)
+
+
+def test_find_Z_matches_brent_on_grid():
+    for a in PARAMETER_GRID:
+        for n in PARAMETER_GRID:
+            _assert_within_2_ulp_of_brent(a, n)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=_log_uniform(0.05, 60.0), n=_log_uniform(0.05, 60.0))
+def test_find_Z_matches_brent_log_uniform(alpha, n):
+    _assert_within_2_ulp_of_brent(alpha, n)
+
+
+def test_find_Z_evaluates_F_no_more_often_than_brent(monkeypatch):
+    counts = {"F": 0, "dF": 0}
+    F, dF = boundary.F_eval, boundary.F_derivative
+
+    def counting_F(*args):
+        counts["F"] += 1
+        return F(*args)
+
+    def counting_dF(*args):
+        counts["dF"] += 1
+        return dF(*args)
+
+    monkeypatch.setattr(boundary, "F_eval", counting_F)
+    monkeypatch.setattr(boundary, "F_derivative", counting_dF)
+    brent = {"F": 0, "dF": 0}
+    for a in PARAMETER_GRID:
+        for n in PARAMETER_GRID:
+            params = ModelParams(a, n)
+            for key, count in _brent_reference(params)[1].items():
+                brent[key] += count
+            boundary._solve_Z.cache_clear()
+            find_Z(params)
+    boundary._solve_Z.cache_clear()
+    # Brent's solver reads 1057 F and 74 F' on these 81 pairs
+    assert counts["F"] <= brent["F"] and counts["dF"] <= brent["dF"], (counts, brent)
+
+
+def test_Z_from_ode_root_matches_brent(monkeypatch):
+    # the Hermite cubic's root on the criterion 5 pairs, against Brent's
+    # method on the same cubic
+    grid = (0.5, 1.0, 2.0, 3.0, 5.0)
+    got = {(a, n): Z_from_ode(ModelParams(a, n))[0] for a in grid for n in grid}
+
+    def brent(f, lo, hi, tol, fprime=None, grow_cap=None):
+        return RootResult(brentq(f, lo, hi, xtol=tol), 0.0, 0, (lo, hi), "brentq")
+
+    monkeypatch.setattr(oracles, "solve_root", brent)
+    for (a, n), z in got.items():
+        assert abs(z - Z_from_ode(ModelParams(a, n))[0]) <= 1e-13, (a, n)
 
 
 def test_solve_root_grows_bracket():

@@ -135,17 +135,10 @@ def test_quadrature_H_overflow_raises():
         quadrature_H(ModelParams(3, 1), 1500.0)
 
 
-def test_special_families_never_load_scipy_integrate():
-    # a fresh interpreter, since this suite's warning filter imports scipy.integrate
+def _run_fresh(script: str) -> None:
+    # a fresh interpreter, since this suite's warning filter and test modules
+    # import scipy
     repo_root = pathlib.Path(__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "from besselstop import ModelParams, closed_form_Z, explicit_special_values, quadrature_H\n"
-        "for a, n in ((3, 1), (7, 2), (2, 2)):\n"
-        "    p = ModelParams(a, n)\n"
-        "    closed_form_Z(p), quadrature_H(p, 1.0), explicit_special_values(p, 0.2, 0.5)\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True,
@@ -153,6 +146,42 @@ def test_special_families_never_load_scipy_integrate():
         cwd=str(repo_root),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_special_families_never_load_scipy_integrate():
+    _run_fresh(
+        "import sys\n"
+        "from besselstop import ModelParams, closed_form_Z, explicit_special_values, quadrature_H\n"
+        "for a, n in ((3, 1), (7, 2), (2, 2)):\n"
+        "    p = ModelParams(a, n)\n"
+        "    closed_form_Z(p), quadrature_H(p, 1.0), explicit_special_values(p, 0.2, 0.5)\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+    )
+
+
+def test_solve_evaluate_and_simulate_never_load_scipy():
+    # the package imports scipy only in the oracles, the closed forms and
+    # verification, on first use; those still pass once it is loaded
+    _run_fresh(
+        "import sys\n"
+        "import besselstop as bs\n"
+        "from besselstop import acceptance, cli\n"
+        "p = bs.ModelParams(3, 1)\n"
+        "sol = bs.build_candidate(p)\n"
+        "bs.U_star(sol, 0.2, 1.0), bs.U_star(sol, 0.2, [0.5, 3.0]), bs.V_star(sol, 0.2, 1.0)\n"
+        "bs.boundary_margin(p), bs.smooth_fit_residual(sol, 0.2)\n"
+        "cfg = bs.SimConfig(p, n_paths=64, n_steps=50, seed=1)\n"
+        "bs.mc_estimate(cfg, bs.ThresholdPolicy(sol.Z))\n"
+        "cli.run(cli.RunConfig('value', q0=1.0))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+        "p75 = bs.ModelParams(7, 5)\n"
+        "assert abs(bs.closed_form_Z(p75) - bs.find_Z(p75).value) <= 1e-10\n"
+        "assert abs(bs.Z_from_ode(p)[0] - sol.Z) <= 5e-11\n"
+        "assert bs.run_iteration_checks().all_passed\n"
+        "assert acceptance.criterion_1_excursion_constant().passed\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
 
 
 def test_lattice_converges_to_candidate_value():

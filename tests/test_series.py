@@ -231,6 +231,39 @@ def test_nan_series_argument_is_rejected(caller):
         assert str(scalar.value) == str(array.value)
 
 
+def _same_error(call, bad):
+    with pytest.raises(ValueError) as scalar:
+        call(bad)
+    with pytest.raises(ValueError) as array:
+        call(np.array([bad]))
+    assert str(scalar.value) == str(array.value)
+
+
+@pytest.mark.parametrize("alpha, n", [(3, 1), (0.3, 7.0), (20, 0.5), (1, 1)])
+def test_scalar_residual_is_the_one_element_array_result(alpha, n):
+    # a float or int argument stays a Python float through the three series
+    # calls; the result is bit for bit the one-element array's
+    params = ModelParams(alpha, n)
+    table = build_coefficients(params)
+    sol = build_candidate(params)
+    for u in (0.0, 0.1, 0.37, 0.9, 1.0):
+        for y in (u * table.ymax, np.float64(u * table.ymax), np.array(u * table.ymax)):
+            got = ode_residual_series(table, y)
+            want = ode_residual_series(table, np.array([float(y)]))
+            assert type(got) is float and np.array([got]).tobytes() == want.tobytes()
+        for t in (0.0, 0.4):
+            q = 0.999 * u * sol.Z * (1.0 - t)
+            got = pde_residual(sol, t, q)
+            want = pde_residual(sol, t, np.array([q]))
+            assert type(got) is float and np.array([got]).tobytes() == want.tobytes()
+    assert type(ode_residual_series(table, 1)) is float
+    assert type(pde_residual(sol, 0.5, 0)) is float
+    for bad in (math.nan, -0.5, 2.0 * table.ymax):
+        _same_error(lambda y: ode_residual_series(table, y), bad)
+    for bad in (math.nan, -0.5, sol.Z):
+        _same_error(lambda q: pde_residual(sol, 0.0, q), bad)
+
+
 def test_F_at_zero_and_mismatched_params():
     table = build_coefficients(ModelParams(3, 1))
     assert F_eval(ModelParams(3, 1), 0.0, table) == -1.0
