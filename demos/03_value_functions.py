@@ -2,8 +2,8 @@
 
 U*(t, q) glues the series branch to the payoff q^{n/2} along z(t) = Z (1-t);
 value matching holds by the choice of level constant and smooth fit by the
-choice of Z.  Special parameter families admit independent closed or
-integral forms, evaluated here next to the series.
+choice of Z.  Kummer's function gives the same value without the series for
+every pair, evaluated here next to it.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from besselstop import (
     U_star,
     boundary_q,
     build_candidate,
-    explicit_special_values,
+    kummer_value,
     smooth_fit_residual,
 )
 
@@ -29,11 +29,11 @@ print("\nsmooth-fit residual along the boundary (analytic, not differenced):")
 for t in (0.0, 0.3, 0.6, 0.9):
     print(f"  t={t:3.1f}: {smooth_fit_residual(sol, t):.3e}")
 
-print("\nclosed/integral forms vs the series (both branches):")
+print("\nKummer's form vs the series (both branches):")
 cases = [
-    (ModelParams(1, 1), "exponential family"),
-    (ModelParams(5, 3), "integral form, n = alpha - 2"),
-    (ModelParams(7, 2), "second integral form, n = 2"),
+    (ModelParams(1, 1), "alpha = n, psi = exp(y/2)"),
+    (ModelParams(5, 3), "n = alpha - 2"),
+    (ModelParams(5, 1), "general pair"),
 ]
 rng = np.random.default_rng(1)
 for params, label in cases:
@@ -42,7 +42,7 @@ for params, label in cases:
     for _ in range(20):
         t = rng.uniform(0.0, 0.9)
         q = rng.uniform(0.0, 2.0 * s.Z)
-        gap = abs(explicit_special_values(params, t, q) - U_star(s, t, q))
+        gap = abs(kummer_value(params, t, q) - U_star(s, t, q))
         worst = max(worst, gap)
     print(f"  ({params.alpha:g},{params.n:g}) {label}: max |gap| = {worst:.2e}")
 

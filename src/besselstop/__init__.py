@@ -21,12 +21,12 @@ from .oracles import (
     OdeSolution,
     RangeError,
     Z_from_ode,
-    closed_form_Z,
-    explicit_special_values,
     fd_value,
+    kummer_psi,
+    kummer_value,
+    kummer_Z,
     ode_residual,
     ode_shoot,
-    quadrature_H,
 )
 from .series import (
     CoefficientTable,
@@ -34,7 +34,6 @@ from .series import (
     TruncationError,
     build_coefficients,
     default_ymax,
-    F_derivative,
     F_eval,
     gamma_form_coefficients,
     ode_residual_series,
@@ -83,7 +82,6 @@ from .verify import (
     delta_polynomials,
     H_value,
     iterate_DB,
-    iterate_delta_exact,
     lambda_eval,
     lambda_iterate_invariance,
     run_iteration_checks,

@@ -73,7 +73,7 @@ def criterion_1_excursion_constant() -> CriterionResult:
     def body():
         root = find_C_excursion(1e-8)
         err = abs(root.value - REFERENCE_C)
-        # The Newton polish leaves the root within a few ulp (2.2e-16 each);
+        # The chord polish leaves the root within a few ulp (2.2e-16 each);
         # 1e-14 allows for erfi and exp differing by some ulp across libms.
         return err <= 1e-14, f"C={root.value:.10f} |C-ref|={err:.2e} (tol 1e-14)"
 
@@ -289,10 +289,15 @@ ALL_CRITERIA = (
 def run_acceptance(indices: tuple[int, ...] | None = None) -> list[CriterionResult]:
     """Run the selected criteria (all by default), one progress line each.
 
-    Progress goes to stderr so stdout stays parseable for the envelope.
+    Progress goes to stderr so stdout stays parseable for the envelope.  An
+    empty selection or an index outside 1..10 raises ValueError, so no
+    selection passes unrun.
     """
     import sys
 
+    valid = range(1, len(ALL_CRITERIA) + 1)
+    if indices is not None and (not indices or any(i not in valid for i in indices)):
+        raise ValueError(f"criteria must be indices in 1..{len(ALL_CRITERIA)}, got {indices}")
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if indices is not None and i not in indices:

@@ -7,12 +7,12 @@ excursion threshold C, the root in (1, 2) of
     h(c) = 2 * int_0^c exp(t^2/2) dt - c * exp(c^2/2).
 
 Both go through ``solve_root``: a sign-change bracket, Chandrupatla's
-bracketed inverse quadratic interpolation inside it and a single Newton
-step to polish, so convergence is guaranteed by the sign structure and the
-last step restores full floating-point accuracy.  The closed and Kummer forms of the
-special families and the ODE oracle's root, which check Z without the
-series, live in ``oracles`` and use the same helper.  scipy is imported only
-by ``exp_t2_integral``, on first use.
+bracketed inverse quadratic interpolation inside it and a single secant
+step along the final bracket's chord to polish, so convergence is
+guaranteed by the sign structure and the last step restores full
+floating-point accuracy.  The Kummer-function root and the ODE oracle's
+root, which check Z without the series, live in ``oracles`` and use the
+same helper.  scipy is imported only by ``exp_t2_integral``, on first use.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import F_derivative, F_eval, ModelParams, _require, build_coefficients
+from .series import F_eval, ModelParams, _require, build_coefficients
 
 CHANDRUPATLA = "chandrupatla"
-NEWTON_POLISHED = "newton_polished"
 SECANT_POLISHED = "secant_polished"
 _EPS = 2.0**-52  # float64 machine epsilon
 
@@ -44,10 +43,9 @@ class RootResult:
     the target has opposite signs at its ends, or is exactly zero at one of
     them (negative below and positive above for F; the excursion h is
     decreasing through its root, so the signs flip there).  ``iterations``
-    counts the bracket doublings, the interpolation steps and the Newton
+    counts the bracket doublings, the interpolation steps and the secant
     polish, one target evaluation each.  ``method`` names the last step:
-    ``newton_polished`` or ``secant_polished``, or ``chandrupatla`` where the
-    loop hit an exact zero.
+    ``secant_polished``, or ``chandrupatla`` where the loop hit an exact zero.
     """
 
     value: float
@@ -57,7 +55,7 @@ class RootResult:
     method: str
 
 
-def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
+def solve_root(f, lo, hi, tol, grow_cap=None) -> RootResult:
     """Root of ``f`` between ``lo`` and ``hi`` by Chandrupatla's method.
 
     With ``grow_cap``, ``hi`` doubles (``lo`` following it) until the signs
@@ -66,12 +64,12 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
     the point it last dropped, bisecting where the interpolant is not
     monotone (Chandrupatla 1997), until the bracket is at most
     ``tol + 4 eps |x|`` wide, ``x`` being the end with the smaller |f|.  One
-    Newton step from ``x``, with ``fprime`` or else with the slope of that
-    last bracket's chord, clamped to the bracket and to that width, then
-    restores full floating-point accuracy; it reuses f(x), so it costs one
-    evaluation of f (and one of ``fprime``).  An exact zero at a bracket end
-    or an iterate is accepted as it is.  An ``ArithmeticError`` in ``f``, or
-    a NaN from it, is re-raised as ``NoRootError`` naming the point.
+    secant step from ``x`` along that last bracket's chord, clamped to the
+    bracket and to that width, then restores full floating-point accuracy;
+    it reuses f(x), so it costs one evaluation of f.  An exact zero at a
+    bracket end or an iterate is accepted as it is.  An ``ArithmeticError``
+    in ``f``, or a NaN from it, is re-raised as ``NoRootError`` naming the
+    point.
     """
 
     def call(x: float) -> float:
@@ -127,9 +125,9 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
 
     method = CHANDRUPATLA
     if fx != 0.0:
-        # one more step from x: Newton's with fprime, else the final chord's,
-        # which lands inside the last bracket
-        slope = fprime(x) if fprime is not None else (fb - fa) / (b - a)
+        # one more step from x along the final chord, which lands inside the
+        # last bracket
+        slope = (fb - fa) / (b - a)
         if slope != 0.0 and math.isfinite(slope):
             cand = x - fx / slope
             # Keep the step in the open bracket and within the loop's error
@@ -139,7 +137,7 @@ def solve_root(f, lo, hi, tol, fprime=None, grow_cap=None) -> RootResult:
             cand = min(cand, x + width, math.nextafter(hi, lo))
             if math.isfinite(cand):
                 x, fx = cand, call(cand)
-                method = NEWTON_POLISHED if fprime is not None else SECANT_POLISHED
+                method = SECANT_POLISHED
                 iterations += 1
     return RootResult(x, fx, iterations, (lo, hi), method)
 
@@ -148,7 +146,7 @@ def find_Z(params: ModelParams, tol: float = 1e-10) -> RootResult:
     """Unique positive root of the smooth-fit series for ``params``.
 
     Brackets by doubling from [0, max(1, (alpha+n)/2)] until F turns
-    positive, runs ``solve_root`` to ``tol``, then applies one Newton step.
+    positive and runs ``solve_root`` to ``tol``, chord polish included.
     The coefficient table is rebuilt transparently if the bracket outgrows
     its validated range.  The last root is remembered, so asking again for
     the same ``(params, tol)`` returns the same, immutable, ``RootResult``
@@ -170,7 +168,7 @@ def _solve_Z(params: ModelParams, tol: float) -> RootResult:
         return F_eval(params, z, table)
 
     hi = max(1.0, 0.5 * (params.alpha + params.n))
-    return solve_root(F, 0.0, hi, tol, lambda z: F_derivative(table, z), grow_cap=2.0**60)
+    return solve_root(F, 0.0, hi, tol, grow_cap=2.0**60)
 
 
 def exp_t2_integral(c):
@@ -189,13 +187,10 @@ def find_C_excursion(tol: float = 1e-8) -> RootResult:
     """Excursion threshold constant: the root of h in (1, 2).
 
     The integral is the closed form ``exp_t2_integral``; ``solve_root`` runs
-    on [1, 2], where the sign change is guaranteed, with one Newton polish
-    using h'(c) = e^{c^2/2} (1 - c^2).
+    on [1, 2], where the sign change is guaranteed.
     """
     _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
-    return solve_root(
-        excursion_h, 1.0, 2.0, tol, lambda c: math.exp(0.5 * c * c) * (1.0 - c * c)
-    )
+    return solve_root(excursion_h, 1.0, 2.0, tol)
 
 
 def boundary_margin(params: ModelParams) -> float:

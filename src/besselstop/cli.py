@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
-from .oracles import Z_from_ode, closed_form_Z, fd_value
+from .oracles import Z_from_ode, fd_value, kummer_Z
 from .series import ModelParams, _require, build_coefficients
 from .simulate import (
     SimConfig,
@@ -147,16 +147,16 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
 
     if cmd == "boundary":
         root = find_Z(params, tol=config.tol)
-        is_excursion = math.isclose(params.alpha, 3.0) and math.isclose(params.n, 1.0)
+        is_excursion = params == ModelParams(3, 1)
         try:
-            closed = closed_form_Z(params)
-        except NoRootError:  # a Kummer form overflows at large alpha; Z still stands
-            closed = None
+            kummer = kummer_Z(params)
+        except NoRootError:  # M past float range; the series Z still stands
+            kummer = None
         results = {
             "Z": root.value,
             "C": find_C_excursion(min(config.tol, 1e-8)).value if is_excursion else None,
             "margin": root.value - 0.5 * (params.alpha + params.n - 2.0),
-            "closed_form_Z": closed,
+            "kummer_Z": kummer,
             "residual": root.residual,
             "iterations": root.iterations,
             "method": root.method,
@@ -248,7 +248,7 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
         results = report.to_dict()
 
     elif cmd == "verify-lemmas":
-        extra = (params,) if config.alpha != 3.0 or config.n != 1.0 else ()
+        extra = () if params in SHAPE_CASES else (params,)
         report = run_shape_checks(SHAPE_CASES + extra)
         results = report.to_dict()
 

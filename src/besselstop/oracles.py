@@ -19,10 +19,9 @@ coordinate singularity:
   = 0 when the stopping set is an upper interval, the discrete ratio rule
   u = psi sup phi/psi (Dayanik & Karatzas 2003); a complementarity residual
   checked afterwards confirms it.
-* ``closed_form_Z`` and ``explicit_special_values`` solve the three special
-  parameter families without the series: alpha = n in closed form, and n =
-  alpha - 2 and n = 2 < alpha through scipy's Kummer function ``hyp1f1``
-  (``quadrature_H``).
+* ``kummer_psi``, ``kummer_Z`` and ``kummer_value`` compute psi, Z and U*
+  for every (alpha, n) without the series: psi(y) = M(n/2, alpha/2, y/2) is
+  Kummer's function (DLMF 13.2), taken from scipy's ``hyp1f1``.
 
 Every root here goes through ``boundary.solve_root``; scipy's LAPACK and
 ``hyp1f1`` are imported on first use, so importing the package loads no scipy.
@@ -248,108 +247,70 @@ def Z_from_ode(
     raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
 
 
-def _family(params: ModelParams):
-    """``(H, solve_Z)`` for the special family of ``params``, or None outside them.
+def _kummer(b: float, c: float, x: float) -> float:
+    """Kummer's M(b, c, x) from scipy's ``hyp1f1``.
 
-    ``H`` is the family's bounded solution of the ODE, up to a constant
-    factor, and ``solve_Z(tol)`` finds the boundary scale without the series:
-
-    * alpha = n: H(y) = e^{y/2} and Z = n.
-    * n = alpha - 2 and n = 2 < alpha: H(y) = M(n/2, alpha/2, y/2) / (alpha - 2),
-      Kummer's function, which equals the integral forms
-      y^{-n/2} int_0^y e^{s/2} s^{n/2-1} ds / 2 (n = alpha - 2, DLMF 13.4.1)
-      and y^{1-alpha/2} e^{y/2} int_0^y e^{-v/2} v^{alpha/2-2} dv / 2 (n = 2).
-      Z solves the smooth-fit ratio H'/H = 1/Z, where
-      M'(a, b, x) = (a/b) M(a+1, b+1, x) gives
-      H'/H = M(n/2 + 1, alpha/2 + 1, z/2) / (alpha M(n/2, alpha/2, z/2)).
+    Past float range, or where ``hyp1f1`` gives up with a NaN, it is an
+    OverflowError, which ``solve_root`` reports as NoRootError naming the point.
     """
-    a, n = params.alpha, params.n
-    if math.isclose(a, n, rel_tol=1e-12, abs_tol=1e-12):
-        return (lambda y: math.exp(0.5 * y)), (lambda tol: n)
-    if not (
-        math.isclose(n, a - 2.0, rel_tol=1e-12, abs_tol=1e-12)
-        or (math.isclose(n, 2.0, rel_tol=1e-12, abs_tol=1e-12) and a > 2.0 + 1e-12)
-    ):
-        return None
     from scipy.special import hyp1f1
 
-    def kummer(b: float, c: float, x: float) -> float:
-        # Kummer's M(b, c, x); past float range it is an OverflowError, which
-        # solve_root reports as NoRootError naming the point
-        m = float(hyp1f1(b, c, x))
-        if not math.isfinite(m):
-            raise OverflowError(f"M({b!r}, {c!r}, {x!r}) is not finite")
-        return m
-
-    def H(y: float) -> float:
-        return kummer(0.5 * n, 0.5 * a, 0.5 * y) / (a - 2.0)
-
-    def ratio(z: float) -> float:
-        x = 0.5 * z
-        m2 = kummer(0.5 * n + 1.0, 0.5 * a + 1.0, x)
-        return m2 / (a * kummer(0.5 * n, 0.5 * a, x)) - 1.0 / z
-
-    # ratio ~ 1/alpha - 1/z < 0 at the lower end for every alpha > 2; an upper
-    # end far past Z overflows M(n/2, alpha/2, z/2) at large alpha, so
-    # doubling is only a safeguard
-    return H, lambda tol: solve_root(
-        ratio, 1e-6, max(4.0, 0.5 * a + 4.0), tol, grow_cap=2.0**40
-    ).value
+    m = float(hyp1f1(b, c, x))
+    if not math.isfinite(m):
+        raise OverflowError(f"M({b!r}, {c!r}, {x!r}) is not finite")
+    return m
 
 
-def quadrature_H(params: ModelParams, y: float) -> float:
-    """Bounded solution H of the special family of ``params`` (see ``_family``).
+def kummer_psi(params: ModelParams, y: float) -> float:
+    """psi(y) = M(n/2, alpha/2, y/2) without the series, for every alpha, n > 0.
 
-    e^{y/2} for alpha = n; for n = alpha - 2 and n = 2 < alpha Kummer's
-    M(n/2, alpha/2, y/2) / (alpha - 2) from scipy's ``hyp1f1``.  All are
-    strictly positive with finite limits at zero, which is what makes them
-    usable as value-function building blocks.  y = 0 returns the limit.
-    Raises ValueError outside the three families, and OverflowError where H
-    exceeds float range.
+    The series recursion A_{k+1}/A_k = (k + n/2) / (2 (k+1) (k + alpha/2)) is
+    Kummer's (DLMF 13.2.2) at y/2, so this is the series' own normalisation,
+    psi(0) = 1.  Raises OverflowError where psi exceeds float range.
     """
     y = _require("y", y, 0.0)
-    family = _family(params)
-    if family is None:
-        raise ValueError(
-            f"no closed or integral form for alpha={params.alpha}, n={params.n}; "
-            "need alpha = n, n = alpha - 2 or n = 2 < alpha"
-        )
-    return family[0](y)
+    return _kummer(0.5 * params.n, 0.5 * params.alpha, 0.5 * y)
 
 
-def closed_form_Z(params: ModelParams, tol: float = 1e-10) -> float | None:
-    """Boundary scale from the closed or Kummer form of a special family.
+def kummer_Z(params: ModelParams, tol: float = 1e-10) -> float:
+    """Boundary scale from Kummer's function, independent of the series.
 
-    Exact for alpha = n; for the Kummer forms a root found by
-    ``boundary.solve_root`` to ``tol``.  Returns None outside the three families.
+    M'(b, c, x) = (b/c) M(b+1, c+1, x) turns the smooth-fit function into
+    F(z)/n = z M(n/2 + 1, alpha/2 + 1, z/2) / alpha - M(n/2, alpha/2, z/2),
+    which is -1 at z = 0 for every pair; ``solve_root`` brackets its root from
+    0 to ``tol``.  On the diagonal both M are e^{z/2}, so Z = n exactly.
     """
-    family = _family(params)
-    return None if family is None else family[1](tol)
+    tol = _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
+    a, n = params.alpha, params.n
+
+    def f(z: float) -> float:
+        # z = alpha on the diagonal makes both products one and the same float
+        m2 = _kummer(0.5 * n + 1.0, 0.5 * a + 1.0, 0.5 * z)
+        return (z * m2 - a * _kummer(0.5 * n, 0.5 * a, 0.5 * z)) / a
+
+    # Z lay below (alpha + n)/2 + 1 on every pair tried, from 1e-3 to 2e4, and
+    # an upper end far past Z overflows M at large alpha, so the bracket ends
+    # just past that and doubling is only a safeguard.
+    return solve_root(f, 0.0, 0.5 * (a + n) + 2.0, tol, grow_cap=2.0**40).value
 
 
-def explicit_special_values(params: ModelParams, t: float, q: float) -> float | None:
-    """U*(t, q) from the closed or Kummer form of a special family.
+def kummer_value(params: ModelParams, t: float, q: float) -> float:
+    """U*(t, q) from ``kummer_psi`` and ``kummer_Z``, without the series:
 
-    With the family's H and Z this is
+        (1-t)^{n/2} Z^{n/2} / psi(Z) * psi(q / (1-t))   if q <  Z (1-t)
+        q^{n/2}                                          if q >= Z (1-t),
 
-        (1-t)^{n/2} Z^{n/2} / H(Z) * H(q / (1-t))   if q <  Z (1-t)
-        q^{n/2}                                      if q >= Z (1-t),
-
-    the constant fixed by value matching.  Returns None outside the three
-    families.
+    the constant fixed by value matching.
     """
     t = _require("t", t, 0.0, 1.0)
     q = _require("q", q, 0.0)
-    family = _family(params)
-    if family is None:
-        return None
-    H, solve_Z = family
     n = params.n
-    Z = solve_Z(1e-10)
+    Z = kummer_Z(params)
     if t == 1.0 or q >= Z * (1.0 - t):
         return q ** (n / 2.0)
     tau = 1.0 - t
-    return tau ** (n / 2.0) * (Z ** (n / 2.0) / H(Z)) * H(q / tau)
+    scale = Z ** (n / 2.0) / kummer_psi(params, Z)
+    return tau ** (n / 2.0) * scale * kummer_psi(params, q / tau)
 
 
 def _fd_stencil(a: float, n: float, y: np.ndarray, dy: float):

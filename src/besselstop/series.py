@@ -21,7 +21,7 @@ Tables are truncated with a relative tail test at a declared ``ymax`` and
 carry that range so downstream evaluations can refuse arguments the table was
 never validated for.  The recursion is cross-checked against the log-gamma
 closed form of the same coefficients on every build.  A table builds the
-coefficients of psi', psi'', F and F' once, on first use; every evaluation is
+coefficients of psi', psi'' and F once, on first use; every evaluation is
 one Horner loop, in Python floats for a scalar argument, in numpy for an array.
 """
 
@@ -96,9 +96,9 @@ class CoefficientTable:
 
     ``eps`` is the relative tail tolerance used to select K, ``ymax`` the
     argument bound the truncation was tested at.  Valid evaluations are
-    y in [0, ymax].  ``dpsi_coeffs`` (k A_k), ``d2psi_coeffs`` (k (k-1) A_k),
-    ``F_coeffs`` ((2k - n) A_k) and ``dF_coeffs`` (k (2k - n) A_k), zero terms
-    dropped, are built on first use and, like ``coeffs``, read-only.
+    y in [0, ymax].  ``dpsi_coeffs`` (k A_k), ``d2psi_coeffs`` (k (k-1) A_k)
+    and ``F_coeffs`` ((2k - n) A_k), zero terms dropped, are built on first
+    use and, like ``coeffs``, read-only.
     """
 
     params: ModelParams
@@ -125,10 +125,6 @@ class CoefficientTable:
     @cached_property
     def F_coeffs(self) -> np.ndarray:
         return _readonly((2.0 * self._k - self.params.n) * self.coeffs)
-
-    @cached_property
-    def dF_coeffs(self) -> np.ndarray:
-        return _readonly((self._k * (2.0 * self._k - self.params.n) * self.coeffs)[1:])
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -259,11 +255,6 @@ def F_eval(params: ModelParams, z, table: CoefficientTable):
     if params != table.params:
         raise ValueError("params do not match the coefficient table")
     return _horner(table, z, table.F_coeffs)
-
-
-def F_derivative(table: CoefficientTable, z):
-    """d/dz of the smooth-fit function: sum k (2k - n) A_k z^{k-1}."""
-    return _horner(table, z, table.dF_coeffs)
 
 
 def ode_residual_series(table: CoefficientTable, y):

@@ -147,11 +147,11 @@ def lambda_eval(p: LambdaParams) -> float:
 
 
 def tilde_map(D: float, B: float, Delta: float, n: float, gamma: float):
-    """One index-shift step: the pair the series is invariant under."""
+    """One index-shift step, the pair the series is invariant under; exact on Fractions."""
     return (
         (n + gamma) * D + n * B,
-        (n + gamma) * D + (n + 2.0 * Delta + 2.0 + 2.0 * gamma) * B,
-        Delta + 1.0,
+        (n + gamma) * D + (n + 2 * Delta + 2 + 2 * gamma) * B,
+        Delta + 1,
     )
 
 
@@ -199,22 +199,24 @@ def iterate_DB(
 ) -> list[IterState]:
     """Run the coefficient iteration from (D_0, B_0) = (1, -1).
 
-    ``gamma_form`` takes (n, gamma):
+    ``gamma_form`` takes (n, gamma) and steps by ``tilde_map`` with Delta = r:
         D' = (n+g) D + n B,  B' = (n+g) D + (n + 2r + 2 + 2g) B.
     ``delta_form`` takes (alpha, delta):
         D' = (a+d) D + (a + 2 + 2d) B,  B' = (a+d) D + (2r + a) B.
+    The states keep the inputs' number type: floats round as usual, while
+    Fractions give the exact iteration, which at alpha = 0 the closed-form
+    ``delta_polynomials`` reproduce.
     """
     _require("r_max", r_max, 0)
-    x, y = float(params[0]), float(params[1])
-    D, B = 1.0, -1.0
+    x, y = params
+    D, B = type(x + y)(1), type(x + y)(-1)
     out = [IterState(0, D, B)]
     for r in range(r_max):
         if parameterization == GAMMA_FORM:
-            n, g = x, y
-            D, B = (n + g) * D + n * B, (n + g) * D + (n + 2.0 * r + 2.0 + 2.0 * g) * B
+            D, B, _ = tilde_map(D, B, r, x, y)
         elif parameterization == DELTA_FORM:
             a, d = x, y
-            D, B = (a + d) * D + (a + 2.0 + 2.0 * d) * B, (a + d) * D + (2.0 * r + a) * B
+            D, B = (a + d) * D + (a + 2 + 2 * d) * B, (a + d) * D + (2 * r + a) * B
         else:
             raise ValueError(f"unknown parameterization {parameterization!r}")
         out.append(IterState(r + 1, D, B))
@@ -253,21 +255,6 @@ def delta_polynomials(delta, j: int):
     dval = sum(c * delta**i for i, c in enumerate(_D_POLY[j]) if c)
     bval = sum(c * delta**i for i, c in enumerate(_B_POLY[j]) if c)
     return dval, bval
-
-
-def iterate_delta_exact(delta, r_max: int) -> list[tuple]:
-    """Reparameterized iteration at dimension zero in exact arithmetic.
-
-    Feed a Fraction to compare against :func:`delta_polynomials` with no
-    rounding at all; the recurrence has integer structure so the identity is
-    exact, not approximate.
-    """
-    D, B = type(delta)(1), type(delta)(-1)
-    out = [(D, B)]
-    for r in range(r_max):
-        D, B = delta * D + (2 + 2 * delta) * B, delta * D + 2 * r * B
-        out.append((D, B))
-    return out
 
 
 def _slack_leq(value: float, bound: float) -> float:
@@ -534,9 +521,9 @@ def run_iteration_checks(
 
     poly_ok = True
     for dv in (Fraction(1), Fraction(3), Fraction(1, 10), Fraction(7, 3)):
-        exact = iterate_delta_exact(dv, 7)
+        exact = iterate_DB(DELTA_FORM, (0, dv), 7)
         for j in range(2, 8):
-            if delta_polynomials(dv, j) != exact[j]:
+            if delta_polynomials(dv, j) != (exact[j].D_r, exact[j].B_r):
                 poly_ok = False
     report = report.merge(
         VerificationReport(

@@ -66,3 +66,12 @@ def test_criterion_09_shape_suite():
 
 def test_criterion_10_iteration_suite():
     _run(acceptance.criterion_10_iteration_suite)
+
+
+@pytest.mark.parametrize("indices", [(11,), (0,), (1, 11), ()], ids=["11", "0", "1,11", "none"])
+def test_unknown_criterion_is_rejected(indices, monkeypatch):
+    # a selection naming no real criterion must not come back as an empty,
+    # vacuously passing run; nothing runs before the check
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (lambda: pytest.fail("ran"),) * 10)
+    with pytest.raises(ValueError, match=r"1\.\.10"):
+        acceptance.run_acceptance(indices=indices)

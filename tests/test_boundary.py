@@ -21,12 +21,12 @@ from besselstop.boundary import (
     find_Z,
     solve_root,
 )
-from besselstop.oracles import Z_from_ode, closed_form_Z, explicit_special_values
+from besselstop.oracles import Z_from_ode, kummer_Z, kummer_value
 from besselstop.series import (
-    F_derivative,
     F_eval,
     ModelParams,
     TruncationError,
+    _horner,
     build_coefficients,
 )
 from besselstop.value import U_star, build_candidate
@@ -189,72 +189,75 @@ def test_candidate_and_margin_share_one_solve(table_builds):
 
 
 def test_closed_form_equal_parameters():
-    assert closed_form_Z(ModelParams(2, 2)) == 2.0
-    assert closed_form_Z(ModelParams(0.5, 0.5)) == 0.5
+    # on the diagonal both Kummer functions are e^{z/2}, and the root is n exactly
+    for n in (1e-7, 1e-3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
+        assert kummer_Z(ModelParams(n, n)) == n
 
 
 @pytest.mark.parametrize("a", [2.5, 3.0, 4.0, 5.0, 7.0, 12.0])
 def test_closed_form_integral_family(a):
-    z = closed_form_Z(ModelParams(a, a - 2.0))
-    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
-    z2 = closed_form_Z(ModelParams(a, 2.0))
-    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
+    # n = alpha - 2 and n = 2 < alpha, once families with their own forms
+    z = kummer_Z(ModelParams(a, a - 2.0))
+    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-13)
+    z2 = kummer_Z(ModelParams(a, 2.0))
+    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-13)
 
 
 @pytest.mark.parametrize("a", [80.0, 150.0])
 def test_closed_form_integral_family_large_alpha(a):
-    # both families are Kummer's function from hyp1f1 and stay finite here
-    z = closed_form_Z(ModelParams(a, a - 2.0))
-    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-9)
-    z2 = closed_form_Z(ModelParams(a, 2.0))
-    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-9)
+    # Kummer's functions from hyp1f1 stay finite here
+    z = kummer_Z(ModelParams(a, a - 2.0))
+    assert z == pytest.approx(find_Z(ModelParams(a, a - 2.0)).value, rel=1e-13)
+    z2 = kummer_Z(ModelParams(a, 2.0))
+    assert z2 == pytest.approx(find_Z(ModelParams(a, 2.0)).value, rel=1e-13)
 
 
 @pytest.mark.parametrize("a", [3.0, 7.0, 40.0, 100.0])
 def test_second_integral_form_matches_series_root(a):
-    # H is hyp1f1 in closed form: no quadrature, no IntegrationWarning
+    # psi is hyp1f1 in closed form: no quadrature, no IntegrationWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = closed_form_Z(ModelParams(a, 2.0))
+        z = kummer_Z(ModelParams(a, 2.0))
     assert abs(z - find_Z(ModelParams(a, 2.0)).value) <= 1e-10 * z
 
 
-def _kummer_root(a):
-    # z M(2, a/2 + 1, z/2) = a M(1, a/2, z/2), the n = 2 smooth fit, at 40 digits
-    with mp.workdps(40):
-        a = mp.mpf(a)
-        return mp.findroot(
-            lambda z: z * mp.hyp1f1(2, a / 2 + 1, z / 2) - a * mp.hyp1f1(1, a / 2, z / 2),
-            a / 2 + 1,
-        )
-
-
-def _first_form_root(a):
-    # M(n/2 + 1, a/2 + 1, z/2) / (a M(n/2, a/2, z/2)) = 1/z with n = a - 2, at 50
-    # digits; Z lies between the margin's a - 2 and a
-    with mp.workdps(50):
-        a = mp.mpf(a)
-        n = a - 2
+def _mpmath_root(alpha, n):
+    # z M(n/2 + 1, alpha/2 + 1, z/2) = alpha M(n/2, alpha/2, z/2) at 60 digits,
+    # divided through by the right side so that it stays of order one; the
+    # secant starts at (alpha + n)/2, within one of Z, not at the root under test
+    with mp.workdps(60):
+        a, b = mp.mpf(alpha), mp.mpf(n)
 
         def ratio(z):
-            m2 = mp.hyp1f1(n / 2 + 1, a / 2 + 1, z / 2)
-            return m2 / (a * mp.hyp1f1(n / 2, a / 2, z / 2)) - 1 / z
+            m2 = mp.hyp1f1(b / 2 + 1, a / 2 + 1, z / 2)
+            return z * m2 / (a * mp.hyp1f1(b / 2, a / 2, z / 2)) - 1
 
-        return mp.findroot(ratio, (max(a - 2, mp.mpf("0.01")), a), solver="anderson")
+        return mp.findroot(ratio, (alpha + n) / 2)
 
 
 @pytest.mark.parametrize("a", [2.05, 2.5, 3.0, 30.0, 150.0, 300.0, 400.0, 1000.0])
 def test_first_integral_form_root_matches_mpmath(a):
     # at 300, 400 and 1000 find_Z raises TruncationError; this form still holds
-    z = closed_form_Z(ModelParams(a, a - 2.0))
-    assert abs(z - float(_first_form_root(a))) <= 1e-12 * z
+    z = kummer_Z(ModelParams(a, a - 2.0))
+    assert abs(z - float(_mpmath_root(a, a - 2.0))) <= 1e-12 * z
 
 
 @pytest.mark.parametrize("a", [5000.0, 2e4])
 def test_second_integral_form_root_at_very_large_alpha(a):
     # M(1, alpha/2, z/2) overflows well above Z here, so the bracket must start near Z
-    z = closed_form_Z(ModelParams(a, 2.0))
-    assert abs(z - float(_kummer_root(a))) <= 1e-12 * z
+    z = kummer_Z(ModelParams(a, 2.0))
+    assert abs(z - float(_mpmath_root(a, 2.0))) <= 1e-12 * z
+
+
+@pytest.mark.parametrize("alpha, n", [(1400.0, 1398.0), (1.0, 300.0), (1000.0, 0.01)])
+def test_kummer_Z_matches_mpmath_past_the_series(alpha, n):
+    # large alpha and n, where the series table needs more than K_MAX terms
+    params = ModelParams(alpha, n)
+    z = kummer_Z(params)
+    assert abs(z - float(_mpmath_root(alpha, n))) <= 1e-14 * z
+    if (alpha, n) == (1000.0, 0.01):
+        with pytest.raises(TruncationError):
+            find_Z(params)
 
 
 def test_second_form_value_at_very_large_alpha():
@@ -262,18 +265,21 @@ def test_second_form_value_at_very_large_alpha():
     a = 5000.0
     params = ModelParams(a, 2.0)
     with mp.workdps(40):
-        Z = _kummer_root(a)
+        Z = _mpmath_root(a, 2.0)
         for t, q in ((0.0, 0.0), (0.0, 1000.0), (0.5, 1000.0), (0.5, 1250.0), (0.0, 3000.0)):
             tau = 1 - mp.mpf(t)
             if q >= Z * tau:
                 want = mp.mpf(q)
             else:
                 want = tau * Z * mp.hyp1f1(1, a / 2, q / (2 * tau)) / mp.hyp1f1(1, a / 2, Z / 2)
-            assert explicit_special_values(params, t, q) == pytest.approx(float(want), rel=1e-12)
+            assert kummer_value(params, t, q) == pytest.approx(float(want), rel=1e-12)
 
 
-def test_closed_form_absent():
-    assert closed_form_Z(ModelParams(5, 1)) is None
+def test_kummer_Z_off_the_special_families():
+    # (5, 1) lies in no family that once had its own closed form
+    params = ModelParams(5, 1)
+    assert kummer_Z(params) == pytest.approx(find_Z(params).value, rel=1e-14)
+    assert kummer_Z(params) == pytest.approx(Z_REF[(5.0, 1.0)], rel=1e-14)
 
 
 def test_margin_examples():
@@ -303,9 +309,9 @@ def test_sign_change_unique_on_log_grid():
 
 
 def test_find_Z_float_path_matches_array_path():
-    # find_Z's solve again, with F and F' read on one-element arrays, which
-    # take the numpy path of the series Horner loop: every field agrees bit
-    # for bit, so the float path moved no root
+    # find_Z's solve again, with F read on one-element arrays, which take the
+    # numpy path of the series Horner loop: every field agrees bit for bit,
+    # so the float path moved no root
     for a in PARAMETER_GRID:
         for n in PARAMETER_GRID:
             params = ModelParams(a, n)
@@ -317,11 +323,8 @@ def test_find_Z_float_path_matches_array_path():
                     table = build_coefficients(params, ymax=2.0 * z)
                 return float(F_eval(params, np.array([z]), table)[0])
 
-            def dF(z):
-                return float(F_derivative(table, np.array([z]))[0])
-
             hi = max(1.0, 0.5 * (a + n))
-            via_arrays = solve_root(F, 0.0, hi, 1e-10, dF, grow_cap=2.0**60)
+            via_arrays = solve_root(F, 0.0, hi, 1e-10, grow_cap=2.0**60)
             assert repr(find_Z(params)) == repr(via_arrays)
 
 
@@ -333,7 +336,7 @@ def test_find_Z_iterations_on_grid():
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-1.0, 1.0)])
 def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
-    root = solve_root(lambda x: x - 1.0, lo, hi, 1e-12, fprime=lambda x: 1.0)
+    root = solve_root(lambda x: x - 1.0, lo, hi, 1e-12)
     assert root.value == 1.0
     assert root.residual == 0.0
     assert root.bracket == (lo, hi)
@@ -342,10 +345,20 @@ def test_solve_root_accepts_exact_zero_at_bracket_end(lo, hi):
 
 
 def test_solve_root_polish_stays_within_tol():
-    # a wrong derivative must not carry the polished root away from the loop's
+    # the chord polish lands inside the loop's last bracket, so even a loose
+    # tol leaves the root within it, and the polish costs one evaluation
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x**3 - 2.0
+
     tol = 1e-6
-    root = solve_root(lambda x: x**3 - 2.0, 0.0, 2.0, tol, fprime=lambda x: 1e-20)
-    assert abs(root.value - 2.0 ** (1.0 / 3.0)) <= 2.0 * tol
+    root = solve_root(f, 0.0, 2.0, tol)
+    assert abs(root.value - 2.0 ** (1.0 / 3.0)) <= tol
+    assert root.method == "secant_polished"
+    assert root.iterations == len(calls) - 2  # the two bracket ends are free
+    assert calls[-1] == root.value
 
 
 def test_solve_root_without_sign_change():
@@ -366,9 +379,10 @@ def test_solve_root_rejects_nan_inside_the_bracket():
 
 
 def _brent_reference(params, tol=1e-10):
-    """find_Z as Brent's method plus the same Newton polish: the root and the
-    (F, F') evaluation counts of that solver, which re-evaluates the bracket
-    ends and its own root."""
+    """find_Z as Brent's method plus a Newton polish with the series' own
+    F'(z) = sum k (2k - n) A_k z^{k-1}: the root and the (F, F') evaluation
+    counts of that solver, which re-evaluates the bracket ends and its own
+    root."""
     counts = {"F": 0, "dF": 0}
     table = build_coefficients(params)
 
@@ -389,7 +403,9 @@ def _brent_reference(params, tol=1e-10):
     if fval != 0.0:
         counts["dF"] += 1
         width = tol + 8.0 * math.ulp(value)
-        cand = value - fval / F_derivative(table, value)
+        k = np.arange(table.K + 1, dtype=float)
+        dF = _horner(table, value, (k * (2.0 * k - params.n) * table.coeffs)[1:])
+        cand = value - fval / dF
         cand = max(cand, value - width, math.nextafter(lo, hi))
         value = min(cand, value + width, math.nextafter(hi, lo))
         F(value)
@@ -419,19 +435,14 @@ def test_find_Z_matches_brent_log_uniform(alpha, n):
 
 
 def test_find_Z_evaluates_F_no_more_often_than_brent(monkeypatch):
-    counts = {"F": 0, "dF": 0}
-    F, dF = boundary.F_eval, boundary.F_derivative
+    counts = {"F": 0}
+    F = boundary.F_eval
 
     def counting_F(*args):
         counts["F"] += 1
         return F(*args)
 
-    def counting_dF(*args):
-        counts["dF"] += 1
-        return dF(*args)
-
     monkeypatch.setattr(boundary, "F_eval", counting_F)
-    monkeypatch.setattr(boundary, "F_derivative", counting_dF)
     brent = {"F": 0, "dF": 0}
     for a in PARAMETER_GRID:
         for n in PARAMETER_GRID:
@@ -441,8 +452,9 @@ def test_find_Z_evaluates_F_no_more_often_than_brent(monkeypatch):
             boundary._solve_Z.cache_clear()
             find_Z(params)
     boundary._solve_Z.cache_clear()
-    # Brent's solver reads 1057 F and 74 F' on these 81 pairs
-    assert counts["F"] <= brent["F"] and counts["dF"] <= brent["dF"], (counts, brent)
+    # Brent's solver reads 1057 F and 74 F' on these 81 pairs; find_Z's chord
+    # polish reads no F' at all
+    assert counts["F"] <= brent["F"], (counts, brent)
 
 
 def test_Z_from_ode_root_matches_brent(monkeypatch):
@@ -451,7 +463,7 @@ def test_Z_from_ode_root_matches_brent(monkeypatch):
     grid = (0.5, 1.0, 2.0, 3.0, 5.0)
     got = {(a, n): Z_from_ode(ModelParams(a, n))[0] for a in grid for n in grid}
 
-    def brent(f, lo, hi, tol, fprime=None, grow_cap=None):
+    def brent(f, lo, hi, tol, grow_cap=None):
         return RootResult(brentq(f, lo, hi, xtol=tol), 0.0, 0, (lo, hi), "brentq")
 
     monkeypatch.setattr(oracles, "solve_root", brent)
@@ -467,8 +479,8 @@ def test_solve_root_grows_bracket():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: closed_form_Z(ModelParams(1400, 1398))],
-    ids=["kummer_form_a1400"],
+    [lambda: kummer_Z(ModelParams(3, 1000))],
+    ids=["kummer_a3_n1000"],
 )
 def test_special_family_breakdown_is_typed(call):
     with pytest.raises(NoRootError, match="evaluating at"):
@@ -477,10 +489,9 @@ def test_special_family_breakdown_is_typed(call):
 
 @pytest.mark.parametrize("a", [120.0, 400.0])
 def test_second_form_value_holds_at_large_alpha(a):
-    # summed in logs, the second form holds where its quadrature broke down;
-    # at q = 1e-8 P(b, q/2) underflows and Kummer's form takes over
+    # n = 2 at large alpha, down to q = 1e-8, where quadrature once broke down
     params = ModelParams(a, 2.0)
     sol = build_candidate(params)
     for t, q in ((0.0, 0.0), (0.0, 1e-8), (0.5, 10.0)):
         want = U_star(sol, t, q)
-        assert explicit_special_values(params, t, q) == pytest.approx(want, rel=1e-12)
+        assert kummer_value(params, t, q) == pytest.approx(want, rel=1e-12)

@@ -14,7 +14,7 @@ from besselstop.cli import RunConfig, _config_from_args, build_parser, main
 from besselstop.oracles import AccuracyError, LatticeError, RangeError
 from besselstop.series import TruncationError
 
-BOUNDARY_KEYS = {"Z", "C", "margin", "closed_form_Z", "residual", "iterations", "method"}
+BOUNDARY_KEYS = {"Z", "C", "margin", "kummer_Z", "residual", "iterations", "method"}
 ENVELOPE_KEYS = {"tool_version", "config", "results", "timing"}
 
 
@@ -33,6 +33,8 @@ def test_boundary_json_golden(capsys):
     assert env["results"]["Z"] == pytest.approx(2.26020, abs=5e-6)
     assert env["results"]["C"] == pytest.approx(1.50339538, abs=1e-6)
     assert env["results"]["margin"] == pytest.approx(1.26020, abs=5e-6)
+    assert env["results"]["kummer_Z"] == pytest.approx(env["results"]["Z"], rel=1e-14)
+    assert env["results"]["method"] == "secant_polished"
     assert env["config"]["seed"] == 20240601
     # reader round-trip
     assert json.loads(json.dumps(env)) == env
@@ -43,26 +45,26 @@ def test_boundary_excursion_constant_absent_elsewhere(capsys):
     env = json.loads(out)
     assert code == 0
     assert env["results"]["C"] is None
-    assert env["results"]["closed_form_Z"] == pytest.approx(2.0, abs=1e-9)
+    assert env["results"]["kummer_Z"] == 2.0
 
 
 def test_boundary_integral_family_large_alpha(capsys):
-    # (7, 2) is in the second integral family, n = 2 < alpha
-    for alpha, n in (("80", "78"), ("7", "2")):
+    # Kummer's root is reported for every pair, not only the former families
+    for alpha, n in (("80", "78"), ("7", "2"), ("5", "1"), ("0.3", "17")):
         code, out = run_cli(capsys, "boundary", "--alpha", alpha, "--n", n)
         assert code == 0
         res = json.loads(out)["results"]
-        assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-9)
+        assert res["kummer_Z"] == pytest.approx(res["Z"], rel=1e-13)
 
 
 def test_boundary_integral_form_breakdown_keeps_series_root(capsys):
-    # the second integral form, summed in logs, holds at alpha = 120 (it
-    # underflowed under quadrature and was reported as null)
+    # n = 2 at alpha = 120, where a quadrature form once underflowed and was
+    # reported as null
     code, out = run_cli(capsys, "boundary", "--alpha", "120", "--n", "2")
     assert code == 0
     res = json.loads(out)["results"]
     assert math.isfinite(res["Z"])
-    assert res["closed_form_Z"] == pytest.approx(res["Z"], rel=1e-10)
+    assert res["kummer_Z"] == pytest.approx(res["Z"], rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", ["40", "100"])
@@ -77,7 +79,7 @@ def test_boundary_second_integral_form_prints_no_warning(alpha):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["results"]["closed_form_Z"] is not None
+    assert json.loads(proc.stdout)["results"]["kummer_Z"] is not None
 
 
 def test_value_json(capsys):
@@ -340,6 +342,16 @@ def test_verify_lemmas_payload(capsys):
     assert env["results"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("alpha, n, count", [("5", "3", 13), ("1", "1", 11), ("3", "1", 11)])
+def test_verify_lemmas_runs_each_case_once(capsys, alpha, n, count):
+    # a pair already in the shape battery adds no second copy of its checks
+    code, out = run_cli(capsys, "verify-lemmas", "--alpha", alpha, "--n", n)
+    names = [c["name"] for c in json.loads(out)["results"]["checks"]]
+    assert code == 0
+    assert len(names) == count
+    assert len(set(names)) == count
+
+
 def test_acceptance_subset(capsys):
     code = main(["acceptance", "--criteria", "1,2,3"])
     captured = capsys.readouterr()
@@ -348,6 +360,16 @@ def test_acceptance_subset(capsys):
     assert env["results"]["all_passed"] is True
     assert [c["index"] for c in env["results"]["criteria"]] == [1, 2, 3]
     assert "excursion constant" in captured.err
+
+
+@pytest.mark.parametrize("criteria", ["11", "0", "1,11"])
+def test_acceptance_rejects_unknown_criterion(capsys, criteria):
+    # an index outside 1..10 is a usage error, not an empty run that passes
+    code = main(["acceptance", "--criteria", criteria])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1..10" in captured.err
 
 
 def test_csv_flat_fallback_for_scalar_results(tmp_path, capsys):

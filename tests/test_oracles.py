@@ -21,9 +21,11 @@ from besselstop.oracles import (
     RangeError,
     Z_from_ode,
     fd_value,
+    kummer_psi,
+    kummer_value,
+    kummer_Z,
     ode_residual,
     ode_shoot,
-    quadrature_H,
 )
 from besselstop.series import (
     ModelParams,
@@ -107,32 +109,57 @@ def test_quadrature_H_proportional_to_scaled_integral():
         direct, _ = quad(
             lambda t: math.exp(0.5 * t * t), 0.0, math.sqrt(y), epsrel=1e-12, epsabs=0.0
         )
-        assert quadrature_H(params, y) == pytest.approx(direct / math.sqrt(y), rel=1e-9)
+        assert kummer_psi(params, y) == pytest.approx(direct / math.sqrt(y), rel=1e-9)
 
 
 def test_quadrature_H_limits_and_validation():
-    assert quadrature_H(ModelParams(3, 1), 0.0) == 1.0
-    assert quadrature_H(ModelParams(4, 2), 0.0) == 0.5
-    assert quadrature_H(ModelParams(4, 2), 1e-10) == pytest.approx(0.5, rel=1e-5)
-    assert quadrature_H(ModelParams(7, 2), 1.0) > 0.0
-    assert quadrature_H(ModelParams(2, 2), 3.0) == math.exp(1.5)
+    # kummer_psi is normalised like the series, psi(0) = 1, for every pair
+    assert kummer_psi(ModelParams(3, 1), 0.0) == 1.0
+    assert kummer_psi(ModelParams(4, 2), 0.0) == 1.0
+    assert kummer_psi(ModelParams(4, 2), 1e-10) == pytest.approx(1.0, rel=1e-9)
+    assert kummer_psi(ModelParams(7, 2), 1.0) > 0.0
+    assert kummer_psi(ModelParams(2, 2), 3.0) == math.exp(1.5)
+    table = build_coefficients(ModelParams(5, 1))
+    assert kummer_psi(ModelParams(5, 1), 1.0) == pytest.approx(psi_eval(table, 1.0), rel=1e-15)
     with pytest.raises(ValueError):
-        quadrature_H(ModelParams(5, 1), 1.0)
-    with pytest.raises(ValueError):
-        quadrature_H(ModelParams(3, 1), -1.0)
+        kummer_psi(ModelParams(3, 1), -1.0)
 
 
 def test_quadrature_H_both_forms_coincide_at_overlap():
-    # alpha = 4, n = 2 admits both integral forms; they normalize identically
+    # alpha = 4, n = 2 lies on both former integral families, where
+    # M(1, 2, x) = (e^x - 1) / x
     params = ModelParams(4, 2)
     for y in (0.5, 1.5, 3.0):
-        h1 = quadrature_H(params, y)
-        assert h1 == pytest.approx((math.exp(0.5 * y) - 1.0) / y, rel=1e-9)
+        assert kummer_psi(params, y) == pytest.approx(2.0 * math.expm1(0.5 * y) / y, rel=1e-14)
 
 
 def test_quadrature_H_overflow_raises():
     with pytest.raises(OverflowError):
-        quadrature_H(ModelParams(3, 1), 1500.0)
+        kummer_psi(ModelParams(3, 1), 1500.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=_log_uniform(0.05, 60.0),
+    n=_log_uniform(0.05, 60.0),
+    u=st.floats(0.0, 2.0),
+    t=st.floats(0.0, 0.99),
+)
+def test_kummer_oracle_matches_series_log_uniform(alpha, n, u, t):
+    # psi, Z and U* from Kummer's function against the series, with y and q up
+    # to twice the boundary: a scratch sweep of 481 pairs read 1.6e-14, 2.7e-15
+    # and 1.1e-15 at worst
+    params = ModelParams(alpha, n)
+    sol = build_candidate(params)
+    assert abs(kummer_Z(params) / sol.Z - 1.0) <= 1e-13
+    y = u * sol.Z
+    assert abs(kummer_psi(params, y) / psi_eval(sol.table, y) - 1.0) <= 1e-13
+    q = y * (1.0 - t)
+    assert abs(kummer_value(params, t, q) / U_star(sol, t, q) - 1.0) <= 1e-12
 
 
 def _run_fresh(script: str) -> None:
@@ -149,13 +176,16 @@ def _run_fresh(script: str) -> None:
 
 
 def test_special_families_never_load_scipy_integrate():
+    # the Kummer oracle needs scipy.special alone: its root is solve_root's
     _run_fresh(
         "import sys\n"
-        "from besselstop import ModelParams, closed_form_Z, explicit_special_values, quadrature_H\n"
-        "for a, n in ((3, 1), (7, 2), (2, 2)):\n"
+        "from besselstop import ModelParams, kummer_psi, kummer_value, kummer_Z\n"
+        "for a, n in ((3, 1), (7, 2), (2, 2), (5, 1)):\n"
         "    p = ModelParams(a, n)\n"
-        "    closed_form_Z(p), quadrature_H(p, 1.0), explicit_special_values(p, 0.2, 0.5)\n"
+        "    kummer_Z(p), kummer_psi(p, 1.0), kummer_value(p, 0.2, 0.5)\n"
+        "assert 'scipy.special' in sys.modules\n"
         "assert 'scipy.integrate' not in sys.modules\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
     )
 
 
@@ -176,7 +206,7 @@ def test_solve_evaluate_and_simulate_never_load_scipy():
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
         "p75 = bs.ModelParams(7, 5)\n"
-        "assert abs(bs.closed_form_Z(p75) - bs.find_Z(p75).value) <= 1e-10\n"
+        "assert abs(bs.kummer_Z(p75) - bs.find_Z(p75).value) <= 1e-10\n"
         "assert abs(bs.Z_from_ode(p)[0] - sol.Z) <= 5e-11\n"
         "assert bs.run_iteration_checks().all_passed\n"
         "assert acceptance.criterion_1_excursion_constant().passed\n"
@@ -345,10 +375,6 @@ def test_ode_oracle_at_stiff_alpha(alpha):
 def test_ode_oracle_cli_at_stiff_alpha(capsys):
     assert main(["ode-oracle", "--alpha", "40", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["abs_gap"] <= 5e-11
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 def _reference_sweep(params, cells, ymax):

@@ -11,7 +11,6 @@ from scipy.special import hyp1f1
 from besselstop.boundary import find_Z
 from besselstop.series import (
     CoefficientTable,
-    F_derivative,
     F_eval,
     ModelParams,
     TruncationError,
@@ -202,7 +201,6 @@ def _series_callers(table):
         "psi_eval": lambda y: psi_eval(table, y),
         "psi_derivative": lambda y: psi_derivative(table, y, 1),
         "F_eval": lambda y: F_eval(table.params, y, table),
-        "F_derivative": lambda y: F_derivative(table, y),
         "ode_residual_series": lambda y: ode_residual_series(table, y),
     }
 
@@ -311,14 +309,6 @@ def test_F_sign_structure_around_root():
         assert np.all(F_eval(params, above, table) > 0.0)
 
 
-def test_F_derivative_consistent_with_finite_difference():
-    params = ModelParams(3, 1)
-    table = build_coefficients(params)
-    z, h = 1.7, 1e-6
-    fd = (F_eval(params, z + h, table) - F_eval(params, z - h, table)) / (2.0 * h)
-    assert F_derivative(table, z) == pytest.approx(fd, rel=1e-8)
-
-
 def test_series_ode_residual_small_on_grid():
     for a, n in ((3, 1), (0.5, 0.5), (5, 2)):
         params = ModelParams(a, n)
@@ -338,7 +328,7 @@ def test_coefficients_are_readonly():
     # one table serves every evaluation of a root solve, so a write into any
     # of its arrays would corrupt the later ones
     table = build_coefficients(ModelParams(3, 1))
-    for name in ("coeffs", "dpsi_coeffs", "d2psi_coeffs", "F_coeffs", "dF_coeffs"):
+    for name in ("coeffs", "dpsi_coeffs", "d2psi_coeffs", "F_coeffs"):
         arr = getattr(table, name)
         with pytest.raises(ValueError):
             arr[0] = 2.0
@@ -365,7 +355,6 @@ def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
         "dpsi_coeffs": (k * table.coeffs)[1:],
         "d2psi_coeffs": (k * (k - 1.0) * table.coeffs)[2:],
         "F_coeffs": (2.0 * k - n) * table.coeffs,
-        "dF_coeffs": (k * (2.0 * k - n) * table.coeffs)[1:],
     }
     coeff_sets = [getattr(table, name) for name in inline]
     for name, c in zip(inline, coeff_sets):
@@ -396,6 +385,5 @@ def test_series_functions_return_python_float_for_scalar_input(y):
         psi_derivative(table, y, 1),
         psi_derivative(table, y, 2),
         F_eval(params, y, table),
-        F_derivative(table, y),
     ):
         assert type(value) is float

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besselstop.oracles import explicit_special_values
+from besselstop.oracles import kummer_value
 from besselstop.series import ModelParams, psi_derivative, psi_eval
 from besselstop.value import (
     U_star,
@@ -86,7 +86,7 @@ def test_argument_validation(sol31):
             boundary_q(sol31, t)
     for q in (-1.0, math.nan):
         with pytest.raises(ValueError, match="q must be nonnegative"):
-            explicit_special_values(ModelParams(1, 1), 0.5, q)
+            kummer_value(ModelParams(1, 1), 0.5, q)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
@@ -184,25 +184,25 @@ def test_pde_residual_small(sol31):
 
 
 def test_special_values_equal_parameter_family():
-    val = explicit_special_values(ModelParams(1, 1), 0.0, 0.0)
+    val = kummer_value(ModelParams(1, 1), 0.0, 0.0)
     assert val == pytest.approx(math.exp(-0.5), rel=1e-12)
     # stopping branch
-    assert explicit_special_values(ModelParams(1, 1), 0.75, 0.5) == pytest.approx(
+    assert kummer_value(ModelParams(1, 1), 0.75, 0.5) == pytest.approx(
         math.sqrt(0.5), rel=1e-15
     )
 
 
 def test_special_values_integral_family(sol31):
-    assert explicit_special_values(ModelParams(3, 1), 0.0, 0.0) == pytest.approx(
+    assert kummer_value(ModelParams(3, 1), 0.0, 0.0) == pytest.approx(
         B_REF, abs=1e-9
     )
-    assert explicit_special_values(ModelParams(5, 3), 0.0, 0.0) == pytest.approx(
+    assert kummer_value(ModelParams(5, 3), 0.0, 0.0) == pytest.approx(
         E1_53_REF, rel=1e-9
     )
 
 
 def test_special_values_second_form():
-    assert explicit_special_values(ModelParams(7, 2), 0.0, 0.0) == pytest.approx(
+    assert kummer_value(ModelParams(7, 2), 0.0, 0.0) == pytest.approx(
         E1_72_REF, rel=1e-8
     )
     # at large alpha and tiny q the special form keeps full double precision
@@ -211,14 +211,17 @@ def test_special_values_second_form():
     for q in (1e-300, 1e-8):
         for t in (0.0, 0.5):
             want = U_star(sol, t, q)
-            assert explicit_special_values(params, t, q) == pytest.approx(want, rel=1e-13)
+            assert kummer_value(params, t, q) == pytest.approx(want, rel=1e-13)
 
 
-def test_special_values_absent():
-    assert explicit_special_values(ModelParams(5, 1), 0.0, 0.0) is None
+def test_special_values_off_the_families():
+    # (5, 1) lies in no family that once had its own closed form
+    params = ModelParams(5, 1)
+    sol = build_candidate(params)
+    for t, q in ((0.0, 0.0), (0.0, 0.5 * sol.Z), (0.5, 0.4 * sol.Z), (0.5, sol.Z)):
+        assert kummer_value(params, t, q) == pytest.approx(U_star(sol, t, q), rel=1e-14)
 
 
-# (4, 2) lies in both integral families and takes the first form
 @pytest.mark.parametrize(
     "a,n", [(1.0, 1.0), (3.0, 1.0), (5.0, 3.0), (7.0, 2.0), (2.0, 2.0), (4.0, 2.0), (2.5, 2.0)]
 )
@@ -229,5 +232,5 @@ def test_special_values_agree_with_series(a, n):
     for _ in range(15):
         t = rng.uniform(0.0, 0.9)
         q = rng.uniform(0.0, 2.0 * sol.Z)
-        special = explicit_special_values(params, t, q)
+        special = kummer_value(params, t, q)
         assert special == pytest.approx(U_star(sol, t, q), rel=1e-7, abs=1e-9)

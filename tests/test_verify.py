@@ -19,7 +19,6 @@ from besselstop.verify import (
     delta_polynomials,
     gamma_from_params,
     iterate_DB,
-    iterate_delta_exact,
     lambda_eval,
     lambda_iterate_invariance,
     run_iteration_checks,
@@ -117,17 +116,44 @@ def test_polynomial_rows_low_order():
 
 def test_polynomial_rows_match_exact_iteration():
     for dval in (Fraction(1), Fraction(3), Fraction(1, 10), Fraction(7, 3), Fraction(11, 7)):
-        exact = iterate_delta_exact(dval, 7)
+        exact = iterate_DB(DELTA_FORM, (0, dval), 7)
         for j in range(2, 8):
-            assert delta_polynomials(dval, j) == exact[j]
+            assert type(exact[j].D_r) is Fraction and type(exact[j].B_r) is Fraction
+            assert delta_polynomials(dval, j) == (exact[j].D_r, exact[j].B_r)
 
 
 def test_exact_iteration_agrees_with_float_iteration():
     float_states = iterate_DB(DELTA_FORM, (0.0, 0.5), 7)
-    exact = iterate_delta_exact(Fraction(1, 2), 7)
-    for st, (D, B) in zip(float_states, exact):
-        assert st.D_r == pytest.approx(float(D), rel=1e-12)
-        assert st.B_r == pytest.approx(float(B), rel=1e-12)
+    exact = iterate_DB(DELTA_FORM, (0, Fraction(1, 2)), 7)
+    for st, ex in zip(float_states, exact):
+        assert st.D_r == pytest.approx(float(ex.D_r), rel=1e-12)
+        assert st.B_r == pytest.approx(float(ex.B_r), rel=1e-12)
+
+
+def _float_iteration(parameterization, x, y, r_max):
+    # the float recurrences as written out before iterate_DB kept its inputs'
+    # number type: the reference for its float arithmetic
+    D, B = 1.0, -1.0
+    out = [(D, B)]
+    for r in range(r_max):
+        if parameterization == GAMMA_FORM:
+            D, B = (x + y) * D + x * B, (x + y) * D + (x + 2.0 * r + 2.0 + 2.0 * y) * B
+        else:
+            D, B = (x + y) * D + (x + 2.0 + 2.0 * y) * B, (x + y) * D + (2.0 * r + x) * B
+        out.append((D, B))
+    return out
+
+
+@pytest.mark.parametrize(
+    "form, x, y",
+    [(GAMMA_FORM, 1.0, 2.0), (GAMMA_FORM, 0.5, 5.0), (GAMMA_FORM, 1.7, 0.9),
+     (GAMMA_FORM, 3.0, 8.0), (DELTA_FORM, 0.0, 0.1), (DELTA_FORM, 0.0, 2.3),
+     (DELTA_FORM, 2.0, 1.0), (DELTA_FORM, 0.5, 4.0), (DELTA_FORM, 3.0, 10.0)],
+)
+def test_float_iteration_bit_identical_to_written_out_recurrence(form, x, y):
+    states = iterate_DB(form, (x, y), 60)
+    assert [(s.D_r, s.B_r) for s in states] == _float_iteration(form, x, y, 60)
+    assert all(type(s.D_r) is float and type(s.B_r) is float for s in states)
 
 
 def test_growth_bounds_and_termination():
