@@ -4,15 +4,20 @@ Every dimension alpha > 0 and every start (t0, q0) gets one exact sampler, a
 time-changed squared Bessel walk: the radial step for integer alpha and the
 Poisson mixture of the noncentral chi-square otherwise.  The sweep evaluates
 scaled thresholds m * Z on one shared path ensemble, so the comparison
-between multipliers is paired and low-variance.  Sizes here are trimmed for a
-quick run; the acceptance battery uses 200k paths.
+between multipliers is paired and low-variance.  Each estimate regresses the
+payoff on stopped-martingale controls, X - alpha (s - s0) - X0 read at
+min(tau, c) for 16 fixed nodes c, which have mean zero by optional stopping;
+the plain estimate is printed beside it.  Sizes here are trimmed for a quick
+run; the acceptance battery uses 200k paths.
 """
 
 from besselstop import (
     ModelParams,
     SimConfig,
     ThresholdPolicy,
+    U_star,
     apply_policy,
+    build_candidate,
     find_Z,
     mc_estimate,
     policy_sweep,
@@ -32,7 +37,17 @@ print(
     f"\ncandidate threshold: mean={res.mean:.5f} +/- {res.stderr:.5f}"
     f"  (95% CI {res.ci95[0]:.5f}..{res.ci95[1]:.5f}, stop fraction {res.stop_fraction:.4f})"
 )
-print("series value at the origin: 0.97120 (the estimate should straddle it)")
+print(
+    f"  plain estimate:    mean={res.plain_mean:.5f} +/- {res.plain_stderr:.5f}"
+    "  (no control variates)"
+)
+target = U_star(build_candidate(params), 0.0, 0.0)
+print(
+    f"series value at the origin: {target:.5f}; gap {(res.mean - target) / res.stderr:+.1f} se,"
+    f" plain {(res.plain_mean - target) / res.plain_stderr:+.1f} plain se"
+)
+print("(the rule is checked only at grid nodes, so paths stop late: an O(1/n_steps)")
+print(" bias below the value, which the sharper interval can resolve)")
 
 print("\nthreshold sweep on the same paths:")
 table = policy_sweep(config, [0.5, 0.75, 1.0, 1.5, 2.0], Z=Z)

@@ -194,7 +194,9 @@ def criterion_7_monte_carlo_headline() -> CriterionResult:
             ok = ok and gap <= tol
             lines.append(
                 f"({params.alpha:g},{params.n:g}) mean={res.mean:.6f} "
-                f"target={target:.6f} gap={gap:.2e} tol={tol:.2e}"
+                f"target={target:.6f} gap={gap:.2e} tol={tol:.2e} "
+                f"[{(res.mean - target) / res.stderr:+.2f} se, plain "
+                f"{(res.plain_mean - target) / res.plain_stderr:+.2f} plain se]"
             )
         return ok, "; ".join(lines)
 

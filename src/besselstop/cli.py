@@ -114,6 +114,8 @@ def _sweep_rows_payload(table: SweepTable) -> dict:
                 "Z_level": r.Z_level,
                 "mean": r.result.mean,
                 "stderr": r.result.stderr,
+                "plain_mean": r.result.plain_mean,
+                "plain_stderr": r.result.plain_stderr,
                 "ci95": list(r.result.ci95),
                 "stop_fraction": r.result.stop_fraction,
                 "candidate": r.multiplier == 1.0,
@@ -131,6 +133,8 @@ def _mc_payload(res, z: float, scheme: str) -> dict:
         "scheme": scheme,
         "mean": res.mean,
         "stderr": res.stderr,
+        "plain_mean": res.plain_mean,
+        "plain_stderr": res.plain_stderr,
         "ci95": list(res.ci95),
         "stop_fraction": res.stop_fraction,
         "n_paths": res.n_paths,

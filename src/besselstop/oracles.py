@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -278,9 +279,16 @@ def kummer_Z(params: ModelParams, tol: float = 1e-10) -> float:
     M'(b, c, x) = (b/c) M(b+1, c+1, x) turns the smooth-fit function into
     F(z)/n = z M(n/2 + 1, alpha/2 + 1, z/2) / alpha - M(n/2, alpha/2, z/2),
     which is -1 at z = 0 for every pair; ``solve_root`` brackets its root from
-    0 to ``tol``.  On the diagonal both M are e^{z/2}, so Z = n exactly.
+    0 to ``tol``.  On the diagonal both M are e^{z/2}, so Z = n exactly.  The
+    last root is remembered, as in ``find_Z``, so ``kummer_value`` solves once
+    per pair however many (t, q) it is asked for.
     """
-    tol = _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
+    return _kummer_root(params, _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True))
+
+
+@lru_cache(maxsize=1)
+def _kummer_root(params: ModelParams, tol: float) -> float:
+    # One slot: callers evaluate one pair at many (t, q) before the next pair.
     a, n = params.alpha, params.n
 
     def f(z: float) -> float:

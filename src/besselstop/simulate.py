@@ -22,9 +22,32 @@ pair draws its variates once; path A steps by +sqrt(ds) xi, path B by
 xi, so each path keeps the exact law and only the two paths of a pair depend
 on each other; their payoffs are negatively correlated, and a pair costs the
 draws of one path.  The mixture's two paths draw independently, so there
-the pairs are bookkeeping only.  The mean is over all paths, and every
-standard error is taken over pair means (``_pair_stderr``), so it is valid
-for either kernel; an odd path count leaves the last path a group of one.
+the pairs are bookkeeping only.  Every estimate is taken over the pair means
+(``_group_means``), so it is valid for either kernel; an odd path count
+leaves the last path a group of one.
+
+Estimator: stopped-martingale control variates.  Every kernel step has
+E[X' | X] = X + alpha ds, so M_j = X_j - alpha S_j - X0, with S_j the sum of
+the kernel's own ds up to node j, is a martingale on the grid, exactly.
+Stopped at min(tau, c) for a fixed node c it has mean zero by optional
+stopping, whatever the level.  The engine records, for each path and level,
+the stopping node tau and X there, and for each path M at ``_CAPS`` (16) cap
+nodes c = round(i n_steps/17), i = 1 .. 16, clipped to 1 .. n_steps - 1 and
+deduplicated; the controls of a level are Y_c = M at min(tau, c).  The pair
+means of the payoff are regressed on the pair means of the controls with an
+intercept (Henderson and Glynn's martingale control variates; the
+regression estimator of Glasserman, section 4.1): beta solves the centred
+normal equations, mean = ybar - beta . cbar, and stderr is the residual
+standard deviation, on groups - 1 - rank degrees of freedom, over
+sqrt(groups).  The sweep's paired statistics regress the payoff difference
+on the difference of the two levels' controls.  No series value enters a
+control, so the estimate stays independent of U*.  The plain estimate, the
+mean over all paths and the standard deviation of the pair means over
+sqrt(groups), is reported beside it; it is also the estimate when there is
+no interior cap (n_steps = 1), too few groups (at most 4 (k + 1) for k caps)
+or no control that varies.  The regression runs after the engine, over
+``_FIT_PATHS`` paths at a time: it sums the moments of (1, controls, payoff)
+and solves them with Goodnight's sweep operator (``_cv_fit``).
 
 Reproducibility contract: the engine simulates paths in fixed blocks of
 ``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
@@ -36,7 +59,8 @@ only for pairs in which some level has not stopped a path yet, so the
 variates a path receives depend on the levels of the call: one call shares
 its paths across all its levels (common random numbers), but calls with
 different level sets do not share paths.  Reductions run over the fully
-assembled per-path payoff arrays with numpy's pairwise summation.
+assembled per-path arrays, with numpy's pairwise summation or, for the
+regression's moments, block by block in path order.
 """
 
 from __future__ import annotations
@@ -58,6 +82,8 @@ _BLOCK_STEPS = 32  # steps drawn per kernel call
 # floating point implies X (1-t') >= z (1 - 4 eps) for every 1-t' >= 1-t, so
 # 1e-12 never drops a true hit.
 _PEAK_SLACK = 1.0 - 1e-12
+_CAPS = 16  # cap nodes of the stopped-martingale controls
+_FIT_PATHS = 1024  # paths per step of the regression pass; even, so no pair is split
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -149,9 +175,14 @@ class StoppingOutcome:
 class MCResult:
     """Monte Carlo aggregate; ci95 = mean +/- 1.96 stderr.
 
-    ``mean`` is over all ``n_paths`` paths; ``stderr`` is the standard
-    deviation of the antithetic pair means over the square root of their
-    count, an odd last path counting as a group of one.
+    ``mean`` and ``stderr`` are the control-variate estimate (see the module
+    docstring): the intercept of the regression of the antithetic pair means
+    on the pair means of the stopped-martingale controls, and its residual
+    standard deviation over the square root of the group count.
+    ``plain_mean`` is the mean over all ``n_paths`` paths and
+    ``plain_stderr`` the standard deviation of the pair means over the
+    square root of their count, an odd last path counting as a group of one;
+    ``mean`` and ``stderr`` equal them where the regression does not apply.
     """
 
     mean: float
@@ -159,6 +190,8 @@ class MCResult:
     n_paths: int
     ci95: tuple[float, float]
     stop_fraction: float
+    plain_mean: float
+    plain_stderr: float
     warning: str | None = None
 
 
@@ -355,8 +388,55 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
     return StoppingOutcome(tau=1.0, payoff=0.0, stopped=False)
 
 
-def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
-    """Payoffs of the path block [start, stop), simulated a time block at a time.
+@dataclass(frozen=True, eq=False)
+class _Ensemble:
+    """Per-path record of one engine run over a set of threshold levels.
+
+    ``node`` and ``x_stop`` have one row per level and one column per path:
+    the node where the level stopped the path (``n_steps`` where it never
+    did) and the kernel's X there; the payoff and the stop flag follow from
+    them.  ``m_cap`` has one row per cap node ``caps`` and one column per
+    path: the martingale X - alpha S - X0 at that node, written while the
+    path's pair was still drawing and 0 after, when every level had stopped
+    the path before the cap.  ``drift[j]`` = alpha S_j + X0 is the
+    compensator at node j and ``tau2[j]`` = (1 - t_j)(1 - t_j).  A path that
+    never stopped reads both at the pinned node: tau2 is 0 there, so its q
+    and payoff are 0, and no control takes its drift.
+    """
+
+    node: np.ndarray
+    x_stop: np.ndarray
+    caps: np.ndarray
+    m_cap: np.ndarray
+    drift: np.ndarray
+    tau2: np.ndarray
+    q0: float
+    n: float
+
+    def stopped(self, l: int) -> np.ndarray:
+        return self.node[l] < self.tau2.size - 1
+
+    def payoffs(self, l: int) -> np.ndarray:
+        """Q^{n/2} at each path's stop under level ``l``, 0 where it never stopped.
+
+        q = X (1-t)^2 is the product the engine's level test formed; a start
+        in the stopping region pays q0 itself, as ``apply_policy`` does.
+        """
+        node = self.node[l]
+        q = self.x_stop[l] * self.tau2[node]
+        q[node == 0] = self.q0
+        return _payoff(q, self.n)
+
+
+def _cap_nodes(n_steps: int) -> np.ndarray:
+    """Cap nodes round(i n_steps/17), i = 1 .. 16, clipped to 1 .. n_steps-1, deduplicated."""
+    nodes = {min(max(round(i * n_steps / (_CAPS + 1)), 1), n_steps - 1) for i in range(1, _CAPS + 1)}
+    # int32, as the stopping nodes are, so comparing them casts nothing
+    return np.array(sorted(nodes) if n_steps > 1 else [], dtype=np.int32)
+
+
+def _run_chunk_exact(config, levels, sampler, ens, start, stop):
+    """Fill ``ens`` for the path block [start, stop), simulated a time block at a time.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
     Levels with q0 >= z (1 - t0) stop every path at node 0, as
@@ -371,20 +451,22 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
     block therefore reproduces ``simulate_exact`` on the same stream bit for
     bit.  The kernel returns X; q = X (1-t)^2 is formed only on the columns
     the peak pre-filter keeps for a level, by the same product
-    ``simulate_exact`` uses.
+    ``simulate_exact`` uses.  X at a stop and at a cap node is read from the
+    kernel's X, never back from q.
     """
     m = stop - start
     pairs = (m + 1) // 2
     t, step, x0, width = sampler
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
     tau = 1.0 - t
-    tau2 = tau * tau
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
     last = config.n_steps - 1
+    caps = ens.caps.tolist()
+    next_cap = 0
 
     at_start = config.q0 >= levels * tau[0]
-    payoffs[start:stop, at_start] = _payoff(config.q0, config.params.n)
-    stopped[start:stop, at_start] = True
+    ens.node[at_start, start:stop] = 0
+    ens.x_stop[at_start, start:stop] = ens.drift[0]  # X0, as S_0 = 0
     rows = np.arange(pairs)  # block-local pair index of each active row
     state = np.full((2, pairs), x0)  # kernel state of paths A and B at the current node
     open_ = np.empty((levels.size, 2, pairs), dtype=bool)  # (levels, path A or B, rows)
@@ -402,11 +484,20 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
             # take: twice as fast as a fancy index on the column axis
             rows, state, open_ = rows[keep], state.take(keep, axis=1), open_.take(keep, axis=2)
         j1 = min(j0 + _BLOCK_STEPS, last)
+        xk = step(gen, state, j0, j1, buf)
+        while next_cap < len(caps) and caps[next_cap] <= j1:
+            c = caps[next_cap]
+            m_a, m_b = xk[c - j0 - 1] - ens.drift[c]
+            path_a = start + 2 * rows
+            with_b = np.searchsorted(rows, m // 2)  # the rows whose path B exists
+            ens.m_cap[next_cap, path_a] = m_a
+            ens.m_cap[next_cap, path_a[:with_b] + 1] = m_b[:with_b]
+            next_cap += 1
         # columns: path A of every row, then path B of every row
-        x = step(gen, state, j0, j1, buf).reshape(j1 - j0, -1)
+        x = xk.reshape(j1 - j0, -1)
         flat_open = open_.reshape(levels.size, -1)
         bound = tau[j0 + 1 : j1 + 1, None]
-        scale = tau2[j0 + 1 : j1 + 1, None]
+        scale = ens.tau2[j0 + 1 : j1 + 1, None]
         # q/(1-t) = X (1-t) and 1-t only falls along the block, so the path's
         # largest X times 1-t at the block's first node bounds q/(1-t): only
         # paths with peak >= z can hit level z, and q is formed on those alone
@@ -416,75 +507,192 @@ def _run_chunk_exact(config, levels, sampler, start, stop, payoffs, stopped):
             cand = np.flatnonzero(flat_open[l] & (peak >= z * _PEAK_SLACK))
             if cand.size == 0:
                 continue
-            q = x[:, cand] * scale
-            mask = q >= z * bound
+            mask = x[:, cand] * scale >= z * bound
             hit = np.flatnonzero(mask.any(axis=0))
             first = np.argmax(mask[:, hit], axis=0)
             cand = cand[hit]
             side, row = np.divmod(cand, rows.size)
             path = start + 2 * rows[row] + side
-            payoffs[path, l] = _payoff(q[first, hit], config.params.n)
-            stopped[path, l] = True
+            # one level's row of each record: a 1-d scatter
+            ens.node[l][path] = first + (j0 + 1)
+            ens.x_stop[l][path] = x[first, cand]
             flat_open[l, cand] = False
 
 
-def _threshold_payoffs(
-    config: SimConfig, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path payoffs under each threshold level, common random numbers."""
+def _simulate_levels(config: SimConfig, levels: np.ndarray) -> _Ensemble:
+    """The stopping record and martingale readings of every path under each level, common random numbers."""
     levels = np.asarray(levels, dtype=float)
-    n_paths = config.n_paths
-    payoffs = np.zeros((n_paths, levels.size))
-    stopped = np.zeros((n_paths, levels.size), dtype=bool)
+    shape = (levels.size, config.n_paths)
     sampler = _sampler(config)
+    caps = _cap_nodes(config.n_steps)
+    # S_j: the kernel's own ds summed up to node j; nothing is read at the pinned node
+    elapsed = np.zeros(config.n_steps + 1)
+    np.cumsum(_radial_steps(sampler[0])[1], out=elapsed[1:-1])
+    tau = 1.0 - sampler[0]
+    ens = _Ensemble(
+        node=np.full(shape, config.n_steps, dtype=np.int32),
+        x_stop=np.zeros(shape),
+        caps=caps,
+        m_cap=np.zeros((caps.size, config.n_paths)),
+        drift=config.params.alpha * elapsed + config.q0 / ((1.0 - config.t0) * (1.0 - config.t0)),
+        tau2=tau * tau,
+        q0=config.q0,
+        n=config.params.n,
+    )
 
-    bounds = [(s, min(s + _BLOCK_PATHS, n_paths)) for s in range(0, n_paths, _BLOCK_PATHS)]
+    n = config.n_paths
+    bounds = [(b, min(b + _BLOCK_PATHS, n)) for b in range(0, n, _BLOCK_PATHS)]
     workers = worker_count(len(bounds))
     if workers == 1:
-        for s, e in bounds:
-            _run_chunk_exact(config, levels, sampler, s, e, payoffs, stopped)
+        for b, e in bounds:
+            _run_chunk_exact(config, levels, sampler, ens, b, e)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futures = [
-                ex.submit(_run_chunk_exact, config, levels, sampler, s, e, payoffs, stopped)
-                for s, e in bounds
+                ex.submit(_run_chunk_exact, config, levels, sampler, ens, b, e) for b, e in bounds
             ]
             for f in futures:
                 f.result()
-    return payoffs, stopped
+    return ens
 
 
-def _pair_stderr(values: np.ndarray) -> float:
-    """Standard error of the mean of per-path ``values``, from their pair means.
+def _block_controls(ens: _Ensemble, l: int, a: int, b: int) -> np.ndarray:
+    """Pair means of level ``l``'s controls over the paths [a, b), shape (caps, groups).
 
-    The groups are the antithetic pairs (2i, 2i + 1), and an odd last value
-    is a group of one.
+    Control c of a path is the martingale at min(tau, c): its value at the
+    stop wherever tau <= c, at the cap otherwise.  ``a`` is even.
     """
-    even = values.size - values.size % 2
-    groups = np.concatenate((0.5 * (values[0:even:2] + values[1:even:2]), values[even:]))
-    if groups.size < 2:
-        return float("nan")
-    return float(np.std(groups, ddof=1) / math.sqrt(groups.size))
+    node = ens.node[l, a:b]
+    m_stop = ens.x_stop[l, a:b] - ens.drift[node]
+    # one broadcast select over every cap
+    return _group_means(np.where(node <= ens.caps[:, None], m_stop, ens.m_cap[:, a:b]))
 
 
-def _aggregate(payoff_col: np.ndarray, stopped_col: np.ndarray, n_paths: int) -> MCResult:
-    mean = float(np.mean(payoff_col))
-    stderr = _pair_stderr(payoff_col)
+def _group_means(values: np.ndarray) -> np.ndarray:
+    """Means of the antithetic pairs (2i, 2i + 1) along the last axis.
+
+    An odd last value is a group of one.
+    """
+    n = values.shape[-1]
+    even = n - n % 2
+    groups = values[..., 0:even:2] + values[..., 1:even:2]
+    groups *= 0.5
+    if n % 2:
+        groups = np.concatenate((groups, values[..., even:]), axis=-1)
+    return groups
+
+
+def _cross_products(controls: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over groups of w w^T, w = (1, controls, y) a column per group."""
+    w = np.empty((controls.shape[0] + 2, y.size))
+    w[0] = 1.0
+    w[1:-1] = controls
+    w[-1] = y
+    return w @ w.T
+
+
+def _cv_moments(ens: _Ensemble, payoffs: list[np.ndarray], candidate: int | None = None):
+    """Moment matrices of the control-variate regressions, per level and per paired difference.
+
+    ``payoffs`` holds each level's per-path payoffs.  Entry l of the first
+    array sums (1, controls, payoff) products over level l's pair means;
+    with a ``candidate`` level, entry l of the second does the same for the
+    candidate's payoff less level l's against the difference of their
+    controls.  The paths are taken ``_FIT_PATHS`` at a time, so no more than
+    that many paths' controls are ever held.
+    """
+    k = ens.caps.size
+    own = np.zeros((len(payoffs), k + 2, k + 2))
+    paired = np.zeros_like(own)
+    n = ens.node.shape[1]
+    for a in range(0, n, _FIT_PATHS):
+        b = min(a + _FIT_PATHS, n)
+        if candidate is not None:
+            c_cand = _block_controls(ens, candidate, a, b)
+            y_cand = _group_means(payoffs[candidate][a:b])
+        for l, values in enumerate(payoffs):
+            if l == candidate:
+                own[l] += _cross_products(c_cand, y_cand)
+                continue
+            c = _block_controls(ens, l, a, b)
+            y = _group_means(values[a:b])
+            own[l] += _cross_products(c, y)
+            if candidate is not None:
+                paired[l] += _cross_products(c_cand - c, y_cand - y)
+    return own, paired
+
+
+def _cv_fit(moments: np.ndarray) -> tuple[float, float] | None:
+    """Intercept and stderr of the regression whose moment matrix is ``moments``.
+
+    ``moments`` sums w w^T over the groups, w = (1, c_1 .. c_k, y).
+    Goodnight's sweep operator solves it in place: the pivot on the constant
+    centres the moments, a pivot on each control in turn solves the centred
+    normal equations, and the corners then hold the intercept and the
+    residual sum of squares.  A control whose pivot has fallen to 1e-12 of
+    its diagonal is collinear with the controls before it (or vanishes) and
+    is left out, which sets the rank.  The stderr is the residual standard
+    deviation on groups - 1 - rank degrees of freedom over sqrt(groups).
+    None, for the plain estimate, when k = 0, there are at most 4 (k + 1)
+    groups or no control varies.
+    """
+    k = moments.shape[0] - 2
+    groups = moments[0, 0]
+    if k == 0 or groups <= 4 * (k + 1):
+        return None
+    a = moments.copy()
+    rank = 0
+    for j in range(k + 1):
+        pivot = a[j, j]
+        if j:
+            if not pivot > 1e-12 * moments[j, j]:
+                continue
+            rank += 1
+        # a stays symmetric, so row j doubles as column j
+        col = a[j] / pivot
+        a -= a[:, j, None] * col
+        a[j] = col
+        a[:, j] = col
+        a[j, j] = -1.0 / pivot
+    if rank == 0:
+        return None
+    return float(a[0, -1]), math.sqrt(max(float(a[-1, -1]), 0.0) / (groups - 1 - rank) / groups)
+
+
+def _estimate(values: np.ndarray, moments: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The control-variate and the plain (mean, stderr) of per-path ``values``."""
+    groups = _group_means(values)
+    plain_se = float(np.std(groups, ddof=1) / math.sqrt(groups.size)) if groups.size > 1 else math.nan
+    plain = (float(np.mean(values)), plain_se)
+    return _cv_fit(moments) or plain, plain
+
+
+def _aggregate(payoffs: np.ndarray, stopped: np.ndarray, moments: np.ndarray) -> MCResult:
+    (mean, stderr), (plain_mean, plain_stderr) = _estimate(payoffs, moments)
+    n_paths = payoffs.size
     warning = "n_paths below 100; interval estimate unreliable" if n_paths < 100 else None
     return MCResult(
         mean=mean,
         stderr=stderr,
         n_paths=n_paths,
         ci95=(mean - 1.96 * stderr, mean + 1.96 * stderr),
-        stop_fraction=float(np.mean(stopped_col)),
+        stop_fraction=float(np.mean(stopped)),
+        plain_mean=plain_mean,
+        plain_stderr=plain_stderr,
         warning=warning,
     )
 
 
 def mc_estimate(config: SimConfig, policy: ThresholdPolicy) -> MCResult:
-    """Mean payoff of the threshold policy over n_paths paths in antithetic pairs."""
-    payoffs, stopped = _threshold_payoffs(config, np.array([policy.Z]))
-    return _aggregate(payoffs[:, 0], stopped[:, 0], config.n_paths)
+    """Mean payoff of the threshold policy over n_paths paths in antithetic pairs.
+
+    The estimate uses the stopped-martingale control variates; the plain
+    estimate rides along in ``plain_mean`` and ``plain_stderr``.
+    """
+    ens = _simulate_levels(config, np.array([policy.Z]))
+    payoffs = [ens.payoffs(0)]
+    own, _ = _cv_moments(ens, payoffs)
+    return _aggregate(payoffs[0], ens.stopped(0), own[0])
 
 
 def policy_sweep(
@@ -496,9 +704,9 @@ def policy_sweep(
 
     Common random numbers make the per-multiplier comparison paired; rows
     carry the paired difference statistics against the m = 1 row when it is
-    present, the stderr again over antithetic pair means.  With the optimal
-    Z the m = 1 row should have the maximal mean up to confidence-interval
-    overlap.
+    present, regressed on the difference of the two levels' controls and
+    taken over antithetic pair means.  With the optimal Z the m = 1 row
+    should have the maximal mean up to confidence-interval overlap.
     """
     mult = [
         _require("multiplier", m, 0.0, math.inf, open_lo=True, open_hi=True) for m in multipliers
@@ -511,23 +719,21 @@ def policy_sweep(
         Z = find_Z(config.params).value
     Z = _require("Z", Z, 0.0, math.inf, open_lo=True, open_hi=True)
     levels = np.array([m * Z for m in mult])
-    payoffs, stopped = _threshold_payoffs(config, levels)
-
-    candidate_idx = mult.index(1.0) if 1.0 in mult else None
+    ens = _simulate_levels(config, levels)
+    payoffs = [ens.payoffs(i) for i in range(levels.size)]
+    candidate = mult.index(1.0) if 1.0 in mult else None
+    own, paired = _cv_moments(ens, payoffs, candidate)
 
     rows = []
     for i, m in enumerate(mult):
-        res = _aggregate(payoffs[:, i], stopped[:, i], config.n_paths)
         pm = ps = None
-        if candidate_idx is not None and i != candidate_idx:
-            diff = payoffs[:, candidate_idx] - payoffs[:, i]
-            pm = float(np.mean(diff))
-            ps = _pair_stderr(diff)
+        if candidate is not None and i != candidate:
+            (pm, ps), _ = _estimate(payoffs[candidate] - payoffs[i], paired[i])
         rows.append(
             SweepRow(
                 multiplier=m,
                 Z_level=float(levels[i]),
-                result=res,
+                result=_aggregate(payoffs[i], ens.stopped(i), own[i]),
                 paired_mean_vs_candidate=pm,
                 paired_stderr_vs_candidate=ps,
             )

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from besselstop import acceptance, oracles
-from besselstop.boundary import find_Z
+from besselstop.boundary import find_Z, solve_root
 from besselstop.cli import main
 from besselstop.oracles import (
     AccuracyError,
@@ -160,6 +160,32 @@ def test_kummer_oracle_matches_series_log_uniform(alpha, n, u, t):
     assert abs(kummer_psi(params, y) / psi_eval(sol.table, y) - 1.0) <= 1e-13
     q = y * (1.0 - t)
     assert abs(kummer_value(params, t, q) / U_star(sol, t, q) - 1.0) <= 1e-12
+
+
+def test_kummer_value_solves_one_root_per_pair(monkeypatch):
+    # 15 (t, q) at one pair reuse one root, and every value is the one a
+    # fresh solve gives, bit for bit
+    params = ModelParams(5, 1)
+    points = [(t, u * (1.0 - t)) for t in (0.0, 0.3, 0.6, 0.9, 0.99) for u in (0.1, 1.0, 4.0)]
+    fresh = []
+    for t, q in points:
+        oracles._kummer_root.cache_clear()
+        fresh.append(kummer_value(params, t, q))
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve_root(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "solve_root", counting)
+    oracles._kummer_root.cache_clear()
+    assert [kummer_value(params, t, q) for t, q in points] == fresh
+    assert len(solves) == 1
+    assert kummer_Z(params) == kummer_Z(params, 1e-10) and len(solves) == 1
+    kummer_Z(params, 1e-12)
+    assert len(solves) == 2
+    with pytest.raises(ValueError):
+        kummer_Z(params, 0.0)
 
 
 def _run_fresh(script: str) -> None:

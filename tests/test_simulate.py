@@ -15,10 +15,13 @@ from besselstop.simulate import (
     ThresholdPolicy,
     _BLOCK_PATHS,
     _BLOCK_STEPS,
+    _CAPS,
+    _block_controls,
+    _cap_nodes,
     _sampler,
     _path_generator,
     _payoff,
-    _threshold_payoffs,
+    _simulate_levels,
     apply_policy,
     mc_estimate,
     path_seed,
@@ -35,6 +38,13 @@ def _exact_config(**kw):
     base = dict(params=ModelParams(3, 1), n_paths=100, n_steps=200, seed=42)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _threshold_payoffs(cfg, levels):
+    """The engine's per-path payoffs and stop flags, one column per level."""
+    ens = _simulate_levels(cfg, levels)
+    rows = range(len(levels))
+    return np.array([ens.payoffs(l) for l in rows]).T, np.array([ens.stopped(l) for l in rows]).T
 
 
 def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -581,16 +591,16 @@ def _traced_peak(cfg):
 def test_exact_engine_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = _exact_config(n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 2.36 MB for one full block: two 1 MB draw slabs; q is formed
-    # only on the pre-filter's candidate columns
+    # measured 3.18 MB for one full block: two 1 MB draw slabs and the
+    # 0.5 MB cap record; q is formed only on the pre-filter's candidate columns
     assert _traced_peak(cfg) < 4 * 2**20
 
 
 def test_mixture_block_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 1.95 MB for one full block: one 1 MB draw slab and a few
-    # per-step rows
+    # measured 2.39 MB for one full block: one 1 MB draw slab, a few
+    # per-step rows and the 0.5 MB cap record
     assert _traced_peak(cfg) < 3 * 2**20
 
 
@@ -604,7 +614,112 @@ def test_results_independent_of_worker_count(monkeypatch):
         r1 = mc_estimate(cfg, ThresholdPolicy(Z31))
         monkeypatch.setenv("BESSELSTOP_THREADS", "4")
         r2 = mc_estimate(cfg, ThresholdPolicy(Z31))
+        # every field, the control-variate and the plain estimate alike
         assert r1 == r2
+        assert (r1.plain_mean, r1.plain_stderr) == (r2.plain_mean, r2.plain_stderr)
+
+
+def _pair_means(values):
+    """Pair means along the last axis, an odd last value a group of one."""
+    even = values.shape[-1] - values.shape[-1] % 2
+    pairs = values[..., :even].reshape(values.shape[:-1] + (-1, 2)).mean(axis=-1)
+    return np.concatenate((pairs, values[..., even:]), axis=-1)
+
+
+def _reference_controls(ens, cfg, l):
+    """Per-path controls of level l, X at min(tau, c) less alpha (s - s0) + X0, one row per cap.
+
+    Rebuilt from the engine's record with the time change s = t/(1-t), not
+    the engine's sum of steps; the cap rows carry X - drift already.
+    """
+    t = np.linspace(cfg.t0, 1.0, cfg.n_steps + 1)
+    s = t[:-1] / (1.0 - t[:-1])
+    node = ens.node[l]
+    drift = cfg.params.alpha * (s - s[0]) + cfg.q0 / (1.0 - cfg.t0) ** 2
+    stopped = ens.x_stop[l] - drift[np.minimum(node, cfg.n_steps - 1)]
+    caps = _cap_nodes(cfg.n_steps)
+    return np.array([np.where(node <= c, stopped, ens.m_cap[i]) for i, c in enumerate(caps)])
+
+
+def _lstsq_estimate(values, controls):
+    """Intercept and residual stderr of pair means on control pair means, by ``lstsq``."""
+    y = _pair_means(values)
+    design = np.column_stack([np.ones(y.size), _pair_means(controls).T])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return coef[0], math.sqrt(resid @ resid / (y.size - rank) / y.size)
+
+
+def test_cap_nodes():
+    assert _cap_nodes(1).size == 0
+    assert _cap_nodes(2).tolist() == [1]
+    assert _cap_nodes(3).tolist() == [1, 2]
+    assert _cap_nodes(2000).tolist() == [round(i * 2000 / 17) for i in range(1, _CAPS + 1)]
+    assert _cap_nodes(20).tolist() == sorted({min(max(round(i * 20 / 17), 1), 19) for i in range(1, 17)})
+
+
+@pytest.mark.parametrize(
+    "alpha, n, t0, q0", [(3, 1, 0.0, 0.0), (1, 1, 0.0, 0.0), (0.5, 1, 0.0, 0.0), (2.5, 1.5, 0.3, 0.4)]
+)
+def test_controls_have_mean_zero_by_optional_stopping(alpha, n, t0, q0):
+    # X - alpha S - X0 stopped at min(tau, c) has mean zero at every cap.  A
+    # coarse grid makes alpha ds large, so a control read one node off its
+    # drift, or with a wrong drift, sits many se from zero
+    params = ModelParams(alpha, n)
+    cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=16_384, n_steps=40, seed=7)
+    ens = _simulate_levels(cfg, np.array([find_Z(params).value]))
+    controls = _block_controls(ens, 0, 0, cfg.n_paths)
+    assert controls.shape == (_CAPS, cfg.n_paths // 2)
+    assert np.allclose(controls, _pair_means(_reference_controls(ens, cfg, 0)), rtol=0.0, atol=1e-12)
+    se = controls.std(axis=1, ddof=1) / math.sqrt(controls.shape[1])
+    assert np.all(np.abs(controls.mean(axis=1)) <= 4.0 * se)
+    # the regression keeps the plain estimate's answer
+    res = mc_estimate(cfg, ThresholdPolicy(find_Z(params).value))
+    assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
+    assert res.stderr < res.plain_stderr
+
+
+@pytest.mark.parametrize("alpha", [3, 1])
+def test_control_variates_cut_the_stderr(alpha):
+    # the headline sizes per op: the pair-mean variance falls to 0.05 at
+    # (3, 1) and 0.03 at (1, 1) of the plain one
+    cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=8192, n_steps=2000, seed=20240601)
+    res = mc_estimate(cfg, ThresholdPolicy(find_Z(cfg.params).value))
+    assert res.stderr <= 0.5 * res.plain_stderr
+    assert res.ci95 == (res.mean - 1.96 * res.stderr, res.mean + 1.96 * res.stderr)
+    assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 99, 1001])
+def test_control_variates_at_the_edges(n_steps, n_paths):
+    # no interior cap, one or two caps, too few groups and an odd last path:
+    # nothing raises or warns, and without the regression the plain estimate
+    # is the estimate
+    cfg = _exact_config(n_paths=n_paths, n_steps=n_steps, seed=3)
+    res = mc_estimate(cfg, ThresholdPolicy(0.5))
+    table = policy_sweep(cfg, [0.5, 1.0, 2.0], Z=0.5)
+    # one path leaves every stderr nan, which equality alone would reject
+    np.testing.assert_equal(dataclasses.astuple(table.rows[1].result), dataclasses.astuple(res))
+    groups = (n_paths + 1) // 2
+    if _cap_nodes(n_steps).size == 0 or groups <= 4 * (_cap_nodes(n_steps).size + 1):
+        assert res.mean == res.plain_mean
+        assert res.stderr == res.plain_stderr or math.isnan(res.plain_stderr)
+    else:
+        assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
+
+
+def test_start_in_stopping_region_has_zero_controls():
+    # every path stops at t0, so every control is X0 - X0 = 0: the plain
+    # estimate stands, and the level the start misses still regresses
+    cfg = SimConfig(params=ModelParams(3, 1), t0=0.5, q0=2.0, n_paths=2000, n_steps=100, seed=4)
+    ens = _simulate_levels(cfg, np.array([Z31, 5.0]))
+    assert not _block_controls(ens, 0, 0, cfg.n_paths).any()
+    res = mc_estimate(cfg, ThresholdPolicy(Z31))
+    assert (res.mean, res.stderr) == (res.plain_mean, res.plain_stderr)
+    table = policy_sweep(cfg, [1.0, 5.0 / Z31], Z=Z31)
+    assert table.rows[0].result == res
+    assert table.rows[1].result.stderr < table.rows[1].result.plain_stderr
 
 
 @pytest.mark.parametrize("alpha, bound", [(3, -0.2), (1, -0.1)])
@@ -628,16 +743,23 @@ def test_stderr_is_taken_over_pair_means():
 
     payoffs, _ = _threshold_payoffs(cfg, np.array([Z31]))
     res = mc_estimate(cfg, ThresholdPolicy(Z31))
-    assert res.mean == np.mean(payoffs[:, 0])
-    assert res.stderr == pytest.approx(pair_stderr(payoffs[:, 0]), rel=1e-12)
+    assert res.plain_mean == np.mean(payoffs[:, 0])
+    assert res.plain_stderr == pytest.approx(pair_stderr(payoffs[:, 0]), rel=1e-12)
     # antithetic pairs beat independent paths at (3, 1)
-    assert res.stderr < 0.9 * payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
+    assert res.plain_stderr < 0.9 * payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
 
     table = policy_sweep(cfg, [1.0, 1.5], Z=Z31)
-    payoffs, _ = _threshold_payoffs(cfg, np.array([Z31, 1.5 * Z31]))
-    assert table.rows[0].result.stderr == pytest.approx(pair_stderr(payoffs[:, 0]), rel=1e-12)
-    diff = payoffs[:, 0] - payoffs[:, 1]
-    assert table.rows[1].paired_stderr_vs_candidate == pytest.approx(pair_stderr(diff), rel=1e-12)
+    ens = _simulate_levels(cfg, np.array([Z31, 1.5 * Z31]))
+    assert table.rows[0].result.plain_stderr == pytest.approx(pair_stderr(ens.payoffs(0)), rel=1e-12)
+    # the estimates are the regression of the pair means on the controls' pair
+    # means, recomputed by lstsq on a design with an intercept column
+    controls = [_reference_controls(ens, cfg, l) for l in (0, 1)]
+    for row, l in zip(table.rows, (0, 1)):
+        mean, se = _lstsq_estimate(ens.payoffs(l), controls[l])
+        assert (row.result.mean, row.result.stderr) == pytest.approx((mean, se), rel=1e-12)
+    mean, se = _lstsq_estimate(ens.payoffs(0) - ens.payoffs(1), controls[0] - controls[1])
+    assert table.rows[1].paired_mean_vs_candidate == pytest.approx(mean, rel=1e-12)
+    assert table.rows[1].paired_stderr_vs_candidate == pytest.approx(se, rel=1e-12)
 
 
 def test_pair_stderr_matches_independent_paths_for_the_mixture():
@@ -648,7 +770,7 @@ def test_pair_stderr_matches_independent_paths_for_the_mixture():
     res = mc_estimate(cfg, ThresholdPolicy(z))
     payoffs, _ = _threshold_payoffs(cfg, np.array([z]))
     independent = payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
-    assert abs(res.stderr / independent - 1.0) < 0.1
+    assert abs(res.plain_stderr / independent - 1.0) < 0.1
 
 
 @pytest.mark.parametrize(
@@ -662,8 +784,10 @@ def test_mc_estimate_matches_value_any_dimension_and_start(alpha, n, t0, q0, n_s
     params = ModelParams(alpha, n)
     sol = build_candidate(params)
     cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=8192, n_steps=n_steps, seed=20240601)
+    # the plain estimate: the control variates' sharper stderr exposes the
+    # grid's O(h) monitoring bias at (0.5, 1), -3.69 and -4.55 se here
     res = mc_estimate(cfg, ThresholdPolicy(sol.Z))
-    assert abs(res.mean - U_star(sol, t0, q0)) <= 3.0 * res.stderr
+    assert abs(res.plain_mean - U_star(sol, t0, q0)) <= 3.0 * res.plain_stderr
 
 
 def test_reflecting_bridge_level():
