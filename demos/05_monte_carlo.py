@@ -5,9 +5,10 @@ time-changed squared Bessel walk: the radial step for integer alpha and the
 Poisson mixture of the noncentral chi-square otherwise.  The sweep evaluates
 scaled thresholds m * Z on one shared path ensemble, so the comparison
 between multipliers is paired and low-variance.  Each estimate regresses the
-payoff on stopped-martingale controls, X - alpha (s - s0) - X0 read at
-min(tau, c) for 16 fixed nodes c, which have mean zero by optional stopping;
-the plain estimate is printed beside it.  Sizes here are trimmed for a quick
+payoff on stopped-martingale controls, X - alpha S - X0 and
+X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2 with S = s - s0, read
+at min(tau, c) for 16 fixed nodes c crowded toward t = 1; they have mean zero
+by optional stopping.  The plain estimate is printed beside it.  Sizes here are trimmed for a quick
 run; the acceptance battery uses 200k paths.
 """
 

@@ -116,6 +116,7 @@ def _sweep_rows_payload(table: SweepTable) -> dict:
                 "stderr": r.result.stderr,
                 "plain_mean": r.result.plain_mean,
                 "plain_stderr": r.result.plain_stderr,
+                "controls": r.result.controls,
                 "ci95": list(r.result.ci95),
                 "stop_fraction": r.result.stop_fraction,
                 "candidate": r.multiplier == 1.0,
@@ -135,6 +136,7 @@ def _mc_payload(res, z: float, scheme: str) -> dict:
         "stderr": res.stderr,
         "plain_mean": res.plain_mean,
         "plain_stderr": res.plain_stderr,
+        "controls": res.controls,
         "ci95": list(res.ci95),
         "stop_fraction": res.stop_fraction,
         "n_paths": res.n_paths,

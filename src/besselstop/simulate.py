@@ -27,27 +27,34 @@ the pairs are bookkeeping only.  Every estimate is taken over the pair means
 leaves the last path a group of one.
 
 Estimator: stopped-martingale control variates.  Every kernel step has
-E[X' | X] = X + alpha ds, so M_j = X_j - alpha S_j - X0, with S_j the sum of
-the kernel's own ds up to node j, is a martingale on the grid, exactly.
-Stopped at min(tau, c) for a fixed node c it has mean zero by optional
-stopping, whatever the level.  The engine records, for each path and level,
-the stopping node tau and X there, and for each path M at ``_CAPS`` (16) cap
-nodes c = round(i n_steps/17), i = 1 .. 16, clipped to 1 .. n_steps - 1 and
-deduplicated; the controls of a level are Y_c = M at min(tau, c).  The pair
-means of the payoff are regressed on the pair means of the controls with an
-intercept (Henderson and Glynn's martingale control variates; the
-regression estimator of Glasserman, section 4.1): beta solves the centred
-normal equations, mean = ybar - beta . cbar, and stderr is the residual
-standard deviation, on groups - 1 - rank degrees of freedom, over
-sqrt(groups).  The sweep's paired statistics regress the payoff difference
-on the difference of the two levels' controls.  No series value enters a
-control, so the estimate stays independent of U*.  The plain estimate, the
-mean over all paths and the standard deviation of the pair means over
-sqrt(groups), is reported beside it; it is also the estimate when there is
-no interior cap (n_steps = 1), too few groups (at most 4 (k + 1) for k caps)
-or no control that varies.  The regression runs after the engine, over
-``_FIT_PATHS`` paths at a time: it sums the moments of (1, controls, payoff)
-and solves them with Goodnight's sweep operator (``_cv_fit``).
+E[X' | X] = X + alpha ds and E[X'^2 | X] = X^2 + (2 alpha + 4) X ds +
+alpha (alpha + 2) ds^2, for the radial and the mixture kernel alike, so the
+space-time harmonic polynomials of degree one and two,
+M1_j = X_j - alpha S_j - X0 and
+M2_j = X_j^2 - (2 alpha + 4) S_j X_j + alpha (alpha + 2) S_j^2 - X0^2, with
+S_j the sum of the kernel's own ds up to node j, are martingales on the
+grid, exactly.  Stopped at min(tau, c) for a fixed node c they have mean
+zero by optional stopping, whatever the level, and they need nothing of the
+path but S and X there.  The controls are both martingales at each of
+``_CAPS`` (16) cap nodes c = round((1 - (1 - i/17)^2) n_steps),
+i = 1 .. 16, clipped to 1 .. n_steps - 1 and deduplicated, so the caps
+crowd toward t -> 1.  The pair means of the payoff are regressed on the pair
+means of the controls with an intercept (Henderson and Glynn's martingale
+control variates; the regression estimator of Glasserman, section 4.1):
+beta solves the centred normal equations, mean = ybar - beta . cbar, and
+stderr is the residual standard deviation, on groups - 1 - rank degrees of
+freedom, over sqrt(groups).  The sweep's paired statistics regress the
+payoff difference on the difference of the two levels' controls.  No series
+value enters a control, so the estimate stays independent of U*.  The plain
+estimate, the mean over all paths and the standard deviation of the pair
+means over sqrt(groups), is reported beside it; it is also the estimate
+when there is no interior cap (n_steps = 1), too few groups (at most
+4 (k + 1) for k controls) or no control that varies.  The engine records
+each path's stopping node and X there, and keeps X at the caps only while
+a path block walks: when the block ends, its worker sums the moments of
+(1, controls, payoff) over the block's pair means, ``_FIT_PATHS`` paths at
+a time, and the blocks' sums are added in block order and solved with
+Goodnight's sweep operator (``_cv_fit``).
 
 Reproducibility contract: the engine simulates paths in fixed blocks of
 ``_BLOCK_PATHS`` (4096), walked ``_BLOCK_STEPS`` (32) steps at a time; each
@@ -60,7 +67,8 @@ variates a path receives depend on the levels of the call: one call shares
 its paths across all its levels (common random numbers), but calls with
 different level sets do not share paths.  Reductions run over the fully
 assembled per-path arrays, with numpy's pairwise summation or, for the
-regression's moments, block by block in path order.
+regression's moments, per path block in path order and then over the blocks
+in block order.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ _BLOCK_STEPS = 32  # steps drawn per kernel call
 _PEAK_SLACK = 1.0 - 1e-12
 _CAPS = 16  # cap nodes of the stopped-martingale controls
 _FIT_PATHS = 1024  # paths per step of the regression pass; even, so no pair is split
+_PRODUCT_GROUPS = 128  # groups per matrix product of the regression pass
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -177,12 +186,15 @@ class MCResult:
 
     ``mean`` and ``stderr`` are the control-variate estimate (see the module
     docstring): the intercept of the regression of the antithetic pair means
-    on the pair means of the stopped-martingale controls, and its residual
-    standard deviation over the square root of the group count.
-    ``plain_mean`` is the mean over all ``n_paths`` paths and
-    ``plain_stderr`` the standard deviation of the pair means over the
-    square root of their count, an odd last path counting as a group of one;
-    ``mean`` and ``stderr`` equal them where the regression does not apply.
+    on the pair means of the stopped-martingale controls, the linear and the
+    quadratic space-time martingale at each cap node, and its residual standard
+    deviation over the square root of the group count.  ``controls`` is the
+    number of controls the regression kept, its rank: 32 when two controls
+    at each of 16 distinct caps all vary.  ``plain_mean`` is the mean over all
+    ``n_paths`` paths and ``plain_stderr`` the standard deviation of the pair
+    means over the square root of their count, an odd last path counting as a
+    group of one; ``mean`` and ``stderr`` equal them, and ``controls`` is 0,
+    where the regression does not apply.
     """
 
     mean: float
@@ -192,6 +204,7 @@ class MCResult:
     stop_fraction: float
     plain_mean: float
     plain_stderr: float
+    controls: int
     warning: str | None = None
 
 
@@ -390,53 +403,64 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
 
 @dataclass(frozen=True, eq=False)
 class _Ensemble:
-    """Per-path record of one engine run over a set of threshold levels.
+    """Per-path stopping record and control moments of one engine run.
 
     ``node`` and ``x_stop`` have one row per level and one column per path:
     the node where the level stopped the path (``n_steps`` where it never
     did) and the kernel's X there; the payoff and the stop flag follow from
-    them.  ``m_cap`` has one row per cap node ``caps`` and one column per
-    path: the martingale X - alpha S - X0 at that node, written while the
-    path's pair was still drawing and 0 after, when every level had stopped
-    the path before the cap.  ``drift[j]`` = alpha S_j + X0 is the
-    compensator at node j and ``tau2[j]`` = (1 - t_j)(1 - t_j).  A path that
-    never stopped reads both at the pinned node: tau2 is 0 there, so its q
-    and payoff are 0, and no control takes its drift.
+    them.  ``own`` and ``paired`` have one moment matrix per level: the sums
+    over the path blocks, in block order, of the matrices ``_block_moments``
+    builds when a block's walk ends.  ``candidate`` names the level the
+    paired moments compare against (None: no paired moments).
+    ``elapsed[j]`` = S_j, the sum of the kernel's ds up to node j, and
+    ``tau2[j]`` = (1 - t_j)(1 - t_j).  A path that never stopped reads both
+    at the pinned node: tau2 is 0 there, so its q and payoff are 0, and no
+    control reads its S.
     """
 
     node: np.ndarray
     x_stop: np.ndarray
     caps: np.ndarray
-    m_cap: np.ndarray
-    drift: np.ndarray
+    elapsed: np.ndarray
     tau2: np.ndarray
+    alpha: float
+    x0: float
+    own: np.ndarray
+    paired: np.ndarray
+    candidate: int | None
     q0: float
     n: float
 
     def stopped(self, l: int) -> np.ndarray:
         return self.node[l] < self.tau2.size - 1
 
-    def payoffs(self, l: int) -> np.ndarray:
-        """Q^{n/2} at each path's stop under level ``l``, 0 where it never stopped.
+    def payoffs(self, l: int, a: int = 0, b: int | None = None) -> np.ndarray:
+        """Q^{n/2} at the stop of paths [a, b) under level ``l``, 0 where it never stopped.
 
         q = X (1-t)^2 is the product the engine's level test formed; a start
         in the stopping region pays q0 itself, as ``apply_policy`` does.
         """
-        node = self.node[l]
-        q = self.x_stop[l] * self.tau2[node]
+        node = self.node[l, a:b]
+        q = self.x_stop[l, a:b] * self.tau2[node]
         q[node == 0] = self.q0
         return _payoff(q, self.n)
 
 
 def _cap_nodes(n_steps: int) -> np.ndarray:
-    """Cap nodes round(i n_steps/17), i = 1 .. 16, clipped to 1 .. n_steps-1, deduplicated."""
-    nodes = {min(max(round(i * n_steps / (_CAPS + 1)), 1), n_steps - 1) for i in range(1, _CAPS + 1)}
+    """Cap nodes round((1 - (1 - i/17)^2) n_steps), i = 1 .. 16, clipped to 1 .. n_steps-1, deduplicated.
+
+    The caps crowd toward t -> 1: the last sits 1 - 1/289 of the way.
+    """
+    nodes = {
+        min(max(round((1.0 - (1.0 - i / (_CAPS + 1)) ** 2) * n_steps), 1), n_steps - 1)
+        for i in range(1, _CAPS + 1)
+    }
     # int32, as the stopping nodes are, so comparing them casts nothing
     return np.array(sorted(nodes) if n_steps > 1 else [], dtype=np.int32)
 
 
 def _run_chunk_exact(config, levels, sampler, ens, start, stop):
-    """Fill ``ens`` for the path block [start, stop), simulated a time block at a time.
+    """Walk the path block [start, stop) a time block at a time; fill its stops in ``ens``.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
     Levels with q0 >= z (1 - t0) stop every path at node 0, as
@@ -453,6 +477,10 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
     the peak pre-filter keeps for a level, by the same product
     ``simulate_exact`` uses.  X at a stop and at a cap node is read from the
     kernel's X, never back from q.
+
+    Returns the block's cap record: X at each cap node, shape (caps, paths)
+    by block-local path, written while the path's pair is still drawing and
+    0 after, when every level has stopped the path before the cap.
     """
     m = stop - start
     pairs = (m + 1) // 2
@@ -466,7 +494,9 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
 
     at_start = config.q0 >= levels * tau[0]
     ens.node[at_start, start:stop] = 0
-    ens.x_stop[at_start, start:stop] = ens.drift[0]  # X0, as S_0 = 0
+    ens.x_stop[at_start, start:stop] = ens.x0
+    # an odd block's last column is a path B, never read
+    x_cap = np.zeros((len(caps), 2 * pairs))
     rows = np.arange(pairs)  # block-local pair index of each active row
     state = np.full((2, pairs), x0)  # kernel state of paths A and B at the current node
     open_ = np.empty((levels.size, 2, pairs), dtype=bool)  # (levels, path A or B, rows)
@@ -486,12 +516,7 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
         j1 = min(j0 + _BLOCK_STEPS, last)
         xk = step(gen, state, j0, j1, buf)
         while next_cap < len(caps) and caps[next_cap] <= j1:
-            c = caps[next_cap]
-            m_a, m_b = xk[c - j0 - 1] - ens.drift[c]
-            path_a = start + 2 * rows
-            with_b = np.searchsorted(rows, m // 2)  # the rows whose path B exists
-            ens.m_cap[next_cap, path_a] = m_a
-            ens.m_cap[next_cap, path_a[:with_b] + 1] = m_b[:with_b]
+            x_cap[next_cap, 2 * rows], x_cap[next_cap, 2 * rows + 1] = xk[caps[next_cap] - j0 - 1]
             next_cap += 1
         # columns: path A of every row, then path B of every row
         x = xk.reshape(j1 - j0, -1)
@@ -517,10 +542,15 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
             ens.node[l][path] = first + (j0 + 1)
             ens.x_stop[l][path] = x[first, cand]
             flat_open[l, cand] = False
+    return x_cap
 
 
-def _simulate_levels(config: SimConfig, levels: np.ndarray) -> _Ensemble:
-    """The stopping record and martingale readings of every path under each level, common random numbers."""
+def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | None = None) -> _Ensemble:
+    """The stopping record of every path and the control moments under each level, common random numbers.
+
+    With a ``candidate`` level, the paired moments compare every other level
+    against it.
+    """
     levels = np.asarray(levels, dtype=float)
     shape = (levels.size, config.n_paths)
     sampler = _sampler(config)
@@ -529,43 +559,91 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray) -> _Ensemble:
     elapsed = np.zeros(config.n_steps + 1)
     np.cumsum(_radial_steps(sampler[0])[1], out=elapsed[1:-1])
     tau = 1.0 - sampler[0]
+    moments = np.zeros((levels.size, 2 * caps.size + 2, 2 * caps.size + 2))
     ens = _Ensemble(
         node=np.full(shape, config.n_steps, dtype=np.int32),
         x_stop=np.zeros(shape),
         caps=caps,
-        m_cap=np.zeros((caps.size, config.n_paths)),
-        drift=config.params.alpha * elapsed + config.q0 / ((1.0 - config.t0) * (1.0 - config.t0)),
+        elapsed=elapsed,
         tau2=tau * tau,
+        alpha=config.params.alpha,
+        x0=config.q0 / ((1.0 - config.t0) * (1.0 - config.t0)),
+        own=moments,
+        paired=moments.copy(),
+        candidate=candidate,
         q0=config.q0,
         n=config.params.n,
     )
 
     n = config.n_paths
     bounds = [(b, min(b + _BLOCK_PATHS, n)) for b in range(0, n, _BLOCK_PATHS)]
+
+    def run(block):
+        # the block's cap record lives only until its moments are taken
+        return _block_moments(ens, *block, _run_chunk_exact(config, levels, sampler, ens, *block))
+
+    def fold(blocks):
+        # in block order for any worker count, so the sums are the same bits
+        for own, paired in blocks:
+            np.add(ens.own, own, out=ens.own)
+            np.add(ens.paired, paired, out=ens.paired)
+
     workers = worker_count(len(bounds))
     if workers == 1:
-        for b, e in bounds:
-            _run_chunk_exact(config, levels, sampler, ens, b, e)
+        fold(map(run, bounds))
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(_run_chunk_exact, config, levels, sampler, ens, b, e) for b, e in bounds
-            ]
-            for f in futures:
-                f.result()
+            fold(ex.map(run, bounds))
     return ens
 
 
-def _block_controls(ens: _Ensemble, l: int, a: int, b: int) -> np.ndarray:
-    """Pair means of level ``l``'s controls over the paths [a, b), shape (caps, groups).
+def _block_controls(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap) -> np.ndarray:
+    """Pair means of level ``l``'s controls over the paths start + [a, b), shape (2 caps, groups).
 
-    Control c of a path is the martingale at min(tau, c): its value at the
-    stop wherever tau <= c, at the cap otherwise.  ``a`` is even.
+    Control c reads S and X at min(tau, c): at the stop wherever tau <= c,
+    at the cap (X from the block's record ``x_cap``) otherwise.  Rows are
+    M1 = X - alpha S - X0 at each cap, then
+    M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2 at each cap.
+    ``a`` is even and local to the block, as is ``x_cap``.
     """
-    node = ens.node[l, a:b]
-    m_stop = ens.x_stop[l, a:b] - ens.drift[node]
-    # one broadcast select over every cap
-    return _group_means(np.where(node <= ens.caps[:, None], m_stop, ens.m_cap[:, a:b]))
+    node = ens.node[l, start + a : start + b]
+    at_stop = node <= ens.caps[:, None]
+    x = np.where(at_stop, ens.x_stop[l, start + a : start + b], x_cap[:, a:b])
+    s = np.where(at_stop, ens.elapsed[node], ens.elapsed[ens.caps, None])
+    controls = np.empty((2,) + x.shape)
+    np.subtract(x, ens.alpha * s + ens.x0, out=controls[0])
+    # X (X - (2 alpha + 4) S) + alpha (alpha + 2) S^2 - X0^2
+    np.multiply(x, x - (2.0 * ens.alpha + 4.0) * s, out=controls[1])
+    controls[1] += ens.alpha * (ens.alpha + 2.0) * s * s - ens.x0 * ens.x0
+    return _group_means(controls.reshape(-1, b - a))
+
+
+def _block_moments(ens: _Ensemble, start: int, stop: int, x_cap):
+    """The own and the paired moment matrices of the block [start, stop), one per level.
+
+    Entry l of ``own`` sums (1, controls, payoff) products over level l's
+    pair means; with a candidate level, entry l of ``paired`` does the same
+    for the candidate's payoff less level l's against the difference of
+    their controls.  The paths are taken ``_FIT_PATHS`` at a time, so no more
+    than that many paths' controls are ever held.
+    """
+    own, paired = np.zeros_like(ens.own), np.zeros_like(ens.paired)
+    cand = ens.candidate
+    for a in range(0, stop - start, _FIT_PATHS):
+        b = min(a + _FIT_PATHS, stop - start)
+        if cand is not None:
+            c_cand = _block_controls(ens, cand, start, a, b, x_cap)
+            y_cand = _group_means(ens.payoffs(cand, start + a, start + b))
+            own[cand] += _cross_products(c_cand, y_cand)
+        for l in range(own.shape[0]):
+            if l == cand:
+                continue
+            c = _block_controls(ens, l, start, a, b, x_cap)
+            y = _group_means(ens.payoffs(l, start + a, start + b))
+            own[l] += _cross_products(c, y)
+            if cand is not None:
+                paired[l] += _cross_products(c_cand - c, y_cand - y)
+    return own, paired
 
 
 def _group_means(values: np.ndarray) -> np.ndarray:
@@ -583,47 +661,25 @@ def _group_means(values: np.ndarray) -> np.ndarray:
 
 
 def _cross_products(controls: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum over groups of w w^T, w = (1, controls, y) a column per group."""
+    """Sum over groups of w w^T, w = (1, controls, y) a column per group.
+
+    Taken ``_PRODUCT_GROUPS`` columns at a time: 34 x 34 x 128 multiply-adds
+    stay under OpenBLAS's threading threshold (2^18), and a threaded product
+    this small cost 10-40x the single-threaded one in CPU.
+    """
     w = np.empty((controls.shape[0] + 2, y.size))
     w[0] = 1.0
     w[1:-1] = controls
     w[-1] = y
-    return w @ w.T
+    total = 0.0
+    for i in range(0, y.size, _PRODUCT_GROUPS):
+        part = w[:, i : i + _PRODUCT_GROUPS]
+        total = total + part @ part.T
+    return total
 
 
-def _cv_moments(ens: _Ensemble, payoffs: list[np.ndarray], candidate: int | None = None):
-    """Moment matrices of the control-variate regressions, per level and per paired difference.
-
-    ``payoffs`` holds each level's per-path payoffs.  Entry l of the first
-    array sums (1, controls, payoff) products over level l's pair means;
-    with a ``candidate`` level, entry l of the second does the same for the
-    candidate's payoff less level l's against the difference of their
-    controls.  The paths are taken ``_FIT_PATHS`` at a time, so no more than
-    that many paths' controls are ever held.
-    """
-    k = ens.caps.size
-    own = np.zeros((len(payoffs), k + 2, k + 2))
-    paired = np.zeros_like(own)
-    n = ens.node.shape[1]
-    for a in range(0, n, _FIT_PATHS):
-        b = min(a + _FIT_PATHS, n)
-        if candidate is not None:
-            c_cand = _block_controls(ens, candidate, a, b)
-            y_cand = _group_means(payoffs[candidate][a:b])
-        for l, values in enumerate(payoffs):
-            if l == candidate:
-                own[l] += _cross_products(c_cand, y_cand)
-                continue
-            c = _block_controls(ens, l, a, b)
-            y = _group_means(values[a:b])
-            own[l] += _cross_products(c, y)
-            if candidate is not None:
-                paired[l] += _cross_products(c_cand - c, y_cand - y)
-    return own, paired
-
-
-def _cv_fit(moments: np.ndarray) -> tuple[float, float] | None:
-    """Intercept and stderr of the regression whose moment matrix is ``moments``.
+def _cv_fit(moments: np.ndarray) -> tuple[float, float, int] | None:
+    """Intercept, stderr and rank of the regression whose moment matrix is ``moments``.
 
     ``moments`` sums w w^T over the groups, w = (1, c_1 .. c_k, y).
     Goodnight's sweep operator solves it in place: the pivot on the constant
@@ -656,19 +712,25 @@ def _cv_fit(moments: np.ndarray) -> tuple[float, float] | None:
         a[j, j] = -1.0 / pivot
     if rank == 0:
         return None
-    return float(a[0, -1]), math.sqrt(max(float(a[-1, -1]), 0.0) / (groups - 1 - rank) / groups)
+    se = math.sqrt(max(float(a[-1, -1]), 0.0) / (groups - 1 - rank) / groups)
+    return float(a[0, -1]), se, rank
 
 
-def _estimate(values: np.ndarray, moments: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The control-variate and the plain (mean, stderr) of per-path ``values``."""
+def _estimate(
+    values: np.ndarray, moments: np.ndarray
+) -> tuple[tuple[float, float, int], tuple[float, float]]:
+    """The control-variate (mean, stderr, rank) and the plain (mean, stderr) of per-path ``values``.
+
+    Where the regression does not apply, the first is the plain estimate with rank 0.
+    """
     groups = _group_means(values)
     plain_se = float(np.std(groups, ddof=1) / math.sqrt(groups.size)) if groups.size > 1 else math.nan
     plain = (float(np.mean(values)), plain_se)
-    return _cv_fit(moments) or plain, plain
+    return _cv_fit(moments) or plain + (0,), plain
 
 
 def _aggregate(payoffs: np.ndarray, stopped: np.ndarray, moments: np.ndarray) -> MCResult:
-    (mean, stderr), (plain_mean, plain_stderr) = _estimate(payoffs, moments)
+    (mean, stderr, controls), (plain_mean, plain_stderr) = _estimate(payoffs, moments)
     n_paths = payoffs.size
     warning = "n_paths below 100; interval estimate unreliable" if n_paths < 100 else None
     return MCResult(
@@ -679,6 +741,7 @@ def _aggregate(payoffs: np.ndarray, stopped: np.ndarray, moments: np.ndarray) ->
         stop_fraction=float(np.mean(stopped)),
         plain_mean=plain_mean,
         plain_stderr=plain_stderr,
+        controls=controls,
         warning=warning,
     )
 
@@ -690,9 +753,7 @@ def mc_estimate(config: SimConfig, policy: ThresholdPolicy) -> MCResult:
     estimate rides along in ``plain_mean`` and ``plain_stderr``.
     """
     ens = _simulate_levels(config, np.array([policy.Z]))
-    payoffs = [ens.payoffs(0)]
-    own, _ = _cv_moments(ens, payoffs)
-    return _aggregate(payoffs[0], ens.stopped(0), own[0])
+    return _aggregate(ens.payoffs(0), ens.stopped(0), ens.own[0])
 
 
 def policy_sweep(
@@ -719,21 +780,21 @@ def policy_sweep(
         Z = find_Z(config.params).value
     Z = _require("Z", Z, 0.0, math.inf, open_lo=True, open_hi=True)
     levels = np.array([m * Z for m in mult])
-    ens = _simulate_levels(config, levels)
-    payoffs = [ens.payoffs(i) for i in range(levels.size)]
     candidate = mult.index(1.0) if 1.0 in mult else None
-    own, paired = _cv_moments(ens, payoffs, candidate)
+    ens = _simulate_levels(config, levels, candidate)
+    base = ens.payoffs(candidate) if candidate is not None else None
 
     rows = []
     for i, m in enumerate(mult):
+        payoffs = ens.payoffs(i)
         pm = ps = None
         if candidate is not None and i != candidate:
-            (pm, ps), _ = _estimate(payoffs[candidate] - payoffs[i], paired[i])
+            (pm, ps, _), _ = _estimate(base - payoffs, ens.paired[i])
         rows.append(
             SweepRow(
                 multiplier=m,
                 Z_level=float(levels[i]),
-                result=_aggregate(payoffs[i], ens.stopped(i), own[i]),
+                result=_aggregate(payoffs, ens.stopped(i), ens.own[i]),
                 paired_mean_vs_candidate=pm,
                 paired_stderr_vs_candidate=ps,
             )

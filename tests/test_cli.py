@@ -264,8 +264,8 @@ def test_sweep_json_golden_keys(capsys):
     assert code == 0
     assert set(env["results"]) == {"base_Z", "argmax_multiplier", "rows"}
     row_keys = {
-        "multiplier", "Z_level", "mean", "stderr", "plain_mean", "plain_stderr", "ci95",
-        "stop_fraction", "candidate", "paired_mean_vs_candidate", "paired_stderr_vs_candidate",
+        "multiplier", "Z_level", "mean", "stderr", "plain_mean", "plain_stderr", "controls",
+        "ci95", "stop_fraction", "candidate", "paired_mean_vs_candidate", "paired_stderr_vs_candidate",
     }
     assert all(set(r) == row_keys for r in env["results"]["rows"])
     assert env["results"]["rows"][1]["candidate"] is True
@@ -280,12 +280,13 @@ def test_simulate_json_payload(capsys):
     assert code == 0
     res = env["results"]
     assert set(res) == {
-        "Z", "scheme", "mean", "stderr", "plain_mean", "plain_stderr", "ci95",
+        "Z", "scheme", "mean", "stderr", "plain_mean", "plain_stderr", "controls", "ci95",
         "stop_fraction", "n_paths", "warning",
     }
     assert res["scheme"] == "exact"
     assert res["n_paths"] == 400
     assert res["stderr"] < res["plain_stderr"]
+    assert 0 < res["controls"] <= 32  # the rank kept of two controls at each of 16 caps
     assert res["ci95"][0] <= res["mean"] <= res["ci95"][1]
     assert env["config"]["paths"] == 400
 

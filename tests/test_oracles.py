@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
@@ -408,7 +408,8 @@ def _reference_sweep(params, cells, ymax):
 
     Each row picks its central or upwind stencil by a scalar test, then takes
     its elimination ratio; the sweep back and the first stopping node follow.
-    Also reports which stencils ran, so a test can show both were exercised.
+    Also reports which stencils ran, so a test can show both were exercised,
+    and the stencil's (lo, mid, up) rows, for the complementarity check.
     """
     a, n = params.alpha, params.n
     y = np.linspace(0.0, ymax, cells + 1)
@@ -416,6 +417,7 @@ def _reference_sweep(params, cells, ymax):
     dy = ymax / cells
     kinds = set()
     r, prev = [], 0.0
+    rows = []
     for yi in y[:-1].tolist():
         diff = 2.0 * yi / (dy * dy)
         drift = a - yi
@@ -428,11 +430,12 @@ def _reference_sweep(params, cells, ymax):
         mid = -(lo + up) - 0.5 * n
         prev = -up / (mid + lo * prev)
         r.append(prev)
+        rows.append((lo, mid, up))
     g = phi[:]
     for i in range(cells - 1, -1, -1):
         g[i] = max(phi[i], r[i] * g[i + 1])
     first = next(i for i in range(cells + 1) if g[i] == phi[i])
-    return np.array(g), float(y[first]), kinds
+    return np.array(g), float(y[first]), kinds, np.array(rows).T
 
 
 @pytest.mark.parametrize(
@@ -452,7 +455,7 @@ def test_block_lattice_bit_identical_to_per_step(alpha, n, cells, span, t0, caps
     params = ModelParams(alpha, n)
     ymax = span / 100 * find_Z(params).value
     lat = fd_value(params, cells, ymax)
-    g, Z_fd, kinds = _reference_sweep(params, cells, ymax)
+    g, Z_fd, kinds, _ = _reference_sweep(params, cells, ymax)
     assert kinds == {"central", "upwind"}
     assert np.array_equal(lat.g, g)
     assert lat.Z_fd == Z_fd
@@ -473,12 +476,22 @@ def test_block_lattice_bit_identical_to_per_step(alpha, n, cells, span, t0, caps
     cells=st.integers(50, 3000),
     scale=st.floats(1.01, 50.0),
 )
+# the sweep's stop set here is {6, 8, 9, .., 50}, not an upper interval, so
+# the sweep is not the obstacle problem's solution and fd_value must refuse it
+@example(alpha=math.exp(3.75), n=math.exp(3.875), cells=50, scale=12.0)
 def test_windowed_lattice_bit_identical_to_per_step(alpha, n, cells, scale):
-    # any window [0, ymax] above Z, any grid the validator admits
+    # any window [0, ymax] above Z, any grid the validator admits: fd_value
+    # raises LatticeError exactly when the row-by-row sweep fails the same
+    # complementarity bound, and otherwise matches it bit for bit
     params = ModelParams(alpha, n)
     ymax = scale * find_Z(params).value
+    g, Z_fd, _, (lo, mid, up) = _reference_sweep(params, cells, ymax)
+    phi = np.linspace(0.0, ymax, cells + 1) ** (0.5 * n)
+    if not oracles._complementarity(lo, mid, up, g, phi) <= oracles._LCP_TOL:
+        with pytest.raises(LatticeError, match="complementarity"):
+            fd_value(params, cells, ymax)
+        return
     lat = fd_value(params, cells, ymax)
-    g, Z_fd, _ = _reference_sweep(params, cells, ymax)
     assert np.array_equal(lat.g, g)
     assert lat.Z_fd == Z_fd
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from besselstop import simulate
 from besselstop.boundary import find_Z
 from besselstop.series import ModelParams
 from besselstop.simulate import (
@@ -16,7 +17,6 @@ from besselstop.simulate import (
     _BLOCK_PATHS,
     _BLOCK_STEPS,
     _CAPS,
-    _block_controls,
     _cap_nodes,
     _sampler,
     _path_generator,
@@ -591,16 +591,17 @@ def _traced_peak(cfg):
 def test_exact_engine_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = _exact_config(n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 3.18 MB for one full block: two 1 MB draw slabs and the
-    # 0.5 MB cap record; q is formed only on the pre-filter's candidate columns
+    # measured 2.42 MB for one full block: the 1.5 MB draw buffer and the
+    # block's 0.5 MB record of X at the caps; q is formed only on the
+    # pre-filter's candidate columns
     assert _traced_peak(cfg) < 4 * 2**20
 
 
 def test_mixture_block_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
-    # measured 2.39 MB for one full block: one 1 MB draw slab, a few
-    # per-step rows and the 0.5 MB cap record
+    # measured 2.24 MB for one full block: one 1 MB draw slab, a few
+    # per-step rows and the block's 0.5 MB record of X at the caps
     assert _traced_peak(cfg) < 3 * 2**20
 
 
@@ -626,19 +627,84 @@ def _pair_means(values):
     return np.concatenate((pairs, values[..., even:]), axis=-1)
 
 
-def _reference_controls(ens, cfg, l):
-    """Per-path controls of level l, X at min(tau, c) less alpha (s - s0) + X0, one row per cap.
+def _record_paths(monkeypatch):
+    """Whole X paths of a single-threaded engine run, read off its kernel calls.
 
-    Rebuilt from the engine's record with the time change s = t/(1-t), not
-    the engine's sum of steps; the cap rows carry X - drift already.
+    Wraps the sampler's step and returns a function that assembles the
+    recorded calls into X with shape (n_paths, n_steps + 1), NaN where a
+    dropped pair drew no more.  A call's rows are the previous call's rows
+    that stayed open, in order; each is found by its kernel state, which
+    equals that row's state after the previous call.  A call from node 0
+    starts the next path block.
     """
-    t = np.linspace(cfg.t0, 1.0, cfg.n_steps + 1)
-    s = t[:-1] / (1.0 - t[:-1])
-    node = ens.node[l]
-    drift = cfg.params.alpha * (s - s[0]) + cfg.q0 / (1.0 - cfg.t0) ** 2
-    stopped = ens.x_stop[l] - drift[np.minimum(node, cfg.n_steps - 1)]
-    caps = _cap_nodes(cfg.n_steps)
-    return np.array([np.where(node <= c, stopped, ens.m_cap[i]) for i, c in enumerate(caps)])
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    calls = []
+    real = simulate._sampler
+
+    def sampler(config):
+        t, step, x0, width = real(config)
+
+        def recorded(gen, state, j0, j1, buf):
+            before = state.copy()
+            x = step(gen, state, j0, j1, buf)
+            calls.append((j0, before, x.copy(), state.copy()))
+            return x
+
+        return t, recorded, x0, width
+
+    monkeypatch.setattr(simulate, "_sampler", sampler)
+
+    def paths(cfg):
+        # an odd path count's last pair still steps a path B
+        x = np.full((cfg.n_paths + 1, cfg.n_steps + 1), np.nan)
+        x[:, 0] = cfg.q0 / (1.0 - cfg.t0) ** 2
+        block = -1
+        for j0, before, xk, after in calls:
+            if j0 == 0:
+                block += 1
+                rows = np.arange(before.shape[1])
+            else:
+                keep, i = [], 0
+                for col in before.T:
+                    while not np.array_equal(prev[:, i], col):
+                        i += 1
+                    keep.append(i)
+                    i += 1
+                rows = rows[keep]
+            for side in (0, 1):
+                x[block * _BLOCK_PATHS + 2 * rows + side, j0 + 1 : j0 + 1 + xk.shape[0]] = xk[:, side].T
+            prev = after
+        calls.clear()
+        return x[: cfg.n_paths]
+
+    return paths
+
+
+def _reference_controls(x, cfg, node):
+    """Per-path controls of a level that stops at ``node``: M1 at each cap, then M2 at each cap.
+
+    Rebuilt from the whole paths ``x`` with the time change s = t/(1-t), not
+    the engine's sum of ds: with S = s - s0, M1 = X - alpha S - X0 and
+    M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2, read at
+    min(tau, c).
+    """
+    a = cfg.params.alpha
+    t = np.linspace(cfg.t0, 1.0, cfg.n_steps + 1)[:-1]
+    s = t / (1.0 - t) - cfg.t0 / (1.0 - cfg.t0)
+    x = x[:, :-1]
+    x0 = x[0, 0]
+    m1 = x - a * s - x0
+    m2 = x * x - (2 * a + 4) * s * x + a * (a + 2) * s * s - x0 * x0
+    at = np.minimum(node[:, None], _cap_nodes(cfg.n_steps))
+    rows = np.arange(x.shape[0])[:, None]
+    return np.concatenate((m1[rows, at].T, m2[rows, at].T))
+
+
+def _moments(controls, values):
+    """Sum over pair means of w w^T, w = (1, controls, values)."""
+    y = _pair_means(values)
+    w = np.vstack([np.ones(y.size), _pair_means(controls), y])
+    return w @ w.T
 
 
 def _lstsq_estimate(values, controls):
@@ -650,44 +716,82 @@ def _lstsq_estimate(values, controls):
     return coef[0], math.sqrt(resid @ resid / (y.size - rank) / y.size)
 
 
+def _placement(i, n_steps):
+    return min(max(round((1.0 - (1.0 - i / 17) ** 2) * n_steps), 1), n_steps - 1)
+
+
 def test_cap_nodes():
     assert _cap_nodes(1).size == 0
     assert _cap_nodes(2).tolist() == [1]
     assert _cap_nodes(3).tolist() == [1, 2]
-    assert _cap_nodes(2000).tolist() == [round(i * 2000 / 17) for i in range(1, _CAPS + 1)]
-    assert _cap_nodes(20).tolist() == sorted({min(max(round(i * 20 / 17), 1), 19) for i in range(1, 17)})
+    assert _cap_nodes(2000).tolist() == [_placement(i, 2000) for i in range(1, _CAPS + 1)]
+    # crowded toward t -> 1: the last cap sits at 1 - (1/17)^2 = 0.9965
+    assert _cap_nodes(2000).tolist()[-3:] == [1938, 1972, 1993]
+    assert _cap_nodes(200).size == _CAPS
+    assert _cap_nodes(40).size == 14
+    assert _cap_nodes(20).tolist() == sorted({_placement(i, 20) for i in range(1, 17)})
 
 
 @pytest.mark.parametrize(
     "alpha, n, t0, q0", [(3, 1, 0.0, 0.0), (1, 1, 0.0, 0.0), (0.5, 1, 0.0, 0.0), (2.5, 1.5, 0.3, 0.4)]
 )
-def test_controls_have_mean_zero_by_optional_stopping(alpha, n, t0, q0):
-    # X - alpha S - X0 stopped at min(tau, c) has mean zero at every cap.  A
-    # coarse grid makes alpha ds large, so a control read one node off its
-    # drift, or with a wrong drift, sits many se from zero
+def test_controls_have_mean_zero_by_optional_stopping(alpha, n, t0, q0, monkeypatch):
+    # X - alpha S - X0 and X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2
+    # stopped at min(tau, c) have mean zero at every cap.  A coarse grid makes
+    # alpha ds large, so a control read one node off its S, or with a wrong
+    # coefficient, sits many se from zero
     params = ModelParams(alpha, n)
     cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=16_384, n_steps=40, seed=7)
+    paths = _record_paths(monkeypatch)
     ens = _simulate_levels(cfg, np.array([find_Z(params).value]))
-    controls = _block_controls(ens, 0, 0, cfg.n_paths)
-    assert controls.shape == (_CAPS, cfg.n_paths // 2)
-    assert np.allclose(controls, _pair_means(_reference_controls(ens, cfg, 0)), rtol=0.0, atol=1e-12)
-    se = controls.std(axis=1, ddof=1) / math.sqrt(controls.shape[1])
-    assert np.all(np.abs(controls.mean(axis=1)) <= 4.0 * se)
+    x = paths(cfg)
+    stopped = ens.stopped(0)
+    assert np.array_equal(x[stopped, ens.node[0][stopped]], ens.x_stop[0][stopped])
+    own = ens.own[0]
+    k = 2 * _cap_nodes(cfg.n_steps).size
+    assert own.shape == (k + 2, k + 2) and own[0, 0] == cfg.n_paths // 2
+    # the engine's moments are those of the controls rebuilt from whole paths
+    ref = _moments(_reference_controls(x, cfg, ens.node[0]), ens.payoffs(0))
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(own - ref) <= 1e-10 * scale)
+    # each control's pair mean, from the engine's own sums
+    groups = own[0, 0]
+    mean = own[0, 1:-1] / groups
+    se = np.sqrt((np.diag(own)[1:-1] / groups - mean * mean) / (groups - 1))
+    assert np.all(np.abs(mean) <= 4.0 * se)
     # the regression keeps the plain estimate's answer
     res = mc_estimate(cfg, ThresholdPolicy(find_Z(params).value))
     assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
     assert res.stderr < res.plain_stderr
+    assert res.controls == k
 
 
 @pytest.mark.parametrize("alpha", [3, 1])
 def test_control_variates_cut_the_stderr(alpha):
-    # the headline sizes per op: the pair-mean variance falls to 0.05 at
-    # (3, 1) and 0.03 at (1, 1) of the plain one
+    # the headline sizes per op: the pair-mean variance falls to 0.0014 at
+    # (3, 1) and 0.0009 at (1, 1) of the plain one, stderr 0.038 and 0.029
+    # of the plain stderr
     cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=8192, n_steps=2000, seed=20240601)
     res = mc_estimate(cfg, ThresholdPolicy(find_Z(cfg.params).value))
-    assert res.stderr <= 0.5 * res.plain_stderr
+    assert res.stderr <= 0.1 * res.plain_stderr
+    assert res.controls == 2 * _CAPS
     assert res.ci95 == (res.mean - 1.96 * res.stderr, res.mean + 1.96 * res.stderr)
     assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
+
+
+def test_stderr_is_calibrated_across_seeds():
+    # the regression's stderr against the spread of its mean over 48 seeds:
+    # the ratio reads 0.99 at (3, 1) and 0.99 at (1, 1), 32 controls on 1024
+    # pairs each
+    for alpha in (3, 1):
+        params = ModelParams(alpha, 1)
+        z = find_Z(params).value
+        runs = [
+            mc_estimate(SimConfig(params=params, n_paths=2048, n_steps=500, seed=s), ThresholdPolicy(z))
+            for s in range(48)
+        ]
+        ratio = np.std([r.mean for r in runs], ddof=1) / np.mean([r.stderr for r in runs])
+        assert 0.75 <= ratio <= 1.33
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3])
@@ -702,9 +806,11 @@ def test_control_variates_at_the_edges(n_steps, n_paths):
     # one path leaves every stderr nan, which equality alone would reject
     np.testing.assert_equal(dataclasses.astuple(table.rows[1].result), dataclasses.astuple(res))
     groups = (n_paths + 1) // 2
-    if _cap_nodes(n_steps).size == 0 or groups <= 4 * (_cap_nodes(n_steps).size + 1):
+    k = 2 * _cap_nodes(n_steps).size  # two controls per cap
+    if k == 0 or groups <= 4 * (k + 1):
         assert res.mean == res.plain_mean
         assert res.stderr == res.plain_stderr or math.isnan(res.plain_stderr)
+        assert res.controls == 0
     else:
         assert abs(res.mean - res.plain_mean) <= 3.0 * res.plain_stderr
 
@@ -714,9 +820,10 @@ def test_start_in_stopping_region_has_zero_controls():
     # estimate stands, and the level the start misses still regresses
     cfg = SimConfig(params=ModelParams(3, 1), t0=0.5, q0=2.0, n_paths=2000, n_steps=100, seed=4)
     ens = _simulate_levels(cfg, np.array([Z31, 5.0]))
-    assert not _block_controls(ens, 0, 0, cfg.n_paths).any()
+    # every sum with a control in it is zero
+    assert not ens.own[0, 1:-1].any()
     res = mc_estimate(cfg, ThresholdPolicy(Z31))
-    assert (res.mean, res.stderr) == (res.plain_mean, res.plain_stderr)
+    assert (res.mean, res.stderr, res.controls) == (res.plain_mean, res.plain_stderr, 0)
     table = policy_sweep(cfg, [1.0, 5.0 / Z31], Z=Z31)
     assert table.rows[0].result == res
     assert table.rows[1].result.stderr < table.rows[1].result.plain_stderr
@@ -733,7 +840,7 @@ def test_antithetic_pair_payoffs_are_negatively_correlated(alpha, bound):
     assert np.corrcoef(payoffs[0::2, 0], payoffs[1::2, 0])[0, 1] < bound
 
 
-def test_stderr_is_taken_over_pair_means():
+def test_stderr_is_taken_over_pair_means(monkeypatch):
     # 2001 paths: 1000 pairs and a last path that is a group of one
     cfg = _exact_config(n_paths=2001, n_steps=200, seed=23)
 
@@ -749,11 +856,14 @@ def test_stderr_is_taken_over_pair_means():
     assert res.plain_stderr < 0.9 * payoffs[:, 0].std(ddof=1) / math.sqrt(cfg.n_paths)
 
     table = policy_sweep(cfg, [1.0, 1.5], Z=Z31)
-    ens = _simulate_levels(cfg, np.array([Z31, 1.5 * Z31]))
+    paths = _record_paths(monkeypatch)
+    ens = _simulate_levels(cfg, np.array([Z31, 1.5 * Z31]), candidate=0)
+    x = paths(cfg)
     assert table.rows[0].result.plain_stderr == pytest.approx(pair_stderr(ens.payoffs(0)), rel=1e-12)
     # the estimates are the regression of the pair means on the controls' pair
-    # means, recomputed by lstsq on a design with an intercept column
-    controls = [_reference_controls(ens, cfg, l) for l in (0, 1)]
+    # means, recomputed by lstsq on a design with an intercept column from
+    # controls rebuilt on the whole paths
+    controls = [_reference_controls(x, cfg, ens.node[l]) for l in (0, 1)]
     for row, l in zip(table.rows, (0, 1)):
         mean, se = _lstsq_estimate(ens.payoffs(l), controls[l])
         assert (row.result.mean, row.result.stderr) == pytest.approx((mean, se), rel=1e-12)
