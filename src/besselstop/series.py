@@ -20,26 +20,25 @@ throughout the package.
 Tables are truncated with a relative tail test at a declared ``ymax`` and
 carry that range so downstream evaluations can refuse arguments the table was
 never validated for.  The recursion is cross-checked against the log-gamma
-closed form of the same coefficients on every build.  A table builds the
-coefficients of psi', psi'' and F once, on first use; every evaluation is
-one Horner loop, in Python floats for a scalar argument, in numpy for an array.
+closed form of the same coefficients on every build.  A table holds its
+coefficients as Python floats and builds those of psi', psi'' and F once, on
+first use; every evaluation is one Horner loop, in Python floats for a scalar
+argument, in numpy for an array.  numpy is imported only by the first array
+argument or the first access to a table's public coefficient arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 K_MAX = 500
 _RANGE_SLACK = 1.0 + 1e-9
-_TINY = np.finfo(float).tiny  # smallest normal float64
+_TINY = sys.float_info.min  # smallest normal float64
 # ln(2^k k!) for k = 0..K_MAX, the integer-argument part of the closed form
-_LOG_2K_FACTORIAL = np.array(
-    [k * math.log(2.0) + math.lgamma(k + 1.0) for k in range(K_MAX + 1)]
-)
+_LOG_2K_FACTORIAL = tuple(k * math.log(2.0) + math.lgamma(k + 1.0) for k in range(K_MAX + 1))
 
 
 def _require(name, x, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False) -> float:
@@ -94,40 +93,53 @@ class ModelParams:
 class CoefficientTable:
     """Truncated series coefficients A_0..A_K with their validated range.
 
-    ``eps`` is the relative tail tolerance used to select K, ``ymax`` the
-    argument bound the truncation was tested at.  Valid evaluations are
-    y in [0, ymax].  ``dpsi_coeffs`` (k A_k), ``d2psi_coeffs`` (k (k-1) A_k)
-    and ``F_coeffs`` ((2k - n) A_k), zero terms dropped, are built on first
-    use and, like ``coeffs``, read-only.
+    ``A`` holds the recursion's own floats as a tuple, which the scalar
+    Horner loop reads directly.  ``eps`` is the relative tail tolerance used
+    to select K, ``ymax`` the argument bound the truncation was tested at.
+    Valid evaluations are y in [0, ymax].  ``coeffs`` (A_k), ``dpsi_coeffs``
+    (k A_k), ``d2psi_coeffs`` (k (k-1) A_k) and ``F_coeffs`` ((2k - n) A_k),
+    zero terms dropped, are read-only float ndarrays built on first access.
     """
 
     params: ModelParams
     K: int
-    coeffs: np.ndarray
+    A: tuple[float, ...]
     eps: float
     ymax: float
 
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
+    @cached_property
+    def _dpsi(self) -> tuple[float, ...]:
+        return tuple(k * c for k, c in enumerate(self.A[1:], 1))
 
     @cached_property
-    def _k(self) -> np.ndarray:
-        return np.arange(self.K + 1, dtype=float)
+    def _d2psi(self) -> tuple[float, ...]:
+        return tuple(k * (k - 1.0) * c for k, c in enumerate(self.A[2:], 2))
 
     @cached_property
-    def dpsi_coeffs(self) -> np.ndarray:
-        return _readonly((self._k * self.coeffs)[1:])
+    def _F(self) -> tuple[float, ...]:
+        return tuple((2.0 * k - self.params.n) * c for k, c in enumerate(self.A))
 
     @cached_property
-    def d2psi_coeffs(self) -> np.ndarray:
-        return _readonly((self._k * (self._k - 1.0) * self.coeffs)[2:])
+    def coeffs(self):
+        return _frozen_array(self.A)
 
     @cached_property
-    def F_coeffs(self) -> np.ndarray:
-        return _readonly((2.0 * self._k - self.params.n) * self.coeffs)
+    def dpsi_coeffs(self):
+        return _frozen_array(self._dpsi)
+
+    @cached_property
+    def d2psi_coeffs(self):
+        return _frozen_array(self._d2psi)
+
+    @cached_property
+    def F_coeffs(self):
+        return _frozen_array(self._F)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _frozen_array(values: tuple[float, ...]):
+    import numpy as np
+
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -138,17 +150,16 @@ def default_ymax(params: ModelParams) -> float:
     return max(4.0, 4.0 * z_guess)
 
 
-def gamma_form_coefficients(params: ModelParams, K: int) -> np.ndarray:
-    """Closed-form coefficients via log-gamma, A_k for k = 0..K.
+def gamma_form_coefficients(params: ModelParams, K: int) -> list[float]:
+    """Closed-form coefficients via log-gamma, A_k for k = 0..K, as a list of floats.
 
     A_k = Gamma(alpha/2) Gamma(k + n/2) / (Gamma(n/2) Gamma(k + alpha/2) 2^k k!),
-    evaluated in log space with ``math.lgamma`` so large k never overflows.
+    evaluated in log space with ``math.lgamma`` and ``math.exp`` so large k never overflows.
     """
     ha, hn = 0.5 * params.alpha, 0.5 * params.n
     lg = math.lgamma
     c = lg(ha) - lg(hn)
-    log_ratio = np.array([c + lg(k + hn) - lg(k + ha) for k in range(K + 1)])
-    return np.exp(log_ratio - _LOG_2K_FACTORIAL[: K + 1])
+    return [math.exp(c + lg(k + hn) - lg(k + ha) - _LOG_2K_FACTORIAL[k]) for k in range(K + 1)]
 
 
 def build_coefficients(
@@ -179,7 +190,7 @@ def build_coefficients(
         term *= ratio * ymax
         total += term
     if K is None:
-        partial = CoefficientTable(params, K_MAX, np.array(coeffs[: K_MAX + 1]), eps, ymax)
+        partial = CoefficientTable(params, K_MAX, tuple(coeffs[: K_MAX + 1]), eps, ymax)
         raise TruncationError(
             f"series truncation failed: no K <= {K_MAX} meets eps={eps} at ymax={ymax}",
             partial=partial,
@@ -189,7 +200,7 @@ def build_coefficients(
     # forms must be zero or subnormal.  A NaN in the closed form fails both
     # tests; the recursion's positive ratios never give a NaN.
     rel = 0.0
-    for x, c in zip(coeffs, gamma_form_coefficients(params, K).tolist()):
+    for x, c in zip(coeffs, gamma_form_coefficients(params, K)):
         if c >= _TINY:
             rel = max(rel, abs(x / c - 1.0))
         elif not (x < _TINY and c < _TINY):
@@ -198,33 +209,41 @@ def build_coefficients(
         raise RuntimeError(
             f"recursion disagrees with gamma closed form (max rel {rel:.3e})"
         )
-    return CoefficientTable(params, K, np.array(coeffs), eps, ymax)
+    return CoefficientTable(params, K, tuple(coeffs), eps, ymax)
+
+
+def _argument(y):
+    """A scalar or 0-d y as a Python float, any other y as a float ndarray."""
+    if isinstance(y, (float, int)):  # np.float64 subclasses float
+        return float(y)
+    import numpy as np
+
+    x = np.asarray(y, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _horner(table: CoefficientTable, y, c):
     """sum_k c_k y^k by Horner's rule, for y inside the table's validated range.
 
-    One loop over ``c.tolist()`` in the operation order of numpy's ``polyval``
+    One loop over the coefficients ``c`` (a tuple of floats, or an array,
+    read through ``tolist``) in the operation order of numpy's ``polyval``
     (``acc = c_K + y*0``, then ``acc = c_k + acc*y``), so results are bit for
-    bit polyval's; no coefficients give 0.  A Python float or int (or np.float64)
-    is range-checked by float comparisons, any other y by numpy, with the same
-    ValueError; a scalar or 0-d y is summed in Python floats, an array in numpy.
+    bit polyval's; no coefficients give 0.  A scalar or 0-d y is range-checked
+    and summed in Python floats, an array in numpy, with the same ValueError.
     """
-    if isinstance(y, (float, int)):  # np.float64 subclasses float
-        x = float(y)
+    x = _argument(y)
+    if isinstance(x, float):
         below, above = not x >= 0.0, x > table.ymax * _RANGE_SLACK  # NaN is below
     else:
-        x = np.asarray(y, dtype=float)
-        below, above = not np.all(x >= 0.0), np.any(x > table.ymax * _RANGE_SLACK)
-        x = float(x) if x.ndim == 0 else x
+        below, above = not (x >= 0.0).all(), (x > table.ymax * _RANGE_SLACK).any()
     if below:
         raise ValueError("series argument must be nonnegative")
     if above:
         raise ValueError(
-            f"series argument {np.max(x)} outside the table's validated range "
-            f"[0, {table.ymax}]"
+            f"series argument {x if isinstance(x, float) else x.max()} outside the "
+            f"table's validated range [0, {table.ymax}]"
         )
-    coeffs = c.tolist() or [0.0]
+    coeffs = (c if isinstance(c, tuple) else tuple(c.tolist())) or (0.0,)
     acc = coeffs[-1] + x * 0.0
     for ck in reversed(coeffs[:-1]):
         acc = ck + acc * x
@@ -236,14 +255,14 @@ def psi_eval(table: CoefficientTable, y):
 
     Accepts a scalar or array y inside the table's validated range.
     """
-    return _horner(table, y, table.coeffs)
+    return _horner(table, y, table.A)
 
 
 def psi_derivative(table: CoefficientTable, y, order: int = 1):
     """Term-wise derivative of psi of the given order (1 or 2)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _horner(table, y, table.dpsi_coeffs if order == 1 else table.d2psi_coeffs)
+    return _horner(table, y, table._dpsi if order == 1 else table._d2psi)
 
 
 def F_eval(params: ModelParams, z, table: CoefficientTable):
@@ -254,18 +273,17 @@ def F_eval(params: ModelParams, z, table: CoefficientTable):
     """
     if params != table.params:
         raise ValueError("params do not match the coefficient table")
-    return _horner(table, z, table.F_coeffs)
+    return _horner(table, z, table._F)
 
 
 def ode_residual_series(table: CoefficientTable, y):
     """Residual of 4y psi'' + 2(alpha - y) psi' - n psi at y, from the series.
 
-    A Python float or int y stays a float throughout, as in ``_horner``.
+    A scalar or 0-d y stays a Python float throughout, as in ``_horner``.
     """
     a, n = table.params.alpha, table.params.n
-    x = float(y) if isinstance(y, (float, int)) else np.asarray(y, dtype=float)
+    x = _argument(y)
     p = psi_eval(table, x)
     p1 = psi_derivative(table, x, 1)
     p2 = psi_derivative(table, x, 2)
-    out = 4.0 * x * p2 + 2.0 * (a - x) * p1 - n * p
-    return float(out) if np.ndim(out) == 0 else out
+    return 4.0 * x * p2 + 2.0 * (a - x) * p1 - n * p

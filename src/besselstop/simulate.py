@@ -74,6 +74,7 @@ in block order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -115,8 +116,10 @@ def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker cap: BESSELSTOP_THREADS if set, else hardware parallelism."""
+    """Worker cap: BESSELSTOP_THREADS (a positive integer) if set, else hardware parallelism."""
     env = os.environ.get("BESSELSTOP_THREADS")
+    if env and not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"BESSELSTOP_THREADS must be a positive integer, got {env!r}")
     cap = int(env) if env else (os.cpu_count() or 1)
     return max(1, min(cap, n_tasks))
 
@@ -141,6 +144,10 @@ class SimConfig:
     def __post_init__(self):
         _require("t0", self.t0, 0.0, 1.0, open_hi=True)
         _require("q0", self.q0, 0.0, math.inf, open_hi=True)
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         _require("n_paths", self.n_paths, 1)
         _require("n_steps", self.n_steps, 1)
         if not (0 <= self.seed < _MAX_U64):  # in integers: float(2**64 - 1) is 2**64

@@ -15,6 +15,9 @@ coordinates are recovered through V*(t, x) = U*(t, x^2).
 Points exactly on the boundary take the payoff branch; continuity makes the
 choice value-irrelevant but the policy needs a convention.  U* at t = 1 is
 defined as the payoff by continuity (the bridge pins at zero).
+
+``build_candidate`` runs in Python floats; the functions that take arrays
+import numpy on first use.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .boundary import exp_t2_integral, find_C_excursion, find_Z
 from .series import (
@@ -86,6 +87,8 @@ def build_excursion() -> ExcursionSolution:
 
 def U_star(sol: CandidateSolution, t: float, q):
     """Candidate value in squared coordinates; scalar t, scalar or array q."""
+    import numpy as np
+
     t = _require("t", t, 0.0, 1.0)
     scalar = np.isscalar(q) or np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float)).copy()
@@ -103,6 +106,8 @@ def U_star(sol: CandidateSolution, t: float, q):
 
 def V_star(sol: CandidateSolution, t: float, x):
     """Candidate value in original coordinates: V*(t, x) = U*(t, x^2)."""
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):  # a NaN fails this too
         raise ValueError("x must be nonnegative")
@@ -112,6 +117,8 @@ def V_star(sol: CandidateSolution, t: float, x):
 
 def boundary_q(sol: CandidateSolution, t):
     """Stopping boundary in squared coordinates, z(t) = Z (1 - t)."""
+    import numpy as np
+
     ta = np.asarray(t, dtype=float)
     if not np.all((ta >= 0.0) & (ta <= 1.0)):  # a NaN fails this too
         raise ValueError("t must lie in [0, 1]")
@@ -121,6 +128,8 @@ def boundary_q(sol: CandidateSolution, t):
 
 def boundary_x(sol: CandidateSolution, t):
     """Stopping boundary in original coordinates, sqrt(Z (1 - t))."""
+    import numpy as np
+
     out = np.sqrt(boundary_q(sol, t))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -169,6 +178,8 @@ def pde_residual(sol: CandidateSolution, t: float, q) -> float:
     (1-t)^{n/2 - 1} / 2, so it inherits the truncation-level smallness.  A
     Python float or int q is kept a float, as in ``ode_residual_series``.
     """
+    import numpy as np
+
     t = _require("t", t, 0.0, 1.0, open_hi=True)
     tau = 1.0 - t
     qa = float(q) if isinstance(q, (float, int)) else np.asarray(q, dtype=float)

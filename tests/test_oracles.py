@@ -240,6 +240,29 @@ def test_solve_evaluate_and_simulate_never_load_scipy():
     )
 
 
+def test_solve_and_scalar_evaluation_never_load_numpy():
+    # the solve path runs in Python floats; numpy loads with the first array
+    # evaluation and gives the README values
+    _run_fresh(
+        "import sys\n"
+        "from besselstop import (ModelParams, build_candidate, find_Z, boundary_margin,\n"
+        "                        build_coefficients, psi_eval, F_eval)\n"
+        "for a, n in ((3, 1), (60, 80)):\n"
+        "    p = ModelParams(a, n)\n"
+        "    sol = build_candidate(p)\n"
+        "    table = build_coefficients(p, ymax=2.0 * sol.Z)\n"
+        "    psi_eval(table, sol.Z), F_eval(p, find_Z(p).value, table), boundary_margin(p)\n"
+        "assert table.K > 100, table.K\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+        "from besselstop import U_star\n"
+        "sol = build_candidate(ModelParams(3, 1))\n"
+        "u = U_star(sol, 0.0, [0.0, 1.0])\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert (sol.Z, u[0]) == (2.2601976579937237, 0.9711974210930678), (sol.Z, u[0])\n"
+    )
+
+
 def test_lattice_converges_to_candidate_value():
     # U*(t0, q) = (1-t0)^{n/2} u(q/(1-t0)): one lattice in y carries every t0,
     # at every node, continuation and stopping region alike

@@ -188,6 +188,35 @@ def test_config_validation():
             ThresholdPolicy(z)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("n_paths", 100.5), ("n_paths", 100.0), ("n_paths", True), ("n_paths", "100"),
+     ("n_steps", 20.5), ("n_steps", False), ("n_steps", None), ("seed", 1.5), ("seed", True)],
+)
+def test_config_rejects_non_integer_counts(field, bad):
+    # a float used to pass and fail later, deep in the engine; a bool is no count
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(params=ModelParams(3, 1), **{field: bad})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = SimConfig(params=ModelParams(3, 1), n_paths=np.int64(40), n_steps=np.int32(10), seed=np.uint64(1))
+    assert mc_estimate(cfg, ThresholdPolicy(Z31)).n_paths == 40
+
+
+@pytest.mark.parametrize("env, n_tasks, want", [("1", 5, 1), ("3", 5, 3), ("3", 2, 2), (" 2 ", 4, 2), ("", 1, 1)])
+def test_worker_count_reads_a_positive_integer(monkeypatch, env, n_tasks, want):
+    monkeypatch.setenv("BESSELSTOP_THREADS", env)
+    assert simulate.worker_count(n_tasks) == want
+
+
+@pytest.mark.parametrize("env", ["two", "-3", "0", "1.5", "+2", " "])
+def test_worker_count_rejects_a_bad_thread_setting(monkeypatch, env):
+    monkeypatch.setenv("BESSELSTOP_THREADS", env)
+    with pytest.raises(ValueError, match="BESSELSTOP_THREADS must be a positive integer"):
+        simulate.worker_count(4)
+
+
 def test_exact_path_pins_and_stays_nonnegative():
     path = simulate_exact(_exact_config(n_steps=500))
     assert path.q[0] == 0.0
