@@ -21,7 +21,7 @@ from besselstop import (
 
 table = build_coefficients(ModelParams(3, 1))
 print(f"(3,1): K = {table.K} coefficients on [0, {table.ymax:g}]")
-print("first few:", ", ".join(f"{c:.6g}" for c in table.coeffs[:5]))
+print("first few:", ", ".join(f"{c:.6g}" for c in table.A[:5]))
 
 table11 = build_coefficients(ModelParams(1, 1), ymax=10.0)
 y = np.linspace(0.0, 10.0, 5)

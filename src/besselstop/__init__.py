@@ -28,7 +28,7 @@ _LAZY = {
     "oracles": """AccuracyError FdResult LatticeError OdeSolution RangeError Z_from_ode fd_value
         kummer_psi kummer_value kummer_Z ode_residual ode_shoot""".split(),
     "simulate": """BridgePath MCResult SCHEME_EXACT SimConfig StoppingOutcome SweepRow SweepTable
-        ThresholdPolicy apply_policy mc_estimate path_seed policy_sweep simulate_exact""".split(),
+        ThresholdPolicy apply_policy mc_estimate policy_sweep simulate_exact""".split(),
     "verify": """CheckResult DELTA_FORM GAMMA_FORM IterState LambdaParams VerificationReport
         candidate_shape_checks check_delta_bounds check_dominance check_gamma_bounds
         delta_polynomials H_value iterate_DB lambda_eval lambda_iterate_invariance

@@ -165,7 +165,7 @@ def _solve_Z(params: ModelParams, tol: float) -> RootResult:
         nonlocal table
         if z > table.ymax:
             table = build_coefficients(params, ymax=2.0 * z)
-        return F_eval(params, z, table)
+        return F_eval(table, z)
 
     hi = max(1.0, 0.5 * (params.alpha + params.n))
     return solve_root(F, 0.0, hi, tol, grow_cap=2.0**60)

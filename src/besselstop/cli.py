@@ -176,10 +176,10 @@ def run(config: RunConfig) -> tuple[ResultEnvelope, list[list] | None]:
             "K": table.K,
             "eps": table.eps,
             "ymax": table.ymax,
-            "coeffs": [float(c) for c in table.coeffs],
+            "coeffs": list(table.A),
         }
         if config.out_format == "csv":
-            csv_rows = [["k", "A_k"]] + [[k, float(c)] for k, c in enumerate(table.coeffs)]
+            csv_rows = [["k", "A_k"]] + [[k, c] for k, c in enumerate(table.A)]
 
     elif cmd == "value":
         _require("t0", config.t0, 0.0, 1.0)

@@ -39,6 +39,7 @@ from .boundary import find_Z, solve_root
 from .series import (
     ModelParams,
     _require,
+    _require_int,
     build_coefficients,
     default_ymax,
     psi_derivative,
@@ -358,7 +359,7 @@ def fd_value(params: ModelParams, cells: int, ymax: float | None = None) -> FdRe
     than ``_LCP_TOL`` raises LatticeError.
     """
     a, n = params.alpha, params.n
-    M = int(_require("cells", cells, 50, math.inf, open_hi=True))
+    M = _require_int("cells", cells, 50)
     Z = find_Z(params).value
     ymax = 6.0 * Z if ymax is None else ymax
     ymax = _require("ymax", ymax, Z, math.inf, open_lo=True, open_hi=True)

@@ -24,7 +24,7 @@ closed form of the same coefficients on every build.  A table holds its
 coefficients as Python floats and builds those of psi', psi'' and F once, on
 first use; every evaluation is one Horner loop, in Python floats for a scalar
 argument, in numpy for an array.  numpy is imported only by the first array
-argument or the first access to a table's public coefficient arrays.
+argument.
 """
 
 from __future__ import annotations
@@ -62,8 +62,18 @@ def _require(name, x, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False) -
     raise ValueError(f"{name} must {what}, got {x}")
 
 
+def _require_int(name, x, lo) -> int:
+    """``int(x)`` for an integer ``x`` (no bool) of at least ``lo``, else a ValueError naming it."""
+    import numbers
+
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    _require(name, x, lo)
+    return int(x)
+
+
 class TruncationError(RuntimeError):
-    """Coefficient recursion hit the hard cap before the tail test passed.
+    """Coefficient recursion hit the hard cap or overflowed before the tail test passed.
 
     Carries the partial table built so far in ``partial``.
     """
@@ -93,12 +103,12 @@ class ModelParams:
 class CoefficientTable:
     """Truncated series coefficients A_0..A_K with their validated range.
 
-    ``A`` holds the recursion's own floats as a tuple, which the scalar
-    Horner loop reads directly.  ``eps`` is the relative tail tolerance used
-    to select K, ``ymax`` the argument bound the truncation was tested at.
-    Valid evaluations are y in [0, ymax].  ``coeffs`` (A_k), ``dpsi_coeffs``
-    (k A_k), ``d2psi_coeffs`` (k (k-1) A_k) and ``F_coeffs`` ((2k - n) A_k),
-    zero terms dropped, are read-only float ndarrays built on first access.
+    ``A`` holds the recursion's own floats as a tuple, the one form every
+    evaluation and the ``coeffs`` command read.  ``eps`` is the relative tail
+    tolerance used to select K, ``ymax`` the argument bound the truncation was
+    tested at.  Valid evaluations are y in [0, ymax].  The coefficients of
+    psi' (k A_k from k = 1), psi'' (k (k-1) A_k from k = 2) and F
+    ((2k - n) A_k) are tuples built on first use.
     """
 
     params: ModelParams
@@ -118,30 +128,6 @@ class CoefficientTable:
     @cached_property
     def _F(self) -> tuple[float, ...]:
         return tuple((2.0 * k - self.params.n) * c for k, c in enumerate(self.A))
-
-    @cached_property
-    def coeffs(self):
-        return _frozen_array(self.A)
-
-    @cached_property
-    def dpsi_coeffs(self):
-        return _frozen_array(self._dpsi)
-
-    @cached_property
-    def d2psi_coeffs(self):
-        return _frozen_array(self._d2psi)
-
-    @cached_property
-    def F_coeffs(self):
-        return _frozen_array(self._F)
-
-
-def _frozen_array(values: tuple[float, ...]):
-    import numpy as np
-
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def default_ymax(params: ModelParams) -> float:
@@ -168,8 +154,10 @@ def build_coefficients(
     """Build the coefficient table for ``params`` valid on [0, ymax].
 
     K is the smallest order at which the term A_K ymax^K falls below ``eps``
-    times the partial sum, capped at K_MAX.  Raises TruncationError (carrying
-    the partial table) if the cap is hit first.
+    times the partial sum, capped at K_MAX.  Raises TruncationError, carrying
+    the partial table up to the last order built, if the cap is hit first or
+    the partial sum overflows: past float range the tail test would accept
+    any finite term and cut the table before it converges.
     """
     _require("eps", eps, 0.0, math.inf, open_lo=True, open_hi=True)
     if ymax is None:
@@ -182,7 +170,9 @@ def build_coefficients(
     total = 1.0
     K = None
     for k in range(K_MAX + 1):
-        if math.isfinite(term) and term <= eps * total:
+        if not math.isfinite(total):
+            break
+        if term <= eps * total:
             K = k
             break
         ratio = (2.0 * k + n) / (2.0 * (k + 1.0) * (2.0 * k + a))
@@ -190,10 +180,13 @@ def build_coefficients(
         term *= ratio * ymax
         total += term
     if K is None:
-        partial = CoefficientTable(params, K_MAX, tuple(coeffs[: K_MAX + 1]), eps, ymax)
+        last = min(len(coeffs) - 1, K_MAX)
+        why = f"no K <= {K_MAX} meets eps={eps}"
+        if not math.isfinite(total):
+            why = f"the sum of A_k ymax^k overflows by order {last}"
         raise TruncationError(
-            f"series truncation failed: no K <= {K_MAX} meets eps={eps} at ymax={ymax}",
-            partial=partial,
+            f"series truncation failed: {why} at ymax={ymax}",
+            partial=CoefficientTable(params, last, tuple(coeffs[: last + 1]), eps, ymax),
         )
 
     # compare where the closed form is a normal float; past its underflow both
@@ -225,10 +218,10 @@ def _argument(y):
 def _horner(table: CoefficientTable, y, c):
     """sum_k c_k y^k by Horner's rule, for y inside the table's validated range.
 
-    One loop over the coefficients ``c`` (a tuple of floats, or an array,
-    read through ``tolist``) in the operation order of numpy's ``polyval``
-    (``acc = c_K + y*0``, then ``acc = c_k + acc*y``), so results are bit for
-    bit polyval's; no coefficients give 0.  A scalar or 0-d y is range-checked
+    One loop over the coefficients ``c``, a tuple of floats, in the operation
+    order of numpy's ``polyval`` (``acc = c_K + y*0``, then
+    ``acc = c_k + acc*y``), so results are bit for bit polyval's; no
+    coefficients give 0.  A scalar or 0-d y is range-checked
     and summed in Python floats, an array in numpy, with the same ValueError.
     """
     x = _argument(y)
@@ -243,7 +236,7 @@ def _horner(table: CoefficientTable, y, c):
             f"series argument {x if isinstance(x, float) else x.max()} outside the "
             f"table's validated range [0, {table.ymax}]"
         )
-    coeffs = (c if isinstance(c, tuple) else tuple(c.tolist())) or (0.0,)
+    coeffs = c or (0.0,)
     acc = coeffs[-1] + x * 0.0
     for ck in reversed(coeffs[:-1]):
         acc = ck + acc * x
@@ -265,14 +258,12 @@ def psi_derivative(table: CoefficientTable, y, order: int = 1):
     return _horner(table, y, table._dpsi if order == 1 else table._d2psi)
 
 
-def F_eval(params: ModelParams, z, table: CoefficientTable):
-    """Smooth-fit function F(z) = sum (2k - n) A_k z^k.
+def F_eval(table: CoefficientTable, z):
+    """Smooth-fit function F(z) = sum (2k - n) A_k z^k, n that of ``table.params``.
 
     Identical (to roundoff) to 2 z psi'(z) - n psi(z); the direct series keeps
     a single Horner pass.  F(0) = -n and F has a unique positive root.
     """
-    if params != table.params:
-        raise ValueError("params do not match the coefficient table")
     return _horner(table, z, table._F)
 
 

@@ -74,14 +74,13 @@ in block order.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ModelParams, _require
+from .series import ModelParams, _require, _require_int
 
 SCHEME_EXACT = "exact"
 _MAX_U64 = 2**64
@@ -96,20 +95,10 @@ _FIT_PATHS = 1024  # paths per step of the regression pass; even, so no pair is 
 _PRODUCT_GROUPS = 128  # groups per matrix product of the regression pass
 
 
-def path_seed(master_seed: int, path_index: int) -> int:
-    """64-bit key of stream (master seed, path_index), derived statelessly.
-
-    The seed sequence of (master seed, path_index) also seeds that stream's
-    SFC64 generator.  The index names a block of ``_BLOCK_PATHS`` paths;
-    single-path simulations use index 0, the stream of block 0.
-    """
-    ss = np.random.SeedSequence((master_seed, path_index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     # Stateless split: the (master, index) pair keys the stream, so any
-    # thread count reproduces identical paths.
+    # thread count reproduces identical paths.  The index names a block of
+    # ``_BLOCK_PATHS`` paths; single-path simulations use block 0.
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence((master_seed, path_index)))
     )
@@ -144,13 +133,9 @@ class SimConfig:
     def __post_init__(self):
         _require("t0", self.t0, 0.0, 1.0, open_hi=True)
         _require("q0", self.q0, 0.0, math.inf, open_hi=True)
-        for name in ("n_paths", "n_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        _require("n_paths", self.n_paths, 1)
-        _require("n_steps", self.n_steps, 1)
-        if not (0 <= self.seed < _MAX_U64):  # in integers: float(2**64 - 1) is 2**64
+        for name, lo in (("n_paths", 1), ("n_steps", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), lo)
+        if not self.seed < _MAX_U64:  # in integers: float(2**64 - 1) is 2**64
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.scheme != SCHEME_EXACT:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -158,16 +143,15 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class BridgePath:
-    """One discretized trajectory with the key of the stream that produced it.
+    """One discretized trajectory: the grid ``times`` and Q at each of them.
 
-    Single-path simulations draw from the SFC64 stream (seed, 0), so
-    ``seed_used`` is ``path_seed(seed, 0)``; that is also the stream of path
-    block 0, and a one-path engine run reproduces this trajectory.
+    Single-path simulations draw from the SFC64 stream (seed, 0), the stream
+    of path block 0, so ``SimConfig.seed`` names the stream and a one-path
+    engine run reproduces this trajectory.
     """
 
     times: np.ndarray
     q: np.ndarray
-    seed_used: int
 
 
 @dataclass(frozen=True)
@@ -377,7 +361,7 @@ def simulate_exact(config: SimConfig) -> BridgePath:
     tau = 1.0 - t
     q = x * (tau * tau)
     q[0] = config.q0
-    return BridgePath(times=t, q=q, seed_used=path_seed(config.seed, 0))
+    return BridgePath(times=t, q=q)
 
 
 def _payoff(q, n: float):

@@ -19,18 +19,19 @@ runs both coefficient iterations (the (n, g) form and the reparameterized
 (alpha, d) form with alpha = 0 as the extremal case), and verifies the
 monotone bounds that drive the induction, all numerically.
 
-Checks are returned as :class:`VerificationReport` objects so the command
-line can serialize them.  scipy's ``gammaln`` is imported on first use.
+Each battery returns its checks sorted by name in one
+:class:`VerificationReport`, so the command line can serialize them.  scipy's
+``gammaln`` is imported on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .series import ModelParams, _require
+from .series import ModelParams, _require, _require_int
 
 GAMMA_FORM = "gamma_form"
 DELTA_FORM = "delta_form"
@@ -62,7 +63,7 @@ class LambdaParams:
         _require("Delta", self.Delta, 0.0, math.inf, open_hi=True)
         arg = 0.5 * self.n + 1.0 + self.gamma + self.Delta
         _require("gamma-function argument", arg, 0.0, open_lo=True)
-        _require("K", self.K, 10)
+        _require_int("K", self.K, 10)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...]
 
     @property
     def n_total(self) -> int:
@@ -104,10 +105,6 @@ class VerificationReport:
     @property
     def summary(self) -> str:
         return f"{self.n_passed}/{self.n_total}"
-
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        merged = sorted(self.checks + other.checks, key=lambda c: c.name)
-        return VerificationReport(tuple(merged))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -207,7 +204,7 @@ def iterate_DB(
     Fractions give the exact iteration, which at alpha = 0 the closed-form
     ``delta_polynomials`` reproduce.
     """
-    _require("r_max", r_max, 0)
+    _require_int("r_max", r_max, 0)
     x, y = params
     D, B = type(x + y)(1), type(x + y)(-1)
     out = [IterState(0, D, B)]
@@ -271,6 +268,7 @@ def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport
     coefficient is strictly negative.
     """
     _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require_int("r_max", r_max, 0)
     r0 = int(math.floor(gamma * gamma / (2.0 * n))) + 1
     states = iterate_DB(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1))
     checks = []
@@ -298,7 +296,7 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
     coefficients strictly negative, which is what terminates the argument.
     """
     _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
-    _require("r_max", r_max, 7)  # where the bounds start
+    _require_int("r_max", r_max, 7)  # where the bounds start
     r_star = 7
     while not (r_star % 2 == 1 and 2 * r_star > delta):
         r_star += 1
@@ -376,6 +374,7 @@ def candidate_shape_checks(
     the payoff drift h(t, q) = n q^{n/2-1} ((alpha+n-2)/2 - q/(1-t)) is
     nonpositive throughout the stopping region.
     """
+    _require_int("grid_points", grid_points, 1)
     checks = []
     if params is None:
         from .boundary import exp_t2_integral as integral
@@ -481,24 +480,17 @@ def run_iteration_checks(
 
     from .series import build_coefficients, F_eval
 
-    _require("steps", steps, 1)
-    report = VerificationReport()
+    _require_int("steps", steps, 1)
+    checks = []
     for n, g in INVARIANCE_CASES:
         inv = lambda_iterate_invariance(
             LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=n, gamma=g), steps=steps
         )
         worst = max(c.margin for c in inv.checks)
-        report = report.merge(
-            VerificationReport(
-                (
-                    CheckResult(
-                        f"invariance_n{n:g}_g{g:g}", inv.all_passed, worst, _INVARIANCE_TOL
-                    ),
-                )
-            )
+        checks.append(
+            CheckResult(f"invariance_n{n:g}_g{g:g}", inv.all_passed, worst, _INVARIANCE_TOL)
         )
 
-    checks = []
     for a in grid:
         for n in grid:
             if a + n <= 2.0:
@@ -512,12 +504,11 @@ def run_iteration_checks(
             table = build_coefficients(params)
             scaled = math.exp(
                 gammaln(0.5 * n) - gammaln(0.5 * n + 1.0 + g)
-            ) * F_eval(params, n + g, table)
+            ) * F_eval(table, n + g)
             rel = abs(h / scaled - 1.0)
             checks.append(
                 CheckResult(f"H_series_identity_a{a:g}_n{n:g}", rel <= 1e-9, rel, 1e-9)
             )
-    report = report.merge(VerificationReport(tuple(checks)))
 
     poly_ok = True
     for dv in (Fraction(1), Fraction(3), Fraction(1, 10), Fraction(7, 3)):
@@ -525,11 +516,7 @@ def run_iteration_checks(
         for j in range(2, 8):
             if delta_polynomials(dv, j) != (exact[j].D_r, exact[j].B_r):
                 poly_ok = False
-    report = report.merge(
-        VerificationReport(
-            (CheckResult("closed_form_rows_exact", poly_ok, 0.0 if poly_ok else 1.0, 0.0),)
-        )
-    )
+    checks.append(CheckResult("closed_form_rows_exact", poly_ok, 0.0 if poly_ok else 1.0, 0.0))
 
     bound_reports = (
         [(f"growth_bounds_n{n:g}_g{g:g}", check_gamma_bounds(n, g, r_max))
@@ -539,12 +526,11 @@ def run_iteration_checks(
         + [(f"dominance_a{a:g}_d{d:g}", check_dominance(a, d, r_max))
            for a, d in ((2.0, 1.0), (0.5, 4.0), (1.0, 2.0), (3.0, 10.0))]
     )
-    summary = tuple(
+    checks += [
         CheckResult(name, rep.all_passed, min(c.margin for c in rep.checks), 0.0)
         for name, rep in bound_reports
-    )
-    report = report.merge(VerificationReport(summary))
-    return report
+    ]
+    return VerificationReport(tuple(sorted(checks, key=lambda c: c.name)))
 
 
 # Instances the shape battery always covers: the excursion and two alpha = n.
@@ -553,14 +539,12 @@ SHAPE_CASES = (ModelParams(3, 1), ModelParams(1, 1), ModelParams(2, 2))
 
 def run_shape_checks(params_list: tuple[ModelParams, ...] = SHAPE_CASES) -> VerificationReport:
     """Shape-property battery: the excursion profile plus a list of instances."""
-    report = candidate_shape_checks(None)
+    checks = list(candidate_shape_checks(None).checks)
     for params in params_list:
-        sub = candidate_shape_checks(params)
-        tagged = tuple(
+        checks += [
             CheckResult(
                 f"{c.name}_a{params.alpha:g}_n{params.n:g}", c.passed, c.margin, c.tolerance
             )
-            for c in sub.checks
-        )
-        report = report.merge(VerificationReport(tagged))
-    return report
+            for c in candidate_shape_checks(params).checks
+        ]
+    return VerificationReport(tuple(sorted(checks, key=lambda c: c.name)))

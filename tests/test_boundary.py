@@ -101,7 +101,7 @@ def test_root_result_bracket_invariant():
         lo, hi = root.bracket
         assert lo < root.value < hi
         table = build_coefficients(params, ymax=2.0 * hi)
-        assert F_eval(params, lo, table) < 0.0 < F_eval(params, hi, table)
+        assert F_eval(table, lo) < 0.0 < F_eval(table, hi)
         assert abs(root.residual) <= 1e-8
         assert root.iterations > 0
 
@@ -303,7 +303,7 @@ def test_sign_change_unique_on_log_grid():
         z_root = find_Z(params).value
         table = build_coefficients(params, ymax=12.0 * z_root)
         grid = np.geomspace(1e-6, 10.0 * z_root, 4000)
-        signs = np.sign(F_eval(params, grid, table))
+        signs = np.sign(F_eval(table, grid))
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
 
@@ -321,7 +321,7 @@ def test_find_Z_float_path_matches_array_path():
                 nonlocal table
                 if z > table.ymax:
                     table = build_coefficients(params, ymax=2.0 * z)
-                return float(F_eval(params, np.array([z]), table)[0])
+                return float(F_eval(table, np.array([z]))[0])
 
             hi = max(1.0, 0.5 * (a + n))
             via_arrays = solve_root(F, 0.0, hi, 1e-10, grow_cap=2.0**60)
@@ -391,7 +391,7 @@ def _brent_reference(params, tol=1e-10):
         counts["F"] += 1
         if z > table.ymax:
             table = build_coefficients(params, ymax=2.0 * z)
-        return F_eval(params, z, table)
+        return F_eval(table, z)
 
     lo, hi = 0.0, max(1.0, 0.5 * (params.alpha + params.n))
     flo, fhi = F(lo), F(hi)
@@ -404,7 +404,7 @@ def _brent_reference(params, tol=1e-10):
         counts["dF"] += 1
         width = tol + 8.0 * math.ulp(value)
         k = np.arange(table.K + 1, dtype=float)
-        dF = _horner(table, value, (k * (2.0 * k - params.n) * table.coeffs)[1:])
+        dF = _horner(table, value, tuple((k * (2.0 * k - params.n) * np.array(table.A))[1:]))
         cand = value - fval / dF
         cand = max(cand, value - width, math.nextafter(lo, hi))
         value = min(cand, value + width, math.nextafter(hi, lo))
@@ -432,6 +432,31 @@ def _log_uniform(lo, hi):
 @given(alpha=_log_uniform(0.05, 60.0), n=_log_uniform(0.05, 60.0))
 def test_find_Z_matches_brent_log_uniform(alpha, n):
     _assert_within_2_ulp_of_brent(alpha, n)
+
+
+@pytest.mark.parametrize("alpha, n", [(1.0, 405.0), (10.0, 390.0), (0.1, 350.0), (10.2446, 392.605)])
+def test_find_Z_refuses_a_table_whose_tail_sum_overflows(alpha, n):
+    # the tail test used to accept any finite term once its running sum was
+    # inf, so the table was cut unconverged: Z read 314.5 at (1, 405), 55% off
+    with pytest.raises(TruncationError, match="overflows"):
+        find_Z(ModelParams(alpha, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=_log_uniform(0.05, 200.0), n=st.floats(100.0, 520.0))
+def test_find_Z_at_large_n_is_right_or_refused(alpha, n):
+    # 1e-8 covers the drift of the underflowed coefficients: 4.1e-9 at worst,
+    # at (31.1, 249.1), over 20,000 pairs from this distribution
+    params = ModelParams(alpha, n)
+    try:
+        want = kummer_Z(params)
+    except NoRootError:  # M past float range: no reference for this pair
+        return
+    try:
+        got = find_Z(params).value
+    except TruncationError:
+        return
+    assert abs(got / want - 1.0) <= 1e-8
 
 
 def test_find_Z_evaluates_F_no_more_often_than_brent(monkeypatch):

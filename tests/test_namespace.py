@@ -21,8 +21,8 @@ EXPORTED = {
     ],
     "simulate": [
         "BridgePath", "MCResult", "SCHEME_EXACT", "SimConfig", "StoppingOutcome", "SweepRow",
-        "SweepTable", "ThresholdPolicy", "apply_policy", "mc_estimate", "path_seed",
-        "policy_sweep", "simulate_exact",
+        "SweepTable", "ThresholdPolicy", "apply_policy", "mc_estimate", "policy_sweep",
+        "simulate_exact",
     ],
     "value": [
         "CandidateSolution", "ExcursionSolution", "U_star", "V_star", "boundary_q", "boundary_x",

@@ -251,7 +251,7 @@ def test_solve_and_scalar_evaluation_never_load_numpy():
         "    p = ModelParams(a, n)\n"
         "    sol = build_candidate(p)\n"
         "    table = build_coefficients(p, ymax=2.0 * sol.Z)\n"
-        "    psi_eval(table, sol.Z), F_eval(p, find_Z(p).value, table), boundary_margin(p)\n"
+        "    psi_eval(table, sol.Z), F_eval(table, find_Z(p).value), boundary_margin(p)\n"
         "assert table.K > 100, table.K\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('scipy'))\n"
         "assert not loaded, loaded\n"
@@ -313,7 +313,7 @@ def test_lattice_resolution_refinement_shrinks_changes():
 def test_lattice_validation():
     params = ModelParams(3, 1)
     Z = find_Z(params).value
-    for bad in (10, 49, math.nan, math.inf):
+    for bad in (10, 49, 4000.7, 1000.0, True, math.nan, math.inf):
         with pytest.raises(ValueError, match="cells"):
             fd_value(params, bad)
     for bad in (Z, 0.5 * Z, -1.0, math.nan, math.inf):

@@ -43,18 +43,18 @@ def test_params_validation():
 
 def test_first_recursion_steps_3_1():
     table = build_coefficients(ModelParams(3, 1))
-    assert table.coeffs[0] == 1.0
-    assert table.coeffs[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert table.coeffs[2] == pytest.approx(1.0 / 40.0, rel=1e-14)
+    assert table.A[0] == 1.0
+    assert table.A[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert table.A[2] == pytest.approx(1.0 / 40.0, rel=1e-14)
     # second coefficient also matches 1/((2k+1) 2^k k!) at k = 2
-    assert table.coeffs[2] == pytest.approx(1.0 / (5 * 4 * 2), rel=1e-14)
+    assert table.A[2] == pytest.approx(1.0 / (5 * 4 * 2), rel=1e-14)
 
 
 def test_equal_parameters_reduce_to_exponential_coefficients():
     for n in (0.5, 2.0, 5.0):
         table = build_coefficients(ModelParams(n, n))
         for k in range(min(10, table.K) + 1):
-            assert table.coeffs[k] == pytest.approx(
+            assert table.A[k] == pytest.approx(
                 1.0 / (2.0**k * math.factorial(k)), rel=1e-12
             )
 
@@ -65,7 +65,7 @@ def test_recursion_matches_gamma_closed_form_random_params():
         a, n = rng.uniform(0.25, 10.0, size=2)
         table = build_coefficients(ModelParams(a, n))
         closed = gamma_form_coefficients(table.params, table.K)
-        assert np.max(np.abs(table.coeffs / closed - 1.0)) <= 1e-10
+        assert np.max(np.abs(np.array(table.A) / closed - 1.0)) <= 1e-10
 
 
 def test_cross_check_covers_underflowed_coefficients():
@@ -96,12 +96,23 @@ def test_cross_check_rejects_corrupted_high_coefficient(monkeypatch, k, bad):
 
 
 def test_truncation_cap_carries_partial_table():
-    with pytest.raises(TruncationError) as exc:
-        build_coefficients(ModelParams(3, 1), ymax=1e6)
+    # psi(1100) ~ e^550 is a float, but its tail needs about 740 terms
+    with pytest.raises(TruncationError, match="no K <= 500") as exc:
+        build_coefficients(ModelParams(3, 1), ymax=1100.0)
     partial = exc.value.partial
     assert isinstance(partial, CoefficientTable)
-    assert partial.K == 500
-    assert partial.coeffs[0] == 1.0
+    assert partial.K == 500 and len(partial.A) == 501
+    assert partial.A[0] == 1.0
+
+
+@pytest.mark.parametrize("alpha, n, ymax, K", [(1, 405, None, 282), (3, 1, 1e6, 74)])
+def test_overflowed_tail_sum_carries_the_table_built_so_far(alpha, n, ymax, K):
+    # the sum of A_k ymax^k passes float range before its tail test holds
+    with pytest.raises(TruncationError, match=f"overflows by order {K}") as exc:
+        build_coefficients(ModelParams(alpha, n), ymax=ymax)
+    partial = exc.value.partial
+    assert partial.K == K and len(partial.A) == K + 1
+    assert partial.A[0] == 1.0
 
 
 def test_psi_at_zero_is_one():
@@ -146,7 +157,7 @@ def test_psi_matches_kummer_function():
 def test_partial_sums_increasing_and_at_least_one():
     table = build_coefficients(ModelParams(2.5, 1.5))
     y = 3.0
-    partial = np.cumsum(table.coeffs * y ** np.arange(table.K + 1))
+    partial = np.cumsum(np.array(table.A) * y ** np.arange(table.K + 1))
     assert partial[0] == 1.0
     # positive terms: nondecreasing everywhere, strictly so above the ulp floor
     assert np.all(np.diff(partial) >= 0.0)
@@ -157,7 +168,7 @@ def test_partial_sums_increasing_and_at_least_one():
 def test_derivatives_at_zero():
     table = build_coefficients(ModelParams(3, 1))
     assert psi_derivative(table, 0.0, 1) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert psi_derivative(table, 0.0, 2) == pytest.approx(2.0 * table.coeffs[2], rel=1e-14)
+    assert psi_derivative(table, 0.0, 2) == pytest.approx(2.0 * table.A[2], rel=1e-14)
     table22 = build_coefficients(ModelParams(2, 2))
     assert psi_derivative(table22, 0.0, 1) == pytest.approx(0.5, rel=1e-15)
 
@@ -182,7 +193,7 @@ def test_range_validation():
     with pytest.raises(ValueError):
         psi_eval(table, -0.1)
     with pytest.raises(ValueError):
-        F_eval(table.params, 6.0, table)
+        F_eval(table, 6.0)
     # a Python float takes the float path, a one-element array the numpy path:
     # both accept ymax (1 + 1e-9) and give the same message for everything else
     edge = table.ymax * (1.0 + 1e-9)
@@ -200,7 +211,7 @@ def _series_callers(table):
     return {
         "psi_eval": lambda y: psi_eval(table, y),
         "psi_derivative": lambda y: psi_derivative(table, y, 1),
-        "F_eval": lambda y: F_eval(table.params, y, table),
+        "F_eval": lambda y: F_eval(table, y),
         "ode_residual_series": lambda y: ode_residual_series(table, y),
     }
 
@@ -262,11 +273,9 @@ def test_scalar_residual_is_the_one_element_array_result(alpha, n):
         _same_error(lambda q: pde_residual(sol, 0.0, q), bad)
 
 
-def test_F_at_zero_and_mismatched_params():
-    table = build_coefficients(ModelParams(3, 1))
-    assert F_eval(ModelParams(3, 1), 0.0, table) == -1.0
-    with pytest.raises(ValueError):
-        F_eval(ModelParams(2, 1), 1.0, table)
+def test_F_at_zero_is_minus_n():
+    for a, n in ((3, 1), (2, 4.5)):
+        assert F_eval(build_coefficients(ModelParams(a, n)), 0.0) == -n
 
 
 def test_F_matches_derivative_identity():
@@ -276,7 +285,7 @@ def test_F_matches_derivative_identity():
         params = ModelParams(a, n)
         table = build_coefficients(params)
         z = rng.uniform(0.0, 0.5 * table.ymax)
-        direct = F_eval(params, z, table)
+        direct = F_eval(table, z)
         via_psi = 2.0 * z * psi_derivative(table, z, 1) - n * psi_eval(table, z)
         assert direct == pytest.approx(via_psi, rel=1e-12, abs=1e-12)
 
@@ -286,16 +295,16 @@ def test_F_closed_form_for_reflecting_bridge():
     params = ModelParams(1, 1)
     table = build_coefficients(params)
     for z in (0.25, 1.0, 2.5):
-        assert F_eval(params, z, table) == pytest.approx(
+        assert F_eval(table, z) == pytest.approx(
             (z - 1.0) * math.exp(0.5 * z), rel=1e-12, abs=1e-13
         )
-    assert abs(F_eval(params, 1.0, table)) < 1e-14
+    assert abs(F_eval(table, 1.0)) < 1e-14
 
 
 def test_F_root_location_for_excursion():
     params = ModelParams(3, 1)
     table = build_coefficients(params)
-    assert abs(F_eval(params, Z31_REF, table)) < 1e-12
+    assert abs(F_eval(table, Z31_REF)) < 1e-12
 
 
 def test_F_sign_structure_around_root():
@@ -305,8 +314,8 @@ def test_F_sign_structure_around_root():
         table = build_coefficients(params, ymax=2.5 * z_root)
         below = np.linspace(0.0, z_root * (1.0 - 1e-6), 200)
         above = np.linspace(z_root * (1.0 + 1e-6), 2.0 * z_root, 200)
-        assert np.all(F_eval(params, below, table) < 0.0)
-        assert np.all(F_eval(params, above, table) > 0.0)
+        assert np.all(F_eval(table, below) < 0.0)
+        assert np.all(F_eval(table, above) > 0.0)
 
 
 def test_series_ode_residual_small_on_grid():
@@ -326,13 +335,15 @@ def test_residual_spot_value_from_example_parameters():
 
 def test_coefficients_are_readonly():
     # one table serves every evaluation of a root solve, so a write into any
-    # of its arrays would corrupt the later ones
+    # of its coefficient sets would corrupt the later ones
     table = build_coefficients(ModelParams(3, 1))
-    for name in ("coeffs", "dpsi_coeffs", "d2psi_coeffs", "F_coeffs"):
-        arr = getattr(table, name)
-        with pytest.raises(ValueError):
-            arr[0] = 2.0
-        assert getattr(table, name) is arr
+    for name in ("A", "_dpsi", "_d2psi", "_F"):
+        coeffs = getattr(table, name)
+        assert type(coeffs) is tuple and getattr(table, name) is coeffs
+        with pytest.raises(TypeError):
+            coeffs[0] = 2.0
+    with pytest.raises(AttributeError):
+        table.A = (2.0,)
 
 
 def _log_uniform(lo, hi):
@@ -350,22 +361,23 @@ def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
     # eps = 1 gives K = 0, so the derivative tables below are empty
     table = build_coefficients(ModelParams(alpha, n), eps=eps)
     k = np.arange(table.K + 1, dtype=float)
+    A = np.array(table.A)
     inline = {
-        "coeffs": table.coeffs,
-        "dpsi_coeffs": (k * table.coeffs)[1:],
-        "d2psi_coeffs": (k * (k - 1.0) * table.coeffs)[2:],
-        "F_coeffs": (2.0 * k - n) * table.coeffs,
+        "A": A,
+        "_dpsi": (k * A)[1:],
+        "_d2psi": (k * (k - 1.0) * A)[2:],
+        "_F": (2.0 * k - n) * A,
     }
     coeff_sets = [getattr(table, name) for name in inline]
     for name, c in zip(inline, coeff_sets):
-        assert c.dtype == float and c.tobytes() == inline[name].tobytes(), name
+        assert np.array(c, dtype=float).tobytes() == inline[name].tobytes(), name
     y = u * table.ymax
     grid = np.linspace(0.0, table.ymax, 12).reshape(3, 4)
     args = (y, np.float64(y), np.array(y), grid, 0, int(table.ymax))
     for c in coeff_sets:
         for arg in args:
             got = _horner(table, arg, c)
-            want = np.polynomial.polynomial.polyval(np.asarray(arg), c if c.size else np.zeros(1))
+            want = np.polynomial.polynomial.polyval(np.asarray(arg), np.array(c) if c else np.zeros(1))
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
             if np.ndim(arg) == 0:
                 assert type(got) is float
@@ -384,6 +396,6 @@ def test_series_functions_return_python_float_for_scalar_input(y):
         psi_eval(table, y),
         psi_derivative(table, y, 1),
         psi_derivative(table, y, 2),
-        F_eval(params, y, table),
+        F_eval(table, y),
     ):
         assert type(value) is float

@@ -22,6 +22,7 @@ from besselstop.verify import (
     lambda_eval,
     lambda_iterate_invariance,
     run_iteration_checks,
+    run_shape_checks,
 )
 
 B_REF = 0.9711974210930677
@@ -45,7 +46,7 @@ def test_lambda_matches_scaled_series():
         g = gamma_from_params(params)
         table = build_coefficients(params)
         scaled = math.exp(gammaln(0.5 * n) - gammaln(0.5 * n + 1.0 + g)) * F_eval(
-            params, n + g, table
+            table, n + g
         )
         assert H_value(params) == pytest.approx(scaled, rel=1e-9)
 
@@ -219,14 +220,13 @@ def test_general_shape_report():
     assert rep2.all_passed
 
 
-def test_report_merge_and_serialization():
-    a = VerificationReport((CheckResult("b_check", True, 0.0, 1e-8),))
-    b = VerificationReport((CheckResult("a_check", False, 1.0, 0.0),))
-    merged = a.merge(b)
-    assert [c.name for c in merged.checks] == ["a_check", "b_check"]
-    assert merged.summary == "1/2"
-    assert not merged.all_passed
-    d = merged.to_dict()
+def test_report_serialization():
+    report = VerificationReport(
+        (CheckResult("a_check", False, 1.0, 0.0), CheckResult("b_check", True, 0.0, 1e-8))
+    )
+    assert report.summary == "1/2"
+    assert not report.all_passed
+    d = report.to_dict()
     assert d["summary"] == "1/2"
     assert len(d["checks"]) == 2
 
@@ -234,6 +234,42 @@ def test_report_merge_and_serialization():
 def test_iteration_suite_fast_configuration():
     rep = run_iteration_checks(steps=6, r_max=20, grid=(0.5, 2.0, 5.0))
     assert rep.all_passed, rep.failures()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("steps", lambda: run_iteration_checks(steps=2.5, r_max=20, grid=(0.5,)),
+                     id="run_iteration_checks-steps"),
+        pytest.param("r_max", lambda: run_iteration_checks(steps=2, r_max=20.5, grid=(0.5,)),
+                     id="run_iteration_checks-r_max"),
+        pytest.param("r_max", lambda: iterate_DB(GAMMA_FORM, (1.0, 2.0), 8.0), id="iterate_DB"),
+        pytest.param("r_max", lambda: check_gamma_bounds(1.0, 2.0, 8.5), id="check_gamma_bounds"),
+        pytest.param("r_max", lambda: check_delta_bounds(1.0, 9.5), id="check_delta_bounds"),
+        pytest.param("r_max", lambda: check_dominance(2.0, 1.0, 9.5), id="check_dominance"),
+        pytest.param("K", lambda: LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=1.0, gamma=0.5, K=400.5),
+                     id="LambdaParams-K"),
+        pytest.param("grid_points", lambda: candidate_shape_checks(ModelParams(3, 1), grid_points=2.5),
+                     id="candidate_shape_checks-general"),
+        pytest.param("grid_points", lambda: candidate_shape_checks(None, grid_points=True),
+                     id="candidate_shape_checks-excursion"),
+    ],
+)
+def test_counts_must_be_integers(name, call):
+    # a float count used to run silently truncated or fail deep inside with a
+    # bare TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_batteries_list_their_checks_sorted_by_name():
+    for rep in (
+        run_iteration_checks(steps=2, r_max=10, grid=(0.5, 3.0)),
+        run_shape_checks((ModelParams(2, 2),)),
+        run_shape_checks(()),
+    ):
+        names = [c.name for c in rep.checks]
+        assert names == sorted(names)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
