@@ -1,10 +1,11 @@
 """Simulating the bridge and measuring threshold policies on common paths.
 
 Every dimension alpha > 0 and every start (t0, q0) gets one exact sampler, a
-time-changed squared Bessel walk: the radial step for integer alpha and the
-Poisson mixture of the noncentral chi-square otherwise.  The sweep evaluates
-scaled thresholds m * Z on one shared path ensemble, so the comparison
-between multipliers is paired and low-variance.  Each estimate regresses the
+time-changed squared Bessel walk: the radial step, one normal and one gamma
+variate, for alpha >= 1 and the Poisson mixture of the noncentral chi-square
+for alpha < 1.  The sweep evaluates scaled thresholds m * Z on one shared
+path ensemble, so the comparison between multipliers is paired and
+low-variance.  Each estimate regresses the
 payoff on stopped-martingale controls, X - alpha S - X0 and
 X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2 with S = s - s0, read
 at min(tau, c) for 16 fixed nodes c crowded toward t = 1; they have mean zero

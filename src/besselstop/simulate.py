@@ -5,18 +5,18 @@ uses the time change Q_t = (1 - t)^2 X(t/(1 - t)), where X is a squared
 Bessel process of dimension alpha started at X0 = q0/(1 - t0)^2 at time
 t0/(1 - t0), and walks X between the nodes of the grid linspace(t0, 1, n+1)
 with an exact transition, so every grid marginal has the exact law and the
-path ends at zero.  Integer alpha takes the radial step on R = sqrt X >= 0,
+path ends at zero.  alpha >= 1 takes the radial step on R = sqrt X >= 0,
 R' = sqrt((R + sqrt(ds) xi)^2 + ds chi2_{alpha-1}): one normal plus
-chi2_{alpha-1} as (alpha-1)//2 doubled standard exponentials and, for even
-alpha, one squared normal; at alpha = 1 the chi-square term vanishes and the
-step is the reflected R' = |R + sqrt(ds) xi|, the exact BES(1) law.  Any
-other alpha takes the Poisson mixture of the noncentral chi-square,
+chi2_{alpha-1} = 2 Gamma((alpha-1)/2), one gamma variate (Glasserman 2003,
+section 3.4); at alpha = 1 the chi-square term vanishes and the step is the
+reflected R' = |R + sqrt(ds) xi|, the exact BES(1) law.  alpha < 1 takes
+the Poisson mixture of the noncentral chi-square,
 X' = 2 ds Gamma(alpha/2 + N) with N ~ Poisson(X/(2 ds)).  The kernels return
 X; q = (1-t)(1-t) X is formed only where it is read: on the whole of a
 ``simulate_exact`` path, and in the engine on the paths a level's pre-filter
 cannot rule out.
 
-Antithetic pairs: paths 2i and 2i + 1 form pair i.  For integer alpha the
+Antithetic pairs: paths 2i and 2i + 1 form pair i.  For alpha >= 1 the
 pair draws its variates once; path A steps by +sqrt(ds) xi, path B by
 -sqrt(ds) xi, and both add the same ds chi2_{alpha-1}.  -xi has the law of
 xi, so each path keeps the exact law and only the two paths of a pair depend
@@ -231,57 +231,37 @@ def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(ds), ds
 
 
-def _radial_block(gen, state, d, sd, ds, buf):
-    """X at the next k nodes of both paths of every pair; ``state`` advances in place.
+def _radial_block(gen, state, alpha, sd, ds, buf):
+    """X at the next k nodes of both paths of every pair, alpha >= 1; ``state`` advances in place.
 
     ``state`` has shape (2, n): R = sqrt X >= 0 of path A (row 0) and path B
-    (row 1) of each of n pairs.  The block draws, for the n pairs, in this
-    order: (k, n) normals xi; then chi2_{d-1} as (d-1)//2 doubled standard
-    exponentials of shape ((d-1)//2, k, n) and, when d - 1 is odd, one squared
-    (k, n) normal.  Each step is U = R + sqrt(ds) xi on path A and
-    U = R + (-sqrt(ds) xi) on path B, then X = U^2 + ds chi2 with the pair's
-    one chi2, and R = sqrt X; at d = 1 there is no chi2 and R = |U|, the
-    reflected step.  Without the squared normal (odd d) the doubling is
-    folded into the scale, 2 sum(e) ds == sum(e) (2 ds) exactly.  The result,
-    X with shape (k, 2, n), is a view of ``buf``; q = (1-t)^2 X is left to
-    the caller.
+    (row 1) of each of n pairs.  The block draws, for the n pairs, (k, n)
+    normals xi and then, for alpha > 1, (k, n) gammas G of shape
+    (alpha - 1)/2, so that 2 G ~ chi2_{alpha-1}.  Each step is
+    U = R + sqrt(ds) xi on path A and U = R + (-sqrt(ds) xi) on path B, then
+    X = U^2 + 2 ds G with the pair's one G, and R = sqrt X; at alpha = 1
+    there is no G and R = |U|, the reflected step.  The result, X with shape
+    (k, 2, n), is a view of ``buf``, which holds at least 3 k n floats;
+    q = (1-t)^2 X is left to the caller.
     """
     k, n = sd.size, state.shape[1]
     size = k * n
-    n_exp, odd = divmod(d - 1, 2)
     x = buf[: 2 * size].reshape(k, 2, n)
     xi = buf[2 * size : 3 * size].reshape(k, n)
     gen.standard_normal(out=xi)
     # the increments of path A, then their mirror for path B; this frees the
-    # xi slab for the chi-square draws
+    # xi slab for the gamma draws
     np.multiply(xi, sd[:, None], out=x[:, 0])
     np.negative(x[:, 0], out=x[:, 1])
-    if d == 1:
+    if alpha == 1:
         for u in x:
             np.add(u, state, out=u)
             np.abs(u, out=state)
         x *= x
         return x
-    chi = buf[2 * size : 3 * size].reshape(k, n)
-    scale = ds
-    if n_exp:
-        e = buf[2 * size : (2 + n_exp) * size].reshape(n_exp, k, n)
-        gen.standard_exponential(out=e)
-        for extra in e[1:]:
-            chi += extra
-        if odd:
-            chi += chi
-        else:
-            scale = ds + ds
-    if odd:
-        g = buf[(2 + n_exp) * size : (3 + n_exp) * size].reshape(k, n)
-        gen.standard_normal(out=g)
-        g *= g
-        if n_exp:
-            chi += g
-        else:
-            chi = g
-    chi *= scale[:, None]
+    chi = xi
+    gen.standard_gamma(0.5 * (alpha - 1.0), out=chi)
+    chi *= (ds + ds)[:, None]
     for u, c in zip(x, chi):
         np.add(u, state, out=u)
         np.multiply(u, u, out=u)
@@ -291,7 +271,7 @@ def _radial_block(gen, state, d, sd, ds, buf):
 
 
 def _mixture_block(gen, state, alpha, ds, buf):
-    """X at the next k nodes for every path of ``state``, any alpha; ``state`` advances in place.
+    """X at the next k nodes for every path of ``state``, alpha < 1; ``state`` advances in place.
 
     ``state`` holds X per path, shape (2, n) for n pairs; the two paths of a
     pair draw independently.  Each step draws N ~ Poisson(X/(2 ds)) for every
@@ -318,22 +298,21 @@ def _sampler(config: SimConfig):
     advances the (2, pairs) ``state`` and returns the time-changed BESQ value
     X of both paths of every pair at the nodes j0+1 .. j1, shape
     (j1 - j0, 2, pairs), as a view of ``buf``; q = (1-t)^2 X there, with
-    (1-t)^2 formed as (1-t)(1-t).  Integer alpha takes ``_radial_block``,
-    whose state starts at sqrt X0; any other alpha ``_mixture_block``, whose
-    state is X itself.
+    (1-t)^2 formed as (1-t)(1-t).  alpha >= 1 takes ``_radial_block``, whose
+    state starts at sqrt X0; alpha < 1 ``_mixture_block``, whose state is X
+    itself.
     """
     a = config.params.alpha
     t = np.linspace(config.t0, 1.0, config.n_steps + 1)
     sd, ds = _radial_steps(t)
     x0 = config.q0 / ((1.0 - config.t0) * (1.0 - config.t0))
-    if a.is_integer():
-        d = int(a)
+    if a >= 1:
 
         def step(gen, state, j0, j1, buf):
-            return _radial_block(gen, state, d, sd[j0:j1], ds[j0:j1], buf)
+            return _radial_block(gen, state, a, sd[j0:j1], ds[j0:j1], buf)
 
-        # X of both paths, then the xi slab, which the chi-square draws reuse
-        return t, step, math.sqrt(x0), 2 + max(1, d // 2)
+        # X of both paths, then the xi slab, which the gamma draws reuse
+        return t, step, math.sqrt(x0), 3
 
     def step(gen, state, j0, j1, buf):
         return _mixture_block(gen, state, a, ds[j0:j1], buf)

@@ -77,13 +77,13 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
     X0 = q0/(1-t0)^2 on the grid linspace(t0, 1, n_steps + 1); a level the
     start meets stops every path at node 0.  Each time block serves the n
     pairs in which a path still has an unhit level, in pair order.  For
-    integer alpha it draws (k, n) normals, then (alpha-1)//2 exponential
-    arrays (k, n) and, for even alpha, one more (k, n) normal.  Path A of
-    each pair then takes the radial step U = R + sqrt(ds) xi, path B
-    U = R - sqrt(ds) xi, both X = U^2 + ds chi2 with the pair's chi2 and
-    R = sqrt X (at alpha = 1, X = U^2 and R = |U|), one float at a time.  Any
-    other alpha draws, step by step, (2, n) Poisson counts N, path A of every
-    pair first, then (2, n) gammas of shape alpha/2 + N, and sets X = 2 ds G.
+    alpha >= 1 it draws (k, n) normals and, for alpha > 1, (k, n) gammas G
+    of shape (alpha-1)/2.  Path A of each pair then takes the radial step
+    U = R + sqrt(ds) xi, path B U = R - sqrt(ds) xi, both X = U^2 + 2 ds G
+    with the pair's G and R = sqrt X (at alpha = 1, X = U^2 and R = |U|), one
+    float at a time.  alpha < 1 draws, step by step, (2, n) Poisson counts N,
+    path A of every pair first, then (2, n) gammas of shape alpha/2 + N, and
+    sets X = 2 ds G.
     Nodes a path never reaches stay 0.  Returns the grid and q with shape
     (n_paths, n_steps + 1).
     """
@@ -103,7 +103,7 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
             break
         j1 = min(j0 + _BLOCK_STEPS, last)
         k, n = j1 - j0, len(active)
-        if not float(alpha).is_integer():
+        if alpha < 1:
             for j in range(j0, j1):
                 ds = (tl[j + 1] - tl[j]) / ((1.0 - tl[j]) * (1.0 - tl[j + 1]))
                 h = ds + ds
@@ -116,10 +116,8 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
                         q[p, j + 1] = xs[p] * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
             active = _still_open(q, t, active, j1, levels, n_paths)
             continue
-        n_exp, odd = divmod(int(alpha) - 1, 2)
         xi = gen.standard_normal((k, n)).tolist()
-        e = gen.standard_exponential((n_exp, k, n)).tolist() if n_exp else []
-        g = gen.standard_normal((k, n)).tolist() if odd else None
+        g = gen.standard_gamma(0.5 * (alpha - 1), (k, n)).tolist() if alpha > 1 else None
         for c, i in enumerate(active):
             for p in (2 * i, 2 * i + 1):
                 for ii in range(k):
@@ -131,15 +129,7 @@ def _replay_q(seed, block, alpha, n_steps, n_paths, levels, t0=0.0, q0=0.0):
                         x = u * u
                         r[p] = abs(u)
                     else:
-                        chi = 0.0
-                        if n_exp:
-                            chi = e[0][ii][c]
-                            for extra in e[1:]:
-                                chi = chi + extra[ii][c]
-                            chi = chi + chi
-                        if odd:
-                            chi = chi + g[ii][c] * g[ii][c] if n_exp else g[ii][c] * g[ii][c]
-                        x = u * u + chi * ds
+                        x = u * u + g[ii][c] * (ds + ds)
                         r[p] = math.sqrt(x)
                     q[p, j + 1] = x * ((1.0 - tl[j + 1]) * (1.0 - tl[j + 1]))
         active = _still_open(q, t, active, j1, levels, n_paths)
@@ -329,9 +319,10 @@ _EDGE_STEPS = [e + k for e in (_BLOCK_STEPS, 4 * _BLOCK_STEPS) for k in (-1, 0, 
 @pytest.mark.parametrize("n_steps", [1, *_EDGE_STEPS, 300, 2000])
 def test_engine_carry_across_time_blocks_is_bit_exact(n_steps):
     # levels: one stopped almost at once, the candidate, one never reached;
-    # alpha 1..5 draws 0, 0, 1, 1, 2 exponentials, with the squared normal at 2 and 4
+    # alpha 1 draws no gamma, the others one slab of shape (alpha-1)/2: 0.5,
+    # 0.75, 1, 1.5 and 2
     levels = np.array([1e-3, Z31, 1e6])
-    for alpha in (1, 2, 3, 4, 5):
+    for alpha in (1, 2, 2.5, 3, 4, 5):
         cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=1, n_steps=n_steps, seed=5)
         path = simulate_exact(cfg)
         t, q_ref = _replay_q(5, 0, alpha, n_steps, 1, levels)
@@ -351,7 +342,7 @@ def test_engine_matches_replayed_whole_paths():
     # Replays the engine's draw schedule on one stream in Python floats: each
     # time block gives the next draws to the paths with an unhit level, in
     # path order, and every payoff comes from the replayed whole path.
-    for alpha in (1, 2, 3, 4, 5):
+    for alpha in (1, 2, 2.5, 3, 4, 5):
         cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=60, n_steps=400, seed=8)
         z = find_Z(cfg.params).value
         levels = np.array([0.5 * z, z, 2.0 * z])
@@ -366,8 +357,8 @@ def test_engine_matches_replayed_whole_paths():
     "alpha, t0, q0", [(0.5, 0.0, 0.0), (2.5, 0.0, 0.0), (0.5, 0.5, 0.1), (2.5, 0.3, 0.4), (3, 0.5, 0.3), (1, 0.2, 0.5)]
 )
 def test_engine_matches_replayed_paths_any_dimension_and_start(alpha, t0, q0):
-    # as above, for the mixture kernel and for starts off the origin; the
-    # lowest level is met at node 0 by the off-origin starts
+    # as above, for fractional alpha on either kernel and for starts off the
+    # origin; the lowest level is met at node 0 by the off-origin starts
     cfg = SimConfig(params=ModelParams(alpha, 1), n_paths=40, n_steps=150, seed=8, t0=t0, q0=q0)
     z = find_Z(cfg.params).value
     levels = np.array([0.25, z, 2.0 * z])
@@ -504,9 +495,10 @@ def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0, side=0):
     """q at the 9 inner nodes of linspace(t0, 1, 11) for n_paths independent rows.
 
     One kernel call on n_paths antithetic pairs keeps path A (``side`` 0) or
-    path B (``side`` 1) of each, so the rows are independent.  The kernel is the engine's choice for alpha:
-    radial for integer alpha, the Poisson mixture otherwise.  It returns X,
-    and q = (1-t)(1-t) X is the product the engine forms.
+    path B (``side`` 1) of each, so the rows are independent.  The kernel is
+    the engine's choice for alpha: radial for alpha >= 1, the Poisson mixture
+    below.  It returns X, and q = (1-t)(1-t) X is the product the engine
+    forms.
     """
     cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
     t, step, x0, width = _sampler(cfg)
@@ -521,7 +513,7 @@ def _case_seed(base, alpha):
     return base + alpha if float(alpha).is_integer() else 10 * base + int(10 * alpha)
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 1.5, 2.5])
 def test_kernel_marginals_are_scaled_chi_square(alpha):
     # Q_t / (t (1 - t)) ~ chi2_alpha for the bridge from 0 to 0
     t, q = _grid_q(alpha, 20_000, _case_seed(100, alpha))
@@ -530,7 +522,7 @@ def test_kernel_marginals_are_scaled_chi_square(alpha):
         assert stats.kstest(scaled, stats.chi2(alpha).cdf).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1, 2.5, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1, 1.5, 2.5, 3])
 def test_kernel_marginals_off_origin_are_noncentral_chi_square(alpha):
     # from Q_{t0} = q0, X = Q/(1-t)^2 at s = t/(1-t) is BESQ^alpha from
     # X0 = q0/(1-t0)^2 at s0, so X(s)/(s - s0) ~ ncx2(alpha, X0/(s - s0))
@@ -555,13 +547,13 @@ def _assert_bridge_covariance(alpha, t, q):
         assert abs(cov - target) <= 4.0 * se
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 2.5])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 0.5, 1.5, 2.5])
 def test_kernel_covariance_matches_bridge(alpha):
     t, q = _grid_q(alpha, 20_000, _case_seed(200, alpha))
     _assert_bridge_covariance(alpha, t, q)
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1, 1.5, 2, 2.5, 3])
 def test_mirrored_path_has_the_bridge_law(alpha):
     # path B of each pair steps by -sqrt(ds) xi, reflected at alpha = 1; its
     # marginals and covariance are those of path A
@@ -604,12 +596,12 @@ def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads)
     assert policy_sweep(cfg, mult, Z=Z31) == sweep1
 
 
-def _traced_peak(cfg):
-    """tracemalloc peak, in bytes, of one mc_estimate at the level Z31."""
+def _traced_peak(cfg, z=Z31):
+    """tracemalloc peak, in bytes, of one mc_estimate at the level z."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mc_estimate(cfg, ThresholdPolicy(Z31))
+        mc_estimate(cfg, ThresholdPolicy(z))
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -624,6 +616,30 @@ def test_exact_engine_temporaries_stay_small(monkeypatch):
     assert _traced_peak(cfg) < 4 * 2**20
 
 
+@pytest.mark.parametrize("alpha", [41, 40.5])
+def test_radial_block_temporaries_stay_small_at_large_alpha(monkeypatch, alpha):
+    # one gamma slab carries chi2_{alpha-1} for every alpha > 1, so the draw
+    # buffer is 3 slabs whatever alpha is (2.7 MB here); a slab per
+    # exponential, (alpha-1)//2 of them, would take 12.6 MB at alpha 41
+    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+    params = ModelParams(alpha, 1)
+    cfg = SimConfig(params=params, n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
+    assert _traced_peak(cfg, find_Z(params).value) < 4 * 2**20
+
+
+def test_unit_gamma_draws_are_standard_exponentials():
+    # the alpha = 3 kernel draws gamma variates of shape 1: numpy's
+    # standard_gamma(1) is standard_exponential, bit for bit, and advances
+    # the SFC64 stream alike, so the draws after it match as well
+    a, b = _path_generator(5, 0), _path_generator(5, 0)
+    x, y = np.empty((_BLOCK_STEPS, _BLOCK_PATHS // 2)), np.empty((_BLOCK_STEPS, _BLOCK_PATHS // 2))
+    a.standard_gamma(1.0, out=x)
+    b.standard_exponential(out=y)
+    assert x.tobytes() == y.tobytes()
+    assert a.standard_normal(1000).tobytes() == b.standard_normal(1000).tobytes()
+    assert a.standard_gamma(1.0, 1000).tobytes() == b.standard_exponential(1000).tobytes()
+
+
 def test_mixture_block_temporaries_stay_small(monkeypatch):
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     cfg = SimConfig(params=ModelParams(0.5, 1), n_paths=_BLOCK_PATHS, n_steps=2000, seed=3)
@@ -636,6 +652,7 @@ def test_results_independent_of_worker_count(monkeypatch):
     cfgs = (
         _exact_config(n_paths=3000, n_steps=150, seed=13),
         SimConfig(params=ModelParams(2.5, 1.5), t0=0.2, q0=0.3, n_paths=_BLOCK_PATHS + 300, n_steps=100, seed=13),
+        SimConfig(params=ModelParams(0.5, 1.5), t0=0.2, q0=0.3, n_paths=_BLOCK_PATHS + 300, n_steps=100, seed=13),
     )
     for cfg in cfgs:
         monkeypatch.setenv("BESSELSTOP_THREADS", "1")
@@ -912,7 +929,7 @@ def test_pair_stderr_matches_independent_paths_for_the_mixture():
 
 @pytest.mark.parametrize(
     "alpha, n, t0, q0, n_steps",
-    [(0.5, 1, 0.0, 0.0, 2000), (0.5, 1, 0.5, 0.1, 1000), (2.5, 1.5, 0.3, 0.4, 1000)],
+    [(0.5, 1, 0.0, 0.0, 2000), (0.5, 1, 0.5, 0.1, 1000), (1.5, 1, 0.0, 0.0, 2000), (2.5, 1.5, 0.3, 0.4, 1000)],
 )
 def test_mc_estimate_matches_value_any_dimension_and_start(alpha, n, t0, q0, n_steps):
     # the exact sampler against the series value U*(t0, q0), with no floor;
