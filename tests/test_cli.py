@@ -8,7 +8,6 @@ from dataclasses import asdict
 
 import pytest
 
-from besselstop import cli
 from besselstop.boundary import NoRootError
 from besselstop.cli import RunConfig, _config_from_args, build_parser, main
 from besselstop.oracles import AccuracyError, LatticeError, RangeError
@@ -174,7 +173,8 @@ def test_typed_numeric_failure_keeps_exit_one(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "fd_value", fail)
+    # the dp-oracle handler imports fd_value from the oracles module when it runs
+    monkeypatch.setattr("besselstop.oracles.fd_value", fail)
     assert main(["dp-oracle"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"type": type(error).__name__, "message": str(error)}
@@ -368,14 +368,66 @@ def test_acceptance_subset(capsys):
     assert "excursion constant" in captured.err
 
 
-@pytest.mark.parametrize("criteria", ["11", "0", "1,11"])
+@pytest.mark.parametrize("criteria", ["11", "0", "1,11", "", ","])
 def test_acceptance_rejects_unknown_criterion(capsys, criteria):
-    # an index outside 1..10 is a usage error, not an empty run that passes
+    # an index outside 1..10, or none at all, is a usage error, not a run
+    # that passes unasked
     code = main(["acceptance", "--criteria", criteria])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "1..10" in captured.err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify-appendix", "verify-lemmas", "acceptance"])
+def test_tol_only_on_commands_that_solve_for_z(capsys, command):
+    # these four never read a root tolerance, so the flag is not offered
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["value", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+LAYERS = ("besselstop.oracles", "besselstop.verify", "besselstop.acceptance")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["coeffs", "--alpha", "3", "--n", "1"], ("numpy", "scipy", *LAYERS)),
+        (["coeffs", "--format", "csv"], ("numpy", "scipy", *LAYERS)),
+        (["value", "--t0", "0.2", "--q0", "0.5"], ("scipy", *LAYERS)),
+        (["simulate", "--paths", "64", "--steps", "20"], LAYERS),
+        (["sweep", "--paths", "64", "--steps", "20", "--format", "csv"], LAYERS),
+    ],
+)
+def test_command_loads_only_the_layers_it_runs(argv, unloaded):
+    # a fresh interpreter, since this suite's test modules import every layer
+    repo_root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from besselstop.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"loaded = sorted(m for m in sys.modules if m.startswith({unloaded!r}))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},
+        cwd=str(repo_root),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_csv_flat_fallback_for_scalar_results(tmp_path, capsys):
