@@ -7,14 +7,15 @@ scipy, and ``value`` no scipy.
 
 Every invocation echoes its full parsed configuration (including defaults and
 the seed) into the output, so any published number can be regenerated from
-the artifact alone.  JSON numbers use shortest round-trip serialization; CSV
-uses 10 significant digits with a period decimal separator regardless of
-locale.
+the artifact alone.  JSON numbers use shortest round-trip serialization, and
+an undefined quantity (a NaN or infinite float, such as the standard error of
+a one-pair run) is ``null``; CSV uses 10 significant digits with a period
+decimal separator regardless of locale, and writes it ``nan``.
 
 Exit codes: 0 success, 1 numeric failure (machine-readable error payload on
 stdout), 2 usage error.  A ``ValueError`` from the library is an argument it
 rejected, so it is a usage error too, and so is an ``--out`` path that cannot
-be written.
+be written; that path is refused before the command runs.
 """
 
 from __future__ import annotations
@@ -331,9 +332,22 @@ def _flatten_for_csv(obj: object, prefix: str = "") -> list[list]:
     return [row for key, v in items for row in _flatten_for_csv(v, key)]
 
 
+def _json(obj: object) -> str:
+    """``obj`` as indented JSON, each NaN or infinite float as ``null``: JSON has no such number."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(obj), indent=2, allow_nan=False)
+
+
 def _render(envelope: ResultEnvelope, csv_rows, config: RunConfig) -> str:
     if config.out_format == "json":
-        return json.dumps(asdict(envelope), indent=2) + "\n"
+        return _json(asdict(envelope)) + "\n"
     if csv_rows is None:
         csv_rows = [["key", "value"]] + _flatten_for_csv(envelope.results)
     buf = io.StringIO()
@@ -387,6 +401,19 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _check_out(path: str) -> None:
+    """Raise UsageError unless ``path`` opens for writing; a file made to check is removed."""
+    import os
+
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _usage_error(message) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
@@ -396,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         config = _config_from_args(ns)
+        if config.out_path:
+            _check_out(config.out_path)  # before the run, which may take minutes
         envelope, csv_rows = run(config)
     except ValueError as exc:  # UsageError, or an argument the library rejected
         return _usage_error(exc)
@@ -406,12 +435,12 @@ def main(argv: list[str] | None = None) -> int:
             "config": asdict(config),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return 1
 
     text = _render(envelope, csv_rows, config)
     if config.out_path:
-        try:
+        try:  # the path can still vanish during the run
             with open(config.out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:

@@ -223,9 +223,7 @@ def Z_from_ode(
         w = 2.0 * y * p - n * g
         pos = np.nonzero(w > 0.0)[0]
         if pos.size:
-            j = int(pos[0])
-            if j == 0:
-                raise RangeError("sign change at the origin node; grid unusable")
+            j = int(pos[0])  # >= 1: w(0) = -n g(0) = -n < 0
             y0, y1 = float(y[j - 1]), float(y[j])
             w0, w1 = float(w[j - 1]), float(w[j])
 

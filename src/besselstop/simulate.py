@@ -519,7 +519,9 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | Non
     """The stopping record of every path and the control moments under each level, common random numbers.
 
     With a ``candidate`` level, the paired moments compare every other level
-    against it.
+    against it.  The path blocks run on one thread pool of ``worker_count``
+    threads, one thread included, and their moments are added in block
+    order, so the sums are the same bits for any worker count.
     """
     levels = np.asarray(levels, dtype=float)
     shape = (levels.size, config.n_paths)
@@ -552,29 +554,21 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | Non
         # the block's cap record lives only until its moments are taken
         return _block_moments(ens, *block, _run_chunk_exact(config, levels, sampler, ens, *block))
 
-    def fold(blocks):
-        # in block order for any worker count, so the sums are the same bits
-        for own, paired in blocks:
+    with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as ex:
+        for own, paired in ex.map(run, bounds):
             np.add(ens.own, own, out=ens.own)
             np.add(ens.paired, paired, out=ens.paired)
-
-    workers = worker_count(len(bounds))
-    if workers == 1:
-        fold(map(run, bounds))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            fold(ex.map(run, bounds))
     return ens
 
 
-def _block_controls(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap) -> np.ndarray:
-    """Pair means of level ``l``'s controls over the paths start + [a, b), shape (2 caps, groups).
+def _block_means(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap):
+    """Pair means of level ``l``'s controls and of its payoffs over the paths start + [a, b).
 
-    Control c reads S and X at min(tau, c): at the stop wherever tau <= c,
-    at the cap (X from the block's record ``x_cap``) otherwise.  Rows are
-    M1 = X - alpha S - X0 at each cap, then
-    M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2 at each cap.
-    ``a`` is even and local to the block, as is ``x_cap``.
+    The controls have shape (2 caps, groups).  Control c reads S and X at
+    min(tau, c): at the stop wherever tau <= c, at the cap (X from the
+    block's record ``x_cap``) otherwise.  Rows are M1 = X - alpha S - X0 at
+    each cap, then M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2
+    at each cap.  ``a`` is even and local to the block, as is ``x_cap``.
     """
     node = ens.node[l, start + a : start + b]
     at_stop = node <= ens.caps[:, None]
@@ -585,33 +579,29 @@ def _block_controls(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap) -
     # X (X - (2 alpha + 4) S) + alpha (alpha + 2) S^2 - X0^2
     np.multiply(x, x - (2.0 * ens.alpha + 4.0) * s, out=controls[1])
     controls[1] += ens.alpha * (ens.alpha + 2.0) * s * s - ens.x0 * ens.x0
-    return _group_means(controls.reshape(-1, b - a))
+    payoffs = ens.payoffs(l, start + a, start + b)
+    return _group_means(controls.reshape(-1, b - a)), _group_means(payoffs)
 
 
 def _block_moments(ens: _Ensemble, start: int, stop: int, x_cap):
     """The own and the paired moment matrices of the block [start, stop), one per level.
 
-    Entry l of ``own`` sums (1, controls, payoff) products over level l's
-    pair means; with a candidate level, entry l of ``paired`` does the same
-    for the candidate's payoff less level l's against the difference of
-    their controls.  The paths are taken ``_FIT_PATHS`` at a time, so no more
-    than that many paths' controls are ever held.
+    The paths are taken ``_FIT_PATHS`` at a time, and each slice builds every
+    level's controls and payoff pair means once.  Entry l of ``own`` sums
+    (1, controls, payoff) products over level l's pair means; with a
+    candidate level, entry l of ``paired`` does the same for the candidate's
+    payoff less level l's against the difference of their controls.  No more
+    than one slice's controls per level are ever held.
     """
     own, paired = np.zeros_like(ens.own), np.zeros_like(ens.paired)
     cand = ens.candidate
     for a in range(0, stop - start, _FIT_PATHS):
         b = min(a + _FIT_PATHS, stop - start)
-        if cand is not None:
-            c_cand = _block_controls(ens, cand, start, a, b, x_cap)
-            y_cand = _group_means(ens.payoffs(cand, start + a, start + b))
-            own[cand] += _cross_products(c_cand, y_cand)
-        for l in range(own.shape[0]):
-            if l == cand:
-                continue
-            c = _block_controls(ens, l, start, a, b, x_cap)
-            y = _group_means(ens.payoffs(l, start + a, start + b))
+        means = [_block_means(ens, l, start, a, b, x_cap) for l in range(len(own))]
+        for l, (c, y) in enumerate(means):
             own[l] += _cross_products(c, y)
-            if cand is not None:
+            if cand is not None and l != cand:
+                c_cand, y_cand = means[cand]
                 paired[l] += _cross_products(c_cand - c, y_cand - y)
     return own, paired
 

@@ -13,6 +13,7 @@ from besselstop import acceptance
 def _run(fn):
     row = fn()
     print(row.line())
+    assert row.index == int(fn.__name__.split("_")[1])
     assert row.passed, row.detail
     assert row.within_budget, f"budget exceeded: {row.elapsed:.1f}s > {row.budget:.0f}s"
 
@@ -66,6 +67,12 @@ def test_criterion_09_shape_suite():
 
 def test_criterion_10_iteration_suite():
     _run(acceptance.criterion_10_iteration_suite)
+
+
+def test_all_criteria_in_index_order():
+    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    assert [name.split("_")[1] for name in names] == [str(k) for k in range(1, 11)]
+    assert all(name.startswith("criterion_") for name in names)
 
 
 @pytest.mark.parametrize("indices", [(11,), (0,), (1, 11), ()], ids=["11", "0", "1,11", "none"])

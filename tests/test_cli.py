@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
+from besselstop import cli
 from besselstop.boundary import NoRootError
 from besselstop.cli import RunConfig, _config_from_args, build_parser, main
 from besselstop.oracles import AccuracyError, LatticeError, RangeError
@@ -388,14 +389,57 @@ def test_tol_only_on_commands_that_solve_for_z(capsys, command):
     assert "--tol" in capsys.readouterr().err
 
 
-def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before the command runs: its handler is never called
+    value = cli.COMMANDS["value"]._replace(handler=lambda config, params: pytest.fail("ran"))
+    monkeypatch.setitem(cli.COMMANDS, "value", value)
     target = tmp_path / "missing" / "x.json"
     assert main(["value", "--out", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("usage error: ")
+    assert err.startswith("usage error: cannot write --out: ")
     assert err.count("\n") == 1
     assert not target.exists()
+
+
+def test_out_path_checked_before_a_failed_run_leaves_no_file(tmp_path, capsys):
+    # the check opens the path and removes the file it made, so a run that
+    # then fails leaves nothing, and an existing file keeps its content
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old")
+    for target in (fresh, kept):
+        assert main(["value", "--q0", "-1", "--out", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not fresh.exists()
+    assert kept.read_text() == "old"
+
+
+def _no_constants(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--paths", "1", "--steps", "10"],
+        ["simulate", "--paths", "2", "--steps", "10"],
+        ["sweep", "--paths", "2", "--steps", "10"],
+    ],
+)
+def test_undefined_quantities_are_json_null(capsys, argv):
+    # one antithetic pair has no spread, so every standard error is undefined:
+    # null in JSON, which has no NaN, and nan in CSV
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    res = json.loads(out, parse_constant=_no_constants)["results"]
+    for row in res.get("rows", [res]):
+        assert row["stderr"] is None and row["plain_stderr"] is None
+        assert row["ci95"] == [None, None]
+        if not row.get("candidate", True):
+            assert row["paired_stderr_vs_candidate"] is None
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert ",nan" in out
 
 
 LAYERS = ("besselstop.oracles", "besselstop.verify", "besselstop.acceptance")
