@@ -69,8 +69,9 @@ def solve_root(f, lo, hi, tol, grow_cap=None) -> RootResult:
     it reuses f(x), so it costs one evaluation of f.  An exact zero at a
     bracket end or an iterate is accepted as it is.  An ``ArithmeticError``
     in ``f``, or a NaN from it, is re-raised as ``NoRootError`` naming the
-    point.
+    point.  ``tol`` must be finite and at least 0.
     """
+    tol = _require("tol", tol, 0.0, math.inf, open_hi=True)
 
     def call(x: float) -> float:
         try:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .boundary import NoRootError, find_C_excursion, find_Z
-from .series import ModelParams, _require, build_coefficients
+from .series import ModelParams, _require, _require_int, build_coefficients
 from .value import CandidateSolution, U_star, boundary_q, boundary_x, build_candidate
 
 
@@ -112,7 +112,7 @@ def emit_boundary_curve(sol: CandidateSolution, t_points: int) -> list[list]:
     Includes the pinned t = 1 row where the boundary and the value at the
     origin are both zero.
     """
-    _require("t_points", t_points, 2)
+    _require_int("t_points", t_points, 2)
     grid = [i / (t_points - 1) for i in range(t_points)]
     return [["t", "z_q", "x_boundary", "value_at_zero"]] + [
         [t, boundary_q(sol, t), boundary_x(sol, t), U_star(sol, t, 0.0)] for t in grid

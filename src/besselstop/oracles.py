@@ -216,7 +216,7 @@ def Z_from_ode(
     """
     a, n = params.alpha, params.n
     if ymax is None:
-        ymax = 4.0 * max(1.0, 0.5 * (a + n))
+        ymax = default_ymax(params)
     for attempt in range(2):
         sol = ode_shoot(params, ymax, step)
         y, g, p = sol.grid, sol.g_values, sol.g_prime_values

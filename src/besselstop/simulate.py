@@ -218,19 +218,6 @@ class SweepTable:
         return best.multiplier
 
 
-def _radial_steps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step tables of the time-changed walk to nodes 1 .. m-1 of the grid t.
-
-    Node j sits at time s_j = t_j/(1-t_j) of X, so the step to node j+1 has
-    length ds_j = h_j/((1-t_j)(1-t_{j+1})).  Returns sqrt(ds) and ds per step;
-    the pinned node m (s = infinity) is excluded, its q is the exact zero of
-    the bridge.
-    """
-    tau = 1.0 - t
-    ds = np.diff(t)[:-1] / (tau[:-2] * tau[1:-1])
-    return np.sqrt(ds), ds
-
-
 def _radial_block(gen, state, alpha, sd, ds, buf):
     """X at the next k nodes of both paths of every pair, alpha >= 1; ``state`` advances in place.
 
@@ -291,56 +278,80 @@ def _mixture_block(gen, state, alpha, ds, buf):
     return x
 
 
-def _sampler(config: SimConfig):
-    """Grid, block kernel, start state and buffer floats per pair-step of a run.
+def _cap_nodes(n_steps: int) -> np.ndarray:
+    """Cap nodes round((1 - (1 - i/17)^2) n_steps), i = 1 .. 16, clipped to 1 .. n_steps-1, deduplicated.
 
-    The grid is linspace(t0, 1, n_steps + 1); ``step(gen, state, j0, j1, buf)``
-    advances the (2, pairs) ``state`` and returns the time-changed BESQ value
-    X of both paths of every pair at the nodes j0+1 .. j1, shape
-    (j1 - j0, 2, pairs), as a view of ``buf``; q = (1-t)^2 X there, with
-    (1-t)^2 formed as (1-t)(1-t).  alpha >= 1 takes ``_radial_block``, whose
-    state starts at sqrt X0; alpha < 1 ``_mixture_block``, whose state is X
-    itself.
+    The caps crowd toward t -> 1: the last sits 1 - 1/289 of the way.
     """
-    a = config.params.alpha
-    t = np.linspace(config.t0, 1.0, config.n_steps + 1)
-    sd, ds = _radial_steps(t)
-    x0 = config.q0 / ((1.0 - config.t0) * (1.0 - config.t0))
-    if a >= 1:
+    nodes = {
+        min(max(round((1.0 - (1.0 - i / (_CAPS + 1)) ** 2) * n_steps), 1), n_steps - 1)
+        for i in range(1, _CAPS + 1)
+    }
+    # int32, as the stopping nodes are, so comparing them casts nothing
+    return np.array(sorted(nodes) if n_steps > 1 else [], dtype=np.int32)
 
-        def step(gen, state, j0, j1, buf):
-            return _radial_block(gen, state, a, sd[j0:j1], ds[j0:j1], buf)
 
-        # X of both paths, then the xi slab, which the gamma draws reuse
-        return t, step, math.sqrt(x0), 3
+class _Walk:
+    """The grid and the kernel of one run, built once from its ``SimConfig``.
 
-    def step(gen, state, j0, j1, buf):
-        return _mixture_block(gen, state, a, ds[j0:j1], buf)
+    The grid is ``t`` = linspace(t0, 1, n_steps + 1), with ``tau`` = 1 - t and
+    ``tau2`` = (1-t)(1-t), the factor q = tau2 X reads.  Node j sits at time
+    s_j = t_j/(1-t_j) of X, so the step to node j+1 has length
+    ds_j = h_j/((1-t_j)(1-t_{j+1})); ``ds`` and ``sd`` = sqrt(ds) hold the
+    steps to nodes 1 .. n_steps-1, as the pinned node (s = infinity) is the
+    exact zero of the bridge.  ``elapsed[j]`` = S_j sums the steps up to node
+    j; nothing reads it at the pinned node.  ``x0`` = q0/(1-t0)^2 is X at the
+    start, ``start`` the kernel's state there (sqrt X0 for the radial kernel,
+    X0 for the mixture), ``width`` the buffer floats per pair and step the
+    kernel needs, and ``caps`` the cap nodes of the controls; ``alpha``,
+    ``n`` and ``q0`` are the config's.
 
-    return t, step, x0, 2
+    ``step(gen, state, j0, j1, buf)`` advances the (2, pairs) ``state`` and
+    returns X of both paths of every pair at the nodes j0+1 .. j1, shape
+    (j1 - j0, 2, pairs), as a view of ``buf``: ``_radial_block`` for
+    alpha >= 1, ``_mixture_block`` below.
+    """
+
+    def __init__(self, config: SimConfig):
+        self.alpha, self.n, self.q0 = config.params.alpha, config.params.n, config.q0
+        self.t = np.linspace(config.t0, 1.0, config.n_steps + 1)
+        self.tau = 1.0 - self.t
+        self.tau2 = self.tau * self.tau
+        self.ds = np.diff(self.t)[:-1] / (self.tau[:-2] * self.tau[1:-1])
+        self.sd = np.sqrt(self.ds)
+        self.elapsed = np.zeros(config.n_steps + 1)
+        np.cumsum(self.ds, out=self.elapsed[1:-1])
+        self.x0 = config.q0 / ((1.0 - config.t0) * (1.0 - config.t0))
+        # the radial kernel's X of both paths, then its xi slab, which the gamma draws reuse
+        self.start, self.width = (math.sqrt(self.x0), 3) if self.alpha >= 1 else (self.x0, 2)
+        self.caps = _cap_nodes(config.n_steps)
+
+    def step(self, gen, state, j0, j1, buf):
+        if self.alpha >= 1:
+            return _radial_block(gen, state, self.alpha, self.sd[j0:j1], self.ds[j0:j1], buf)
+        return _mixture_block(gen, state, self.alpha, self.ds[j0:j1], buf)
 
 
 def simulate_exact(config: SimConfig) -> BridgePath:
     """One exact path from (t0, q0): the engine's walk without stopping.
 
-    Draws from stream (seed, 0) in the engine's time blocks, through the same
-    kernel, and keeps path A of the one pair, so a one-path engine run (a
-    group of one) reproduces it bit for bit.  Every grid marginal has the
-    exact law, and the pinned node is the exact zero.
+    Draws from stream (seed, 0) in the engine's time blocks, through the
+    run's ``_Walk``, and keeps path A of the one pair, so a one-path engine
+    run (a group of one) reproduces it bit for bit.  Every grid marginal has
+    the exact law, and the pinned node is the exact zero.
     """
-    t, step, x0, width = _sampler(config)
+    walk = _Walk(config)
     gen = _path_generator(config.seed, 0)
-    state = np.full((2, 1), x0)
-    buf = np.empty(width * _BLOCK_STEPS)
+    state = np.full((2, 1), walk.start)
+    buf = np.empty(walk.width * _BLOCK_STEPS)
     x = np.zeros(config.n_steps + 1)
     last = config.n_steps - 1
     for j0 in range(0, last, _BLOCK_STEPS):
         j1 = min(j0 + _BLOCK_STEPS, last)
-        x[j0 + 1 : j1 + 1] = step(gen, state, j0, j1, buf)[:, 0, 0]
-    tau = 1.0 - t
-    q = x * (tau * tau)
+        x[j0 + 1 : j1 + 1] = walk.step(gen, state, j0, j1, buf)[:, 0, 0]
+    q = x * walk.tau2
     q[0] = config.q0
-    return BridgePath(times=t, q=q)
+    return BridgePath(times=walk.t, q=q)
 
 
 def _payoff(q, n: float):
@@ -375,34 +386,27 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
 class _Ensemble:
     """Per-path stopping record and control moments of one engine run.
 
-    ``node`` and ``x_stop`` have one row per level and one column per path:
-    the node where the level stopped the path (``n_steps`` where it never
-    did) and the kernel's X there; the payoff and the stop flag follow from
-    them.  ``own`` and ``paired`` have one moment matrix per level: the sums
-    over the path blocks, in block order, of the matrices ``_block_moments``
-    builds when a block's walk ends.  ``candidate`` names the level the
-    paired moments compare against (None: no paired moments).
-    ``elapsed[j]`` = S_j, the sum of the kernel's ds up to node j, and
-    ``tau2[j]`` = (1 - t_j)(1 - t_j).  A path that never stopped reads both
-    at the pinned node: tau2 is 0 there, so its q and payoff are 0, and no
-    control reads its S.
+    ``walk`` is the run's grid and kernel.  ``node`` and ``x_stop`` have one
+    row per level and one column per path: the node where the level stopped
+    the path (``n_steps`` where it never did) and the kernel's X there; the
+    payoff and the stop flag follow from them.  ``own`` and ``paired`` have
+    one moment matrix per level: the sums over the path blocks, in block
+    order, of the matrices ``_block_moments`` builds when a block's walk
+    ends.  ``candidate`` names the level the paired moments compare against
+    (None: no paired moments).  A path that never stopped reads the walk's
+    ``tau2`` and ``elapsed`` at the pinned node: tau2 is 0 there, so its q
+    and payoff are 0, and no control reads its S.
     """
 
+    walk: _Walk
     node: np.ndarray
     x_stop: np.ndarray
-    caps: np.ndarray
-    elapsed: np.ndarray
-    tau2: np.ndarray
-    alpha: float
-    x0: float
     own: np.ndarray
     paired: np.ndarray
     candidate: int | None
-    q0: float
-    n: float
 
     def stopped(self, l: int) -> np.ndarray:
-        return self.node[l] < self.tau2.size - 1
+        return self.node[l] < self.walk.t.size - 1
 
     def payoffs(self, l: int, a: int = 0, b: int | None = None) -> np.ndarray:
         """Q^{n/2} at the stop of paths [a, b) under level ``l``, 0 where it never stopped.
@@ -411,25 +415,12 @@ class _Ensemble:
         in the stopping region pays q0 itself, as ``apply_policy`` does.
         """
         node = self.node[l, a:b]
-        q = self.x_stop[l, a:b] * self.tau2[node]
-        q[node == 0] = self.q0
-        return _payoff(q, self.n)
+        q = self.x_stop[l, a:b] * self.walk.tau2[node]
+        q[node == 0] = self.walk.q0
+        return _payoff(q, self.walk.n)
 
 
-def _cap_nodes(n_steps: int) -> np.ndarray:
-    """Cap nodes round((1 - (1 - i/17)^2) n_steps), i = 1 .. 16, clipped to 1 .. n_steps-1, deduplicated.
-
-    The caps crowd toward t -> 1: the last sits 1 - 1/289 of the way.
-    """
-    nodes = {
-        min(max(round((1.0 - (1.0 - i / (_CAPS + 1)) ** 2) * n_steps), 1), n_steps - 1)
-        for i in range(1, _CAPS + 1)
-    }
-    # int32, as the stopping nodes are, so comparing them casts nothing
-    return np.array(sorted(nodes) if n_steps > 1 else [], dtype=np.int32)
-
-
-def _run_chunk_exact(config, levels, sampler, ens, start, stop):
+def _run_chunk_exact(config, levels, ens, start, stop):
     """Walk the path block [start, stop) a time block at a time; fill its stops in ``ens``.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
@@ -437,9 +428,9 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
     ``apply_policy`` does.  The block walks its paths as antithetic pairs,
     paths (start + 2i, start + 2i + 1); an odd last path is path A of a pair
     whose path B is never read.  Rows are the pairs in which some path still
-    has an unhit level.  Each time block draws fresh variates for those rows
-    only and applies the ``sampler`` kernel, so a pair stops costing draws
-    once every level has stopped both its paths.  The draws are independent
+    has an unhit level.  Each time block steps those rows alone with the
+    walk of ``ens``, on fresh variates, so a pair stops costing draws once
+    every level has stopped both its paths.  The draws are independent
     of the history that chose the rows, so every surviving path keeps the
     exact law.  The kernel state carries across time blocks; a one-path
     block therefore reproduces ``simulate_exact`` on the same stream bit for
@@ -454,27 +445,26 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
     """
     m = stop - start
     pairs = (m + 1) // 2
-    t, step, x0, width = sampler
+    walk = ens.walk
     gen = _path_generator(config.seed, start // _BLOCK_PATHS)
-    tau = 1.0 - t
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
     last = config.n_steps - 1
-    caps = ens.caps.tolist()
+    caps = walk.caps.tolist()
     next_cap = 0
 
-    at_start = config.q0 >= levels * tau[0]
+    at_start = config.q0 >= levels * walk.tau[0]
     ens.node[at_start, start:stop] = 0
-    ens.x_stop[at_start, start:stop] = ens.x0
+    ens.x_stop[at_start, start:stop] = walk.x0
     # an odd block's last column is a path B, never read
     x_cap = np.zeros((len(caps), 2 * pairs))
     rows = np.arange(pairs)  # block-local pair index of each active row
-    state = np.full((2, pairs), x0)  # kernel state of paths A and B at the current node
+    state = np.full((2, pairs), walk.start)  # kernel state of paths A and B at the current node
     open_ = np.empty((levels.size, 2, pairs), dtype=bool)  # (levels, path A or B, rows)
     open_[:] = ~at_start[:, None, None]
     if m % 2:
         open_[:, 1, -1] = False  # an odd block's last pair has no path B
     # one buffer serves every time block, so draws never fault in fresh pages
-    buf = np.empty(width * pairs * min(_BLOCK_STEPS, last))
+    buf = np.empty(walk.width * pairs * min(_BLOCK_STEPS, last))
     for j0 in range(0, last, _BLOCK_STEPS):
         keep = open_.any(axis=(0, 1))
         if not keep.all():
@@ -484,20 +474,20 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
             # take: twice as fast as a fancy index on the column axis
             rows, state, open_ = rows[keep], state.take(keep, axis=1), open_.take(keep, axis=2)
         j1 = min(j0 + _BLOCK_STEPS, last)
-        xk = step(gen, state, j0, j1, buf)
+        xk = walk.step(gen, state, j0, j1, buf)
         while next_cap < len(caps) and caps[next_cap] <= j1:
             x_cap[next_cap, 2 * rows], x_cap[next_cap, 2 * rows + 1] = xk[caps[next_cap] - j0 - 1]
             next_cap += 1
         # columns: path A of every row, then path B of every row
         x = xk.reshape(j1 - j0, -1)
         flat_open = open_.reshape(levels.size, -1)
-        bound = tau[j0 + 1 : j1 + 1, None]
-        scale = ens.tau2[j0 + 1 : j1 + 1, None]
+        bound = walk.tau[j0 + 1 : j1 + 1, None]
+        scale = walk.tau2[j0 + 1 : j1 + 1, None]
         # q/(1-t) = X (1-t) and 1-t only falls along the block, so the path's
         # largest X times 1-t at the block's first node bounds q/(1-t): only
         # paths with peak >= z can hit level z, and q is formed on those alone
         peak = x.max(axis=0)
-        peak *= tau[j0 + 1]
+        peak *= walk.tau[j0 + 1]
         for l, z in enumerate(levels):
             cand = np.flatnonzero(flat_open[l] & (peak >= z * _PEAK_SLACK))
             if cand.size == 0:
@@ -518,33 +508,23 @@ def _run_chunk_exact(config, levels, sampler, ens, start, stop):
 def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | None = None) -> _Ensemble:
     """The stopping record of every path and the control moments under each level, common random numbers.
 
-    With a ``candidate`` level, the paired moments compare every other level
+    The run's ``_Walk`` is built once and shared by every path block.  With a
+    ``candidate`` level, the paired moments compare every other level
     against it.  The path blocks run on one thread pool of ``worker_count``
     threads, one thread included, and their moments are added in block
     order, so the sums are the same bits for any worker count.
     """
     levels = np.asarray(levels, dtype=float)
     shape = (levels.size, config.n_paths)
-    sampler = _sampler(config)
-    caps = _cap_nodes(config.n_steps)
-    # S_j: the kernel's own ds summed up to node j; nothing is read at the pinned node
-    elapsed = np.zeros(config.n_steps + 1)
-    np.cumsum(_radial_steps(sampler[0])[1], out=elapsed[1:-1])
-    tau = 1.0 - sampler[0]
-    moments = np.zeros((levels.size, 2 * caps.size + 2, 2 * caps.size + 2))
+    walk = _Walk(config)
+    moments = np.zeros((levels.size, 2 * walk.caps.size + 2, 2 * walk.caps.size + 2))
     ens = _Ensemble(
+        walk=walk,
         node=np.full(shape, config.n_steps, dtype=np.int32),
         x_stop=np.zeros(shape),
-        caps=caps,
-        elapsed=elapsed,
-        tau2=tau * tau,
-        alpha=config.params.alpha,
-        x0=config.q0 / ((1.0 - config.t0) * (1.0 - config.t0)),
         own=moments,
         paired=moments.copy(),
         candidate=candidate,
-        q0=config.q0,
-        n=config.params.n,
     )
 
     n = config.n_paths
@@ -552,7 +532,7 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | Non
 
     def run(block):
         # the block's cap record lives only until its moments are taken
-        return _block_moments(ens, *block, _run_chunk_exact(config, levels, sampler, ens, *block))
+        return _block_moments(ens, *block, _run_chunk_exact(config, levels, ens, *block))
 
     with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as ex:
         for own, paired in ex.map(run, bounds):
@@ -570,15 +550,17 @@ def _block_means(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap):
     each cap, then M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2
     at each cap.  ``a`` is even and local to the block, as is ``x_cap``.
     """
+    walk = ens.walk
     node = ens.node[l, start + a : start + b]
-    at_stop = node <= ens.caps[:, None]
+    at_stop = node <= walk.caps[:, None]
     x = np.where(at_stop, ens.x_stop[l, start + a : start + b], x_cap[:, a:b])
-    s = np.where(at_stop, ens.elapsed[node], ens.elapsed[ens.caps, None])
+    s = np.where(at_stop, walk.elapsed[node], walk.elapsed[walk.caps, None])
+    alpha, x0 = walk.alpha, walk.x0
     controls = np.empty((2,) + x.shape)
-    np.subtract(x, ens.alpha * s + ens.x0, out=controls[0])
+    np.subtract(x, alpha * s + x0, out=controls[0])
     # X (X - (2 alpha + 4) S) + alpha (alpha + 2) S^2 - X0^2
-    np.multiply(x, x - (2.0 * ens.alpha + 4.0) * s, out=controls[1])
-    controls[1] += ens.alpha * (ens.alpha + 2.0) * s * s - ens.x0 * ens.x0
+    np.multiply(x, x - (2.0 * alpha + 4.0) * s, out=controls[1])
+    controls[1] += alpha * (alpha + 2.0) * s * s - x0 * x0
     payoffs = ens.payoffs(l, start + a, start + b)
     return _group_means(controls.reshape(-1, b - a)), _group_means(payoffs)
 

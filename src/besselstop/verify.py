@@ -44,10 +44,10 @@ _INVARIANCE_TOL = 1e-8
 class LambdaParams:
     """Arguments of the weighted series Lam; K is the truncation order.
 
-    Requires n > 0, n + gamma > 0, Delta >= 0, and a positive gamma-function
-    argument n/2 + 1 + gamma + Delta (equivalently alpha/2 + Delta > 0); the
-    reparameterized regime drives gamma below -2, so no lower bound on gamma
-    itself is imposed.
+    Requires D and B finite, n > 0, n + gamma > 0, Delta >= 0, and a
+    positive gamma-function argument n/2 + 1 + gamma + Delta (equivalently
+    alpha/2 + Delta > 0); the reparameterized regime drives gamma below -2,
+    so no lower bound on gamma itself is imposed.
     """
 
     D: float
@@ -58,6 +58,8 @@ class LambdaParams:
     K: int = 400
 
     def __post_init__(self):
+        for name in ("D", "B"):
+            _require(name, getattr(self, name), open_lo=True, open_hi=True)
         _require("n", self.n, 0.0, math.inf, open_lo=True, open_hi=True)
         _require("n + gamma", self.n + self.gamma, 0.0, math.inf, open_lo=True, open_hi=True)
         _require("Delta", self.Delta, 0.0, math.inf, open_hi=True)
@@ -205,17 +207,17 @@ def iterate_DB(
     ``delta_polynomials`` reproduce.
     """
     _require_int("r_max", r_max, 0)
+    if parameterization not in (GAMMA_FORM, DELTA_FORM):
+        raise ValueError(f"unknown parameterization {parameterization!r}")
     x, y = params
     D, B = type(x + y)(1), type(x + y)(-1)
     out = [IterState(0, D, B)]
     for r in range(r_max):
         if parameterization == GAMMA_FORM:
             D, B, _ = tilde_map(D, B, r, x, y)
-        elif parameterization == DELTA_FORM:
+        else:
             a, d = x, y
             D, B = (a + d) * D + (a + 2 + 2 * d) * B, (a + d) * D + (2 * r + a) * B
-        else:
-            raise ValueError(f"unknown parameterization {parameterization!r}")
         out.append(IterState(r + 1, D, B))
     return out
 
@@ -263,10 +265,11 @@ def _slack_leq(value: float, bound: float) -> float:
 def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport:
     """Bounds D_r <= g^r and B_r <= -g^r (1 + 2r/g) for the (n, g) iteration.
 
-    Requires gamma > 0 (the regime where the iteration needs them).  Also
-    checks the termination device: one step past any r0 > g^2/(2n) the D
-    coefficient is strictly negative.
+    Requires n > 0 finite and gamma > 0 (the regime where the iteration
+    needs them).  Also checks the termination device: one step past any
+    r0 > g^2/(2n) the D coefficient is strictly negative.
     """
+    _require("n", n, 0.0, math.inf, open_lo=True, open_hi=True)
     _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
     _require_int("r_max", r_max, 0)
     r0 = int(math.floor(gamma * gamma / (2.0 * n))) + 1

@@ -378,6 +378,23 @@ def test_solve_root_rejects_nan_inside_the_bracket():
         solve_root(lambda x: -1.0 if x < 2.0 else math.nan, 0.0, 1.0, 1e-12, grow_cap=2.0**10)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_solve_root_rejects_negative_or_nan_tol(tol):
+    # a negative or NaN tol used to leave the bracket test never true, so the
+    # loop ran forever; the counter turns such a hang into a failure
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise RuntimeError("solve_root did not stop")
+        return x * x - 2.0
+
+    with pytest.raises(ValueError, match="tol"):
+        solve_root(f, 1.0, 4.0, tol)
+    assert solve_root(lambda x: x * x - 2.0, 1.0, 4.0, 0.0).value == pytest.approx(math.sqrt(2.0))
+
+
 def _brent_reference(params, tol=1e-10):
     """find_Z as Brent's method plus a Newton polish with the series' own
     F'(z) = sum k (2k - n) A_k z^{k-1}: the root and the (F, F') evaluation

@@ -17,8 +17,8 @@ from besselstop.simulate import (
     _BLOCK_PATHS,
     _BLOCK_STEPS,
     _CAPS,
+    _Walk,
     _cap_nodes,
-    _sampler,
     _path_generator,
     _payoff,
     _simulate_levels,
@@ -391,18 +391,18 @@ def _tight_equality_level(cfg):
     tight there, and only ``_PEAK_SLACK`` keeps the hit.  The start must not
     meet z.  Returns ``(p, z)``, or None when no path of the block qualifies.
     """
-    t, step, x0, width = _sampler(cfg)
+    walk = _Walk(cfg)
     n = cfg.n_paths
     pairs = n // 2
-    buf = np.empty(width * _BLOCK_STEPS * pairs)
-    x = step(_path_generator(cfg.seed, 0), np.full((2, pairs), x0), 0, _BLOCK_STEPS, buf)
+    buf = np.empty(walk.width * _BLOCK_STEPS * pairs)
+    x = walk.step(_path_generator(cfg.seed, 0), np.full((2, pairs), walk.start), 0, _BLOCK_STEPS, buf)
     x = x.transpose(0, 2, 1).reshape(_BLOCK_STEPS, n)  # column 2i + s: path s of pair i
-    tau = 1.0 - t[1]
+    tau = walk.tau[1]
     for p in range(n):
         q1 = x[0, p] * (tau * tau)
         z = q1 / tau
         for z in (z, np.nextafter(z, 0.0), np.nextafter(z, math.inf)):
-            if z * tau == q1 and x[:, p].max() * tau < z and cfg.q0 < z * (1.0 - t[0]):
+            if z * tau == q1 and x[:, p].max() * tau < z and cfg.q0 < z * walk.tau[0]:
                 return p, float(z)
     return None
 
@@ -501,11 +501,10 @@ def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0, side=0):
     forms.
     """
     cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
-    t, step, x0, width = _sampler(cfg)
-    buf = np.empty(width * 9 * n_paths)
-    x = step(np.random.default_rng(seed), np.full((2, n_paths), x0), 0, 9, buf)[:, side]
-    tau = 1.0 - t[1:-1, None]
-    return t[1:-1], x * (tau * tau)
+    walk = _Walk(cfg)
+    buf = np.empty(walk.width * 9 * n_paths)
+    x = walk.step(np.random.default_rng(seed), np.full((2, n_paths), walk.start), 0, 9, buf)[:, side]
+    return walk.t[1:-1], x * walk.tau2[1:-1, None]
 
 
 def _case_seed(base, alpha):
@@ -674,7 +673,7 @@ def _pair_means(values):
 def _record_paths(monkeypatch):
     """Whole X paths of a single-threaded engine run, read off its kernel calls.
 
-    Wraps the sampler's step and returns a function that assembles the
+    Wraps ``_Walk.step`` and returns a function that assembles the
     recorded calls into X with shape (n_paths, n_steps + 1), NaN where a
     dropped pair drew no more.  A call's rows are the previous call's rows
     that stayed open, in order; each is found by its kernel state, which
@@ -683,20 +682,15 @@ def _record_paths(monkeypatch):
     """
     monkeypatch.setenv("BESSELSTOP_THREADS", "1")
     calls = []
-    real = simulate._sampler
+    real = simulate._Walk.step
 
-    def sampler(config):
-        t, step, x0, width = real(config)
+    def recorded(walk, gen, state, j0, j1, buf):
+        before = state.copy()
+        x = real(walk, gen, state, j0, j1, buf)
+        calls.append((j0, before, x.copy(), state.copy()))
+        return x
 
-        def recorded(gen, state, j0, j1, buf):
-            before = state.copy()
-            x = step(gen, state, j0, j1, buf)
-            calls.append((j0, before, x.copy(), state.copy()))
-            return x
-
-        return t, recorded, x0, width
-
-    monkeypatch.setattr(simulate, "_sampler", sampler)
+    monkeypatch.setattr(simulate._Walk, "step", recorded)
 
     def paths(cfg):
         # an odd path count's last pair still steps a path B

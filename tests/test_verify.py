@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from scipy.special import gammaln
 
+from besselstop import cli
 from besselstop.series import F_eval, ModelParams, build_coefficients
+from besselstop.value import build_candidate
 from besselstop.verify import (
     DELTA_FORM,
     GAMMA_FORM,
@@ -58,6 +60,10 @@ def test_lambda_validation():
         LambdaParams(D=1.0, B=-1.0, Delta=-1.0, n=1.0, gamma=0.0)
     with pytest.raises(ValueError, match="n must be positive"):
         LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=math.nan, gamma=0.0)
+    # a NaN or infinite coefficient used to evaluate to nan
+    for D, B in ((math.nan, -1.0), (1.0, math.inf), (-math.inf, -1.0)):
+        with pytest.raises(ValueError, match="and finite"):
+            LambdaParams(D=D, B=B, Delta=0.0, n=1.0, gamma=0.0)
     with pytest.raises(ValueError):
         lambda_eval(LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=2.0, gamma=18.0, K=12))
 
@@ -99,6 +105,9 @@ def test_iteration_first_steps_delta_form():
 def test_iteration_validation():
     with pytest.raises(ValueError):
         iterate_DB("weird", (1.0, 1.0), 5)
+    # zero steps used to skip the check and return the start state
+    with pytest.raises(ValueError, match="unknown parameterization"):
+        iterate_DB("bogus", (1.0, 2.0), 0)
     with pytest.raises(ValueError):
         iterate_DB(GAMMA_FORM, (1.0, 1.0), -1)
 
@@ -166,6 +175,14 @@ def test_growth_bounds_and_termination():
     assert rep2.all_passed
     with pytest.raises(ValueError):
         check_gamma_bounds(1.0, -1.0, 10)
+
+
+@pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+def test_gamma_bounds_reject_nonpositive_or_nonfinite_n(n):
+    # n = 0 used to divide by zero, n = -1 to return a report, n = nan to
+    # fail converting the float to an integer
+    with pytest.raises(ValueError, match="n must be positive and finite"):
+        check_gamma_bounds(n, 2.0, 10)
 
 
 def test_parity_bounds():
@@ -253,6 +270,10 @@ def test_iteration_suite_fast_configuration():
                      id="candidate_shape_checks-general"),
         pytest.param("grid_points", lambda: candidate_shape_checks(None, grid_points=True),
                      id="candidate_shape_checks-excursion"),
+        pytest.param("t_points", lambda: cli.emit_boundary_curve(build_candidate(ModelParams(3, 1)), 2.5),
+                     id="emit_boundary_curve"),
+        pytest.param("t_points", lambda: cli.run(cli.RunConfig("boundary", out_format="csv", t_points=2.5)),
+                     id="cli-boundary-csv"),
     ],
 )
 def test_counts_must_be_integers(name, call):
