@@ -21,7 +21,8 @@ coordinate singularity:
   checked afterwards confirms it.
 * ``kummer_psi``, ``kummer_Z`` and ``kummer_value`` compute psi, Z and U*
   for every (alpha, n) without the series: psi(y) = M(n/2, alpha/2, y/2) is
-  Kummer's function (DLMF 13.2), taken from scipy's ``hyp1f1``.
+  Kummer's function (DLMF 13.2), taken from scipy's ``hyp1f1``, near the
+  diagonal b = c through a contiguous relation (``_kummer``).
 
 Every root here goes through ``boundary.solve_root``; scipy's LAPACK and
 ``hyp1f1`` are imported on first use, so importing the package loads no scipy.
@@ -96,17 +97,35 @@ def _rk4_step_matrices(a: float, n: float, y: np.ndarray, h: float):
     The ODE is u' = A(y) u with A(y) = [[0, 1], [n/(4y), -(a-y)/(2y)]], so the
     four RK4 stages are matrices: K1 = A(y), K2 = A(y+h/2)(I + h/2 K1),
     K3 = A(y+h/2)(I + h/2 K2), K4 = A(y+h)(I + h K3), and
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  Vectorised over the array ``y``.
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).  Vectorised over the array ``y``;
+    each stage takes two temporaries besides its four entries, and M is
+    summed in place in K2's arrays, every operation on the operands and in
+    the order the formulas give, so the entries are bit for bit theirs.
     """
 
     def row(s):
-        # second row of A(s); the first row is (0, 1)
-        return n / (4.0 * s), -(a - s) / (2.0 * s)
+        # second row of A(s), n/(4s) and -(a-s)/(2s); the first row is (0, 1)
+        c = 4.0 * s
+        np.divide(n, c, out=c)
+        d = a - s
+        d /= -2.0 * s
+        return c, d
 
     def stage(c, d, k, s):
-        # A(.) (I + s K) with A(.) = [[0, 1], [c, d]]
-        b00, b01, b10, b11 = 1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]
-        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
+        # A(.) (I + s K) with A(.) = [[0, 1], [c, d]], in fresh arrays
+        b10 = s * k[2]
+        b11 = s * k[3]
+        b11 += 1.0
+        e = s * k[0]
+        e += 1.0
+        e *= c  # c (1 + s k00)
+        f = d * b10
+        e += f
+        g = s * k[1]
+        g *= c  # c s k01
+        np.multiply(d, b11, out=f)
+        g += f
+        return b10, b11, e, g
 
     c0, d0 = row(y)
     cm, dm = row(y + 0.5 * h)
@@ -115,10 +134,16 @@ def _rk4_step_matrices(a: float, n: float, y: np.ndarray, h: float):
     k2 = stage(cm, dm, k1, 0.5 * h)
     k3 = stage(cm, dm, k2, 0.5 * h)
     k4 = stage(c1, d1, k3, h)
-    return [
-        eye + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        for j, eye in enumerate((1.0, 0.0, 0.0, 1.0))
-    ]
+    for m, m1, m3, m4, eye in zip(k2, k1, k3, k4, (1.0, 0.0, 0.0, 1.0)):
+        # k2's arrays become M's, in the order of eye + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        m *= 2.0
+        m += m1
+        m3 *= 2.0
+        m += m3
+        m += m4
+        m *= h / 6.0
+        m += eye
+    return list(k2)
 
 
 def ode_shoot(
@@ -194,11 +219,11 @@ def ode_residual(sol: OdeSolution) -> np.ndarray:
     the estimate is independent of the integrator's own right-hand side.
     """
     a, n = sol.params.alpha, sol.params.n
-    y, g, p, h = sol.grid, sol.g_values, sol.g_prime_values, sol.step
-    i = np.arange(2, y.size - 2)
-    gpp = (-p[i + 2] + 8.0 * p[i + 1] - 8.0 * p[i - 1] + p[i - 2]) / (12.0 * h)
-    res = 4.0 * y[i] * gpp + 2.0 * (a - y[i]) * p[i] - n * g[i]
-    return np.abs(res) / (1.0 + np.abs(g[i]))
+    p, h = sol.g_prime_values, sol.step
+    y, g, pi = sol.grid[2:-2], sol.g_values[2:-2], p[2:-2]  # nodes 2..m-2
+    gpp = (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
+    res = 4.0 * y * gpp + 2.0 * (a - y) * pi - n * g
+    return np.abs(res) / (1.0 + np.abs(g))
 
 
 def Z_from_ode(
@@ -250,12 +275,25 @@ def Z_from_ode(
 def _kummer(b: float, c: float, x: float) -> float:
     """Kummer's M(b, c, x) from scipy's ``hyp1f1``.
 
-    Past float range, or where ``hyp1f1`` gives up with a NaN, it is an
-    OverflowError, which ``solve_root`` reports as NoRootError naming the point.
+    Against 40-digit mpmath, ``hyp1f1`` reads within 3e-14 relative where
+    b - c lies outside (-0.75, 0.5), but inside it has spikes near x = 2 of
+    up to 3e-10 (at b = 4.5, c = 4.7, x = 2.009).  There, off the diagonal
+    b = c (where ``hyp1f1`` returns e^x), M comes from M(b, c+3, x) and
+    M(b, c+2, x) by two downward steps of the contiguous relation
+    (s-1) s M(b, s-1, x) = s (s-1+x) M(b, s, x) - x (s-b) M(b, s+1, x)
+    (DLMF 13.3.2), stable downward since M is its minimal solution as s
+    grows; that reads within 7e-14 over the band.  Past float range, or
+    where ``hyp1f1`` gives up with a NaN, it is an OverflowError, which
+    ``solve_root`` reports as NoRootError naming the point.
     """
     from scipy.special import hyp1f1
 
-    m = float(hyp1f1(b, c, x))
+    if -0.75 < b - c < 0.5 and b != c:
+        m_up, m = float(hyp1f1(b, c + 3.0, x)), float(hyp1f1(b, c + 2.0, x))
+        for s in (c + 2.0, c + 1.0):
+            m_up, m = m, (s * (s - 1.0 + x) * m - x * (s - b) * m_up) / (s * (s - 1.0))
+    else:
+        m = float(hyp1f1(b, c, x))
     if not math.isfinite(m):
         raise OverflowError(f"M({b!r}, {c!r}, {x!r}) is not finite")
     return m

@@ -23,8 +23,11 @@ never validated for.  The recursion is cross-checked against the log-gamma
 closed form of the same coefficients on every build.  A table holds its
 coefficients as Python floats and builds those of psi', psi'' and F once, on
 first use; every evaluation is one Horner loop, in Python floats for a scalar
-argument, in numpy for an array.  numpy is imported only by the first array
-argument.
+argument, in numpy for an array.  An array of two or more points is
+accumulated in place, in one fresh array; a one-element array, which is what
+``U_star`` passes for a scalar q, keeps the binary form, since numpy's
+in-place operators cost about twice its binary ones on a single element.
+numpy is imported only by the first array argument.
 """
 
 from __future__ import annotations
@@ -223,6 +226,11 @@ def _horner(table: CoefficientTable, y, c):
     ``acc = c_k + acc*y``), so results are bit for bit polyval's; no
     coefficients give 0.  A scalar or 0-d y is range-checked
     and summed in Python floats, an array in numpy, with the same ValueError.
+    An array of two or more points runs ``acc *= y; acc += c_k`` on the fresh
+    ``acc``: the same products and sums, without two new arrays per
+    coefficient, and ``y`` itself is never written.  A one-element array
+    keeps the binary form, which numpy runs in about half the time of the
+    in-place one there.
     """
     x = _argument(y)
     if isinstance(x, float):
@@ -237,9 +245,14 @@ def _horner(table: CoefficientTable, y, c):
             f"table's validated range [0, {table.ymax}]"
         )
     coeffs = c or (0.0,)
-    acc = coeffs[-1] + x * 0.0
-    for ck in reversed(coeffs[:-1]):
-        acc = ck + acc * x
+    acc = coeffs[-1] + x * 0.0  # a fresh float or array, never the caller's y
+    if isinstance(x, float) or x.size == 1:
+        for ck in reversed(coeffs[:-1]):
+            acc = ck + acc * x
+    else:
+        for ck in reversed(coeffs[:-1]):
+            acc *= x
+            acc += ck
     return acc
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +120,18 @@ class VerificationReport:
         }
 
 
+@lru_cache(maxsize=4)
+def _lambda_orders(K: int):
+    """k, k ln 2 and ln k! for k = 0..K, read-only: the terms of Lam that depend on K alone."""
+    from scipy.special import gammaln
+
+    k = np.arange(K + 1, dtype=float)
+    arrays = (k, k * math.log(2.0), gammaln(k + 1.0))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def lambda_eval(p: LambdaParams) -> float:
     """Evaluate the weighted series at (D, B, Delta).
 
@@ -129,11 +142,11 @@ def lambda_eval(p: LambdaParams) -> float:
     from scipy.special import gammaln
 
     n, g, Delta = p.n, p.gamma, p.Delta
-    k = np.arange(p.K + 1, dtype=float)
+    k, k_ln2, ln_k_factorial = _lambda_orders(p.K)
     logpref = (
         k * math.log(n + g)
-        - k * math.log(2.0)
-        - gammaln(k + 1.0)
+        - k_ln2
+        - ln_k_factorial
         + gammaln(k + 0.5 * n)
         - gammaln(k + 0.5 * n + Delta + 1.0 + g)
     )

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,10 +150,12 @@ def _log_uniform(lo, hi):
     u=st.floats(0.0, 2.0),
     t=st.floats(0.0, 0.99),
 )
+# hyp1f1 alone read psi 2.06e-13 off mpmath here, near the diagonal
+@example(alpha=math.exp(1.0625), n=math.e, u=1.625, t=0.0)
 def test_kummer_oracle_matches_series_log_uniform(alpha, n, u, t):
     # psi, Z and U* from Kummer's function against the series, with y and q up
-    # to twice the boundary: a scratch sweep of 481 pairs read 1.6e-14, 2.7e-15
-    # and 1.1e-15 at worst
+    # to twice the boundary: 40,000 draws with |ln(n/alpha)| < 0.3, where
+    # hyp1f1 alone is weakest, read 8.4e-15, 1.8e-14 and 1.6e-14 at worst
     params = ModelParams(alpha, n)
     sol = build_candidate(params)
     assert abs(kummer_Z(params) / sol.Z - 1.0) <= 1e-13
@@ -160,6 +163,19 @@ def test_kummer_oracle_matches_series_log_uniform(alpha, n, u, t):
     assert abs(kummer_psi(params, y) / psi_eval(sol.table, y) - 1.0) <= 1e-13
     q = y * (1.0 - t)
     assert abs(kummer_value(params, t, q) / U_star(sol, t, q) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "b, c, x",
+    [(4.5, 4.7, 2.009), (1.5, 1.55, 2.326), (1.359, 1.447, 2.2605), (1.127, 1.2267, 2.2393),
+     (2.0, 1.97, 2.5), (0.3, 0.32, 2.3), (20.0, 20.3, 1.5), (0.5, 1.5, 2.0), (3.0, 3.0, 2.2)],
+)
+def test_kummer_function_matches_mpmath_near_the_diagonal(b, c, x):
+    # scipy's hyp1f1 alone reads 3.0e-10, 2.5e-11, 5.5e-11 and 2.4e-12 off
+    # 40-digit mpmath at the first four points
+    with mp.workdps(40):
+        want = mp.hyp1f1(mp.mpf(b), mp.mpf(c), mp.mpf(x))
+        assert abs(float(oracles._kummer(b, c, x) / want - 1)) <= 5e-14
 
 
 def test_kummer_value_solves_one_root_per_pair(monkeypatch):
@@ -398,6 +414,51 @@ def test_banded_solve_matches_step_recurrence(alpha):
             ps.append(pv)
         assert np.max(np.abs(sol.g_values[s + 1 :] / gs - 1.0)) <= 1e-13
         assert np.max(np.abs(sol.g_prime_values[s + 1 :] / ps - 1.0)) <= 1e-13
+
+
+def _binary_step_matrices(a, n, y, h):
+    # _rk4_step_matrices written with a new array for every operation
+    def row(s):
+        return n / (4.0 * s), -(a - s) / (2.0 * s)
+
+    def stage(c, d, k, s):
+        b00, b01, b10, b11 = 1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]
+        return b10, b11, c * b00 + d * b10, c * b01 + d * b11
+
+    c0, d0 = row(y)
+    cm, dm = row(y + 0.5 * h)
+    c1, d1 = row(y + h)
+    k1 = (0.0, 1.0, c0, d0)
+    k2 = stage(cm, dm, k1, 0.5 * h)
+    k3 = stage(cm, dm, k2, 0.5 * h)
+    k4 = stage(c1, d1, k3, h)
+    return [
+        eye + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+        for j, eye in enumerate((1.0, 0.0, 0.0, 1.0))
+    ]
+
+
+@pytest.mark.parametrize(
+    "alpha, n, h", [(3.0, 1.0, 1e-3), (0.3, 7.0, 1e-3), (40.0, 0.1, 2e-3), (2.0, 2.0, 0.5)]
+)
+def test_step_matrices_are_the_binary_formula_bit_for_bit(alpha, n, h):
+    # the in-place step matrices against the same arithmetic written out;
+    # y = alpha, where -(a - y) is -0.0, included
+    y = np.concatenate([np.linspace(h, 60.0, 4001), [alpha]])
+    got = oracles._rk4_step_matrices(alpha, n, y, h)
+    for entry, want in zip(got, _binary_step_matrices(alpha, n, y, h)):
+        assert entry.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, n", [(3.0, 1.0), (0.5, 2.0), (10.0, 8.0)])
+def test_residual_stencil_is_the_gathered_formula_bit_for_bit(alpha, n):
+    # the sliced stencil against the same arithmetic on index-array gathers
+    sol = ode_shoot(ModelParams(alpha, n), 8.0, 1e-3)
+    grid, g, p, step = sol.grid, sol.g_values, sol.g_prime_values, sol.step
+    i = np.arange(2, grid.size - 2)
+    gpp = (-p[i + 2] + 8.0 * p[i + 1] - 8.0 * p[i - 1] + p[i - 2]) / (12.0 * step)
+    res = 4.0 * grid[i] * gpp + 2.0 * (alpha - grid[i]) * p[i] - n * g[i]
+    assert ode_residual(sol).tobytes() == (np.abs(res) / (1.0 + np.abs(g[i]))).tobytes()
 
 
 def test_shoot_carries_its_residual():

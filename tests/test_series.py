@@ -373,19 +373,38 @@ def test_horner_bit_identical_to_polyval(alpha, n, u, eps):
         assert np.array(c, dtype=float).tobytes() == inline[name].tobytes(), name
     y = u * table.ymax
     grid = np.linspace(0.0, table.ymax, 12).reshape(3, 4)
-    args = (y, np.float64(y), np.array(y), grid, 0, int(table.ymax))
+    # a one-element array takes the binary loop, the longer ones the in-place one
+    line = np.linspace(0.0, table.ymax, 2000)
+    args = (y, np.float64(y), np.array(y), np.array([y]), grid, line, 0, int(table.ymax))
     for c in coeff_sets:
         for arg in args:
+            kept = np.array(arg, dtype=float)
             got = _horner(table, arg, c)
             want = np.polynomial.polynomial.polyval(np.asarray(arg), np.array(c) if c else np.zeros(1))
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+            assert np.asarray(arg, dtype=float).tobytes() == kept.tobytes()
             if np.ndim(arg) == 0:
                 assert type(got) is float
             else:
-                assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(arg)
+                assert not np.shares_memory(got, arg)
     if table.K == 0:
         assert psi_derivative(table, y, 1) == 0.0
         assert np.array_equal(psi_derivative(table, grid, 2), np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 2000])
+def test_series_functions_leave_the_argument_unchanged(size):
+    # the in-place Horner accumulates in a fresh array, never in the caller's y
+    table = build_coefficients(ModelParams(3, 1))
+    y = np.linspace(0.0, table.ymax, size) if size > 1 else np.array([0.7 * table.ymax])
+    kept = y.copy()
+    calls = dict(_series_callers(table), psi_derivative_2=lambda v: psi_derivative(table, v, 2))
+    for name, call in calls.items():
+        got = call(y)
+        assert y.tobytes() == kept.tobytes(), name
+        assert got.shape == y.shape and not np.shares_memory(got, y), name
+        assert call(y).tobytes() == got.tobytes(), name
 
 
 @pytest.mark.parametrize("y", [1.25, np.float64(1.25), np.array(1.25), 1])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.special import gammaln
 
@@ -51,6 +52,31 @@ def test_lambda_matches_scaled_series():
             table, n + g
         )
         assert H_value(params) == pytest.approx(scaled, rel=1e-9)
+
+
+def _lambda_inline(p):
+    # lambda_eval's formula, every term built afresh
+    n, g, Delta = p.n, p.gamma, p.Delta
+    k = np.arange(p.K + 1, dtype=float)
+    logpref = (
+        k * math.log(n + g)
+        - k * math.log(2.0)
+        - gammaln(k + 1.0)
+        + gammaln(k + 0.5 * n)
+        - gammaln(k + 0.5 * n + Delta + 1.0 + g)
+    )
+    bracket = p.D * k / 2.0 ** (Delta - 1.0) + p.B * n / 2.0**Delta
+    return float(np.sum(np.exp(logpref) * bracket))
+
+
+def test_lambda_eval_is_the_inline_formula_bit_for_bit():
+    # the terms that depend on K alone are built once per K and reused; each
+    # K is asked twice, the second time from those cached terms
+    for K in (10, 400, 10, 400):
+        for n, g in ((0.5, -0.4), (1.5, -1.3)):
+            for D, B, Delta in ((1.0, -1.0, 0.0), (0.3, 0.7, 2.0)):
+                p = LambdaParams(D=D, B=B, Delta=Delta, n=n, gamma=g, K=K)
+                assert lambda_eval(p) == _lambda_inline(p)
 
 
 def test_lambda_validation():
