@@ -8,8 +8,10 @@ with an exact transition, so every grid marginal has the exact law and the
 path ends at zero.  alpha >= 1 takes the radial step on R = sqrt X >= 0,
 R' = sqrt((R + sqrt(ds) xi)^2 + ds chi2_{alpha-1}): one normal plus
 chi2_{alpha-1} = 2 Gamma((alpha-1)/2), one gamma variate (Glasserman 2003,
-section 3.4); at alpha = 1 the chi-square term vanishes and the step is the
-reflected R' = |R + sqrt(ds) xi|, the exact BES(1) law.  alpha < 1 takes
+section 3.4); at alpha = 3 the shape-1 gamma slab is filled with
+``standard_exponential``, the same stream bit for bit, and at alpha = 1 the
+chi-square term vanishes and the step is the reflected
+R' = |R + sqrt(ds) xi|, the exact BES(1) law.  alpha < 1 takes
 the Poisson mixture of the noncentral chi-square,
 X' = 2 ds Gamma(alpha/2 + N) with N ~ Poisson(X/(2 ds)).  The kernels return
 X; q = (1-t)(1-t) X is formed only where it is read: on the whole of a
@@ -61,7 +63,14 @@ Reproducibility contract: the engine simulates paths in fixed blocks of
 block owns one SFC64 stream keyed by (master seed, block index) through a
 seed sequence, and the block size does not depend on the worker count, so
 results are a deterministic function of the configuration and the threshold
-levels, bit identical for any number of worker threads.  The engine draws
+levels, bit identical for any number of worker threads.  The workers of a
+run share one lock: a worker holds it for all of a time block's work that
+makes many small numpy calls (row compaction, the per-step recursion, the
+cap record, the level scan) and lets it go only while its kernel fills the
+block's slabs of variates, and the mixture kernel, which draws at every
+step, runs wholly without it.  The lock orders no draw and no write that
+another worker reads, so it moves no bit; it only keeps the workers from
+trading the interpreter lock at every call.  The engine draws
 only for pairs in which some level has not stopped a path yet, so the
 variates a path receives depend on the levels of the call: one call shares
 its paths across all its levels (common random numbers), but calls with
@@ -75,7 +84,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +116,27 @@ def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker cap: BESSELSTOP_THREADS (a positive integer) if set, else hardware parallelism."""
+    """Worker cap: BESSELSTOP_THREADS (a positive integer) if set, else the CPUs this process may run on."""
     env = os.environ.get("BESSELSTOP_THREADS")
     if env and not (env.strip().isdecimal() and int(env) > 0):
         raise ValueError(f"BESSELSTOP_THREADS must be a positive integer, got {env!r}")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if env:
+        cap = int(env)
+    elif hasattr(os, "sched_getaffinity"):  # the affinity mask, which taskset and cpusets narrow
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
+
+
+@contextmanager
+def _released(lock):
+    """Release the held ``lock`` for the body, a variate fill, and take it back however the body ends."""
+    lock.release()
+    try:
+        yield
+    finally:
+        lock.acquire()
 
 
 @dataclass(frozen=True)
@@ -218,37 +244,46 @@ class SweepTable:
         return best.multiplier
 
 
-def _radial_block(gen, state, alpha, sd, ds, buf):
+def _radial_block(gen, state, alpha, sd, ds, buf, lock):
     """X at the next k nodes of both paths of every pair, alpha >= 1; ``state`` advances in place.
 
     ``state`` has shape (2, n): R = sqrt X >= 0 of path A (row 0) and path B
     (row 1) of each of n pairs.  The block draws, for the n pairs, (k, n)
     normals xi and then, for alpha > 1, (k, n) gammas G of shape
-    (alpha - 1)/2, so that 2 G ~ chi2_{alpha-1}.  Each step is
+    (alpha - 1)/2, so that 2 G ~ chi2_{alpha-1}; at alpha = 3 the shape-1
+    gammas come from ``standard_exponential``, the same stream bit for bit
+    and a faster fill.  Each step is
     U = R + sqrt(ds) xi on path A and U = R + (-sqrt(ds) xi) on path B, then
     X = U^2 + 2 ds G with the pair's one G, and R = sqrt X; at alpha = 1
     there is no G and R = |U|, the reflected step.  The result, X with shape
     (k, 2, n), is a view of ``buf``, which holds at least 3 k n floats;
-    q = (1-t)^2 X is left to the caller.
+    q = (1-t)^2 X is left to the caller.  The caller holds ``lock``, and the
+    kernel lets it go only while it fills the slabs: the variates, the
+    increments and the scaled chi-square.
     """
     k, n = sd.size, state.shape[1]
     size = k * n
     x = buf[: 2 * size].reshape(k, 2, n)
     xi = buf[2 * size : 3 * size].reshape(k, n)
-    gen.standard_normal(out=xi)
-    # the increments of path A, then their mirror for path B; this frees the
-    # xi slab for the gamma draws
-    np.multiply(xi, sd[:, None], out=x[:, 0])
-    np.negative(x[:, 0], out=x[:, 1])
+    with _released(lock):
+        gen.standard_normal(out=xi)
+        # the increments of path A, then their mirror for path B; this frees
+        # the xi slab for the gamma draws
+        np.multiply(xi, sd[:, None], out=x[:, 0])
+        np.negative(x[:, 0], out=x[:, 1])
+        if alpha > 1:
+            chi = xi
+            if alpha == 3:
+                gen.standard_exponential(out=chi)
+            else:
+                gen.standard_gamma(0.5 * (alpha - 1.0), out=chi)
+            chi *= (ds + ds)[:, None]
     if alpha == 1:
         for u in x:
             np.add(u, state, out=u)
             np.abs(u, out=state)
         x *= x
         return x
-    chi = xi
-    gen.standard_gamma(0.5 * (alpha - 1.0), out=chi)
-    chi *= (ds + ds)[:, None]
     for u, c in zip(x, chi):
         np.add(u, state, out=u)
         np.multiply(u, u, out=u)
@@ -306,10 +341,12 @@ class _Walk:
     kernel needs, and ``caps`` the cap nodes of the controls; ``alpha``,
     ``n`` and ``q0`` are the config's.
 
-    ``step(gen, state, j0, j1, buf)`` advances the (2, pairs) ``state`` and
-    returns X of both paths of every pair at the nodes j0+1 .. j1, shape
+    ``step(gen, state, j0, j1, buf, lock)`` advances the (2, pairs) ``state``
+    and returns X of both paths of every pair at the nodes j0+1 .. j1, shape
     (j1 - j0, 2, pairs), as a view of ``buf``: ``_radial_block`` for
-    alpha >= 1, ``_mixture_block`` below.
+    alpha >= 1, ``_mixture_block`` below.  The caller holds ``lock``; the
+    radial kernel lets it go while it fills variates, and the mixture, which
+    draws at every step, runs wholly without it.
     """
 
     def __init__(self, config: SimConfig):
@@ -326,10 +363,11 @@ class _Walk:
         self.start, self.width = (math.sqrt(self.x0), 3) if self.alpha >= 1 else (self.x0, 2)
         self.caps = _cap_nodes(config.n_steps)
 
-    def step(self, gen, state, j0, j1, buf):
+    def step(self, gen, state, j0, j1, buf, lock):
         if self.alpha >= 1:
-            return _radial_block(gen, state, self.alpha, self.sd[j0:j1], self.ds[j0:j1], buf)
-        return _mixture_block(gen, state, self.alpha, self.ds[j0:j1], buf)
+            return _radial_block(gen, state, self.alpha, self.sd[j0:j1], self.ds[j0:j1], buf, lock)
+        with _released(lock):
+            return _mixture_block(gen, state, self.alpha, self.ds[j0:j1], buf)
 
 
 def simulate_exact(config: SimConfig) -> BridgePath:
@@ -346,9 +384,11 @@ def simulate_exact(config: SimConfig) -> BridgePath:
     buf = np.empty(walk.width * _BLOCK_STEPS)
     x = np.zeros(config.n_steps + 1)
     last = config.n_steps - 1
-    for j0 in range(0, last, _BLOCK_STEPS):
-        j1 = min(j0 + _BLOCK_STEPS, last)
-        x[j0 + 1 : j1 + 1] = walk.step(gen, state, j0, j1, buf)[:, 0, 0]
+    lock = threading.Lock()  # no other walk shares it
+    with lock:
+        for j0 in range(0, last, _BLOCK_STEPS):
+            j1 = min(j0 + _BLOCK_STEPS, last)
+            x[j0 + 1 : j1 + 1] = walk.step(gen, state, j0, j1, buf, lock)[:, 0, 0]
     q = x * walk.tau2
     q[0] = config.q0
     return BridgePath(times=walk.t, q=q)
@@ -420,7 +460,7 @@ class _Ensemble:
         return _payoff(q, self.walk.n)
 
 
-def _run_chunk_exact(config, levels, ens, start, stop):
+def _run_chunk_exact(config, levels, ens, start, stop, lock):
     """Walk the path block [start, stop) a time block at a time; fill its stops in ``ens``.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
@@ -438,6 +478,12 @@ def _run_chunk_exact(config, levels, ens, start, stop):
     the peak pre-filter keeps for a level, by the same product
     ``simulate_exact`` uses.  X at a stop and at a cap node is read from the
     kernel's X, never back from q.
+
+    The caller holds the run's ``lock``, and the walk lets it go only while
+    the kernel fills variates: the compaction, the per-step recursion, the
+    cap record and the level scan make many small numpy calls that each take
+    the interpreter lock, so workers stepping at once would trade it at every
+    call, where under ``lock`` one worker steps while the others fill.
 
     Returns the block's cap record: X at each cap node, shape (caps, paths)
     by block-local path, written while the path's pair is still drawing and
@@ -474,7 +520,7 @@ def _run_chunk_exact(config, levels, ens, start, stop):
             # take: twice as fast as a fancy index on the column axis
             rows, state, open_ = rows[keep], state.take(keep, axis=1), open_.take(keep, axis=2)
         j1 = min(j0 + _BLOCK_STEPS, last)
-        xk = walk.step(gen, state, j0, j1, buf)
+        xk = walk.step(gen, state, j0, j1, buf, lock)
         while next_cap < len(caps) and caps[next_cap] <= j1:
             x_cap[next_cap, 2 * rows], x_cap[next_cap, 2 * rows + 1] = xk[caps[next_cap] - j0 - 1]
             next_cap += 1
@@ -512,7 +558,9 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | Non
     ``candidate`` level, the paired moments compare every other level
     against it.  The path blocks run on one thread pool of ``worker_count``
     threads, one thread included, and their moments are added in block
-    order, so the sums are the same bits for any worker count.
+    order, so the sums are the same bits for any worker count.  A worker
+    holds the run's lock for a whole block but its variate fills
+    (``_run_chunk_exact``).
     """
     levels = np.asarray(levels, dtype=float)
     shape = (levels.size, config.n_paths)
@@ -529,10 +577,12 @@ def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | Non
 
     n = config.n_paths
     bounds = [(b, min(b + _BLOCK_PATHS, n)) for b in range(0, n, _BLOCK_PATHS)]
+    lock = threading.Lock()
 
     def run(block):
         # the block's cap record lives only until its moments are taken
-        return _block_moments(ens, *block, _run_chunk_exact(config, levels, ens, *block))
+        with lock:
+            return _block_moments(ens, *block, _run_chunk_exact(config, levels, ens, *block, lock))
 
     with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as ex:
         for own, paired in ex.map(run, bounds):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -199,6 +201,14 @@ def test_worker_count_reads_a_positive_integer(monkeypatch, env, n_tasks, want):
     assert simulate.worker_count(n_tasks) == want
 
 
+def test_worker_count_defaults_to_the_cpus_the_process_may_run_on(monkeypatch):
+    # taskset and cpusets narrow the affinity mask, not os.cpu_count()
+    monkeypatch.delenv("BESSELSTOP_THREADS", raising=False)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    assert simulate.worker_count(8) == 1
+
+
 @pytest.mark.parametrize("env", ["two", "-3", "0", "1.5", "+2", " "])
 def test_worker_count_rejects_a_bad_thread_setting(monkeypatch, env):
     monkeypatch.setenv("BESSELSTOP_THREADS", env)
@@ -381,6 +391,13 @@ def test_odd_block_last_path_is_a_group_of_one(alpha):
     _assert_engine_matches_paths(t, q, levels, payoffs, stopped, cfg.params.n)
 
 
+def _step(walk, gen, state, j0, j1, buf):
+    """One kernel call outside the engine, holding a lock of its own, as ``_Walk.step`` expects."""
+    lock = threading.Lock()
+    with lock:
+        return walk.step(gen, state, j0, j1, buf, lock)
+
+
 def _tight_equality_level(cfg):
     """A path p and a level z that q meets with equality at node 1, kept only by the slack.
 
@@ -395,7 +412,7 @@ def _tight_equality_level(cfg):
     n = cfg.n_paths
     pairs = n // 2
     buf = np.empty(walk.width * _BLOCK_STEPS * pairs)
-    x = walk.step(_path_generator(cfg.seed, 0), np.full((2, pairs), walk.start), 0, _BLOCK_STEPS, buf)
+    x = _step(walk, _path_generator(cfg.seed, 0), np.full((2, pairs), walk.start), 0, _BLOCK_STEPS, buf)
     x = x.transpose(0, 2, 1).reshape(_BLOCK_STEPS, n)  # column 2i + s: path s of pair i
     tau = walk.tau[1]
     for p in range(n):
@@ -503,7 +520,7 @@ def _grid_q(alpha, n_paths, seed, t0=0.0, q0=0.0, side=0):
     cfg = SimConfig(params=ModelParams(alpha, 1), t0=t0, q0=q0, n_steps=10)
     walk = _Walk(cfg)
     buf = np.empty(walk.width * 9 * n_paths)
-    x = walk.step(np.random.default_rng(seed), np.full((2, n_paths), walk.start), 0, 9, buf)[:, side]
+    x = _step(walk, np.random.default_rng(seed), np.full((2, n_paths), walk.start), 0, 9, buf)[:, side]
     return walk.t[1:-1], x * walk.tau2[1:-1, None]
 
 
@@ -584,15 +601,88 @@ def test_stopped_payoffs_match_component_sum_reference():
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_results_independent_of_worker_count_across_blocks(monkeypatch, threads):
     # two full path blocks, a partial third with an odd path count, whose
-    # last path is a group of one, and 22 time blocks per path
-    cfg = _exact_config(n_paths=2 * _BLOCK_PATHS + 501, n_steps=700, seed=17)
+    # last path is a group of one, and 22 time blocks per path; one dimension
+    # per kernel branch: the exponential fill at 3, the reflected step at 1,
+    # the gamma fill at 2.5 and the mixture, which steps without the run's
+    # lock, at 0.5
     mult = [0.5, 0.75, 1.0, 1.5, 2.0]
-    monkeypatch.setenv("BESSELSTOP_THREADS", "1")
-    est1 = mc_estimate(cfg, ThresholdPolicy(Z31))
-    sweep1 = policy_sweep(cfg, mult, Z=Z31)
-    monkeypatch.setenv("BESSELSTOP_THREADS", threads)
-    assert mc_estimate(cfg, ThresholdPolicy(Z31)) == est1
-    assert policy_sweep(cfg, mult, Z=Z31) == sweep1
+    for params in (ModelParams(3, 1), ModelParams(1, 1), ModelParams(2.5, 1.5), ModelParams(0.5, 1)):
+        cfg = SimConfig(params=params, n_paths=2 * _BLOCK_PATHS + 501, n_steps=700, seed=17)
+        z = find_Z(params).value
+        monkeypatch.setenv("BESSELSTOP_THREADS", "1")
+        est1 = mc_estimate(cfg, ThresholdPolicy(z))
+        sweep1 = policy_sweep(cfg, mult, Z=z)
+        monkeypatch.setenv("BESSELSTOP_THREADS", threads)
+        assert mc_estimate(cfg, ThresholdPolicy(z)) == est1, params
+        assert policy_sweep(cfg, mult, Z=z) == sweep1, params
+
+
+@pytest.mark.parametrize("where", ["fill", "step"])
+def test_worker_error_releases_the_run_lock(monkeypatch, where):
+    # a worker that raises while it holds the run's lock, or inside a fill
+    # that let it go, must still leave the lock free: else the other worker
+    # waits on it for ever and the pool's shutdown joins that worker for ever
+    monkeypatch.setenv("BESSELSTOP_THREADS", "2")
+    cfg = _exact_config(n_paths=_BLOCK_PATHS + 100, n_steps=300, seed=4)
+    real_generator, real_block = simulate._path_generator, simulate._radial_block
+
+    class FailingFill:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, out):
+            raise RuntimeError("fill failed")
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+    def generator(seed, block):
+        gen = real_generator(seed, block)
+        return FailingFill(gen) if block == 1 else gen
+
+    def radial_block(gen, state, *args):
+        # the second path block starts with 50 pairs, the first with 2048, so
+        # the second fails at its first time block, holding the run's lock
+        if state.shape[1] != _BLOCK_PATHS // 2:
+            raise RuntimeError("step failed")
+        return real_block(gen, state, *args)
+
+    if where == "fill":
+        monkeypatch.setattr(simulate, "_path_generator", generator)
+    else:
+        monkeypatch.setattr(simulate, "_radial_block", radial_block)
+    locks = []
+
+    def lock():
+        locks.append(threading.Lock())
+        return locks[-1]
+
+    monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(Lock=lock))
+    outcome = []
+
+    def call():
+        try:
+            mc_estimate(cfg, ThresholdPolicy(Z31))
+        except RuntimeError as exc:
+            outcome.append(str(exc))
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    hung = worker.is_alive()
+    if hung:
+        # free what the failed worker kept, so the waiting worker, and with
+        # it the pool's shutdown at exit, can finish
+        for held in locks:
+            if held.locked():
+                held.release()
+    assert not hung, "mc_estimate hung after a worker raised"
+    assert outcome == [f"{where} failed"]
+    monkeypatch.undo()
+    monkeypatch.setenv("BESSELSTOP_THREADS", "2")
+    assert mc_estimate(cfg, ThresholdPolicy(Z31)).n_paths == cfg.n_paths
 
 
 def _traced_peak(cfg, z=Z31):
@@ -627,9 +717,10 @@ def test_radial_block_temporaries_stay_small_at_large_alpha(monkeypatch, alpha):
 
 
 def test_unit_gamma_draws_are_standard_exponentials():
-    # the alpha = 3 kernel draws gamma variates of shape 1: numpy's
-    # standard_gamma(1) is standard_exponential, bit for bit, and advances
-    # the SFC64 stream alike, so the draws after it match as well
+    # the alpha = 3 kernel fills its shape-1 gamma slab with
+    # standard_exponential, which is faster: numpy's standard_gamma(1) is
+    # standard_exponential, bit for bit, and advances the SFC64 stream alike,
+    # so the draws after it match as well
     a, b = _path_generator(5, 0), _path_generator(5, 0)
     x, y = np.empty((_BLOCK_STEPS, _BLOCK_PATHS // 2)), np.empty((_BLOCK_STEPS, _BLOCK_PATHS // 2))
     a.standard_gamma(1.0, out=x)
@@ -684,9 +775,9 @@ def _record_paths(monkeypatch):
     calls = []
     real = simulate._Walk.step
 
-    def recorded(walk, gen, state, j0, j1, buf):
+    def recorded(walk, gen, state, j0, j1, buf, lock):
         before = state.copy()
-        x = real(walk, gen, state, j0, j1, buf)
+        x = real(walk, gen, state, j0, j1, buf, lock)
         calls.append((j0, before, x.copy(), state.copy()))
         return x
 
