@@ -166,6 +166,12 @@ def _coeffs(config: RunConfig, params: ModelParams):
 def _value(config: RunConfig, params: ModelParams):
     _require("t0", config.t0, 0.0, 1.0)
     _require("q0", config.q0, 0.0, math.inf, open_hi=True)
+    try:
+        payoff = config.q0 ** (params.n / 2.0)
+    except OverflowError:  # U_star would read the same power as inf
+        raise UsageError(
+            f"--q0 {config.q0:g}: its payoff q0^(n/2) at n = {params.n:g} leaves float range"
+        ) from None
     sol = build_candidate(params, tol=config.tol)
     zq = boundary_q(sol, config.t0)
     return {
@@ -174,7 +180,7 @@ def _value(config: RunConfig, params: ModelParams):
         "E1": sol.E1,
         "boundary_q": zq,
         "boundary_x": boundary_x(sol, config.t0),
-        "payoff": config.q0 ** (params.n / 2.0),
+        "payoff": payoff,
         "region": "stopping" if config.q0 >= zq else "continuation",
     }, None
 

@@ -63,18 +63,18 @@ Reproducibility contract: the engine simulates paths in fixed blocks of
 block owns one SFC64 stream keyed by (master seed, block index) through a
 seed sequence, and the block size does not depend on the worker count, so
 results are a deterministic function of the configuration and the threshold
-levels, bit identical for any number of worker threads.  The workers of a
-run share one lock: a worker holds it for all of a time block's work that
-makes many small numpy calls (row compaction, the per-step recursion, the
-cap record, the level scan) and lets it go only while its kernel fills the
-block's slabs of variates, and the mixture kernel, which draws at every
-step, runs wholly without it.  The lock orders no draw and no write that
-another worker reads, so it moves no bit; it only keeps the workers from
-trading the interpreter lock at every call.  The engine draws
-only for pairs in which some level has not stopped a path yet, so the
-variates a path receives depend on the levels of the call: one call shares
-its paths across all its levels (common random numbers), but calls with
-different level sets do not share paths.  Reductions run over the fully
+levels, bit identical for any number of worker threads.  The run's walk
+holds the lock its workers share: a worker holds it for all of a time
+block's work that makes many small numpy calls (row compaction, the
+per-step recursion, the cap record, the level scan) and lets it go only
+while its kernel fills the block's slabs of variates, and the mixture
+kernel, which draws at every step, runs wholly without it.  The lock orders
+no draw and no write that another worker reads, so it moves no bit; it only
+keeps the workers from trading the interpreter lock at every call.  The
+engine draws only for pairs in which some level has not stopped a path yet,
+so the variates a path receives depend on the levels of the call: one call
+shares its paths across all its levels (common random numbers), but calls
+with different level sets do not share paths.  Reductions run over the fully
 assembled per-path arrays, with numpy's pairwise summation or, for the
 regression's moments, per path block in path order and then over the blocks
 in block order.
@@ -327,7 +327,11 @@ def _cap_nodes(n_steps: int) -> np.ndarray:
 
 
 class _Walk:
-    """The grid and the kernel of one run, built once from its ``SimConfig``.
+    """One Monte Carlo run: grid, kernel, levels, stopping records, moments, stream key, lock.
+
+    Built once from the run's ``SimConfig``, the threshold ``levels`` and the
+    ``candidate`` level the paired moments compare against (None: no paired
+    moments); ``simulate_exact`` builds one with no level.
 
     The grid is ``t`` = linspace(t0, 1, n_steps + 1), with ``tau`` = 1 - t and
     ``tau2`` = (1-t)(1-t), the factor q = tau2 X reads.  Node j sits at time
@@ -339,18 +343,30 @@ class _Walk:
     start, ``start`` the kernel's state there (sqrt X0 for the radial kernel,
     X0 for the mixture), ``width`` the buffer floats per pair and step the
     kernel needs, and ``caps`` the cap nodes of the controls; ``alpha``,
-    ``n`` and ``q0`` are the config's.
+    ``n``, ``q0``, ``n_steps`` and ``seed`` (the master seed that keys every
+    path block's stream) are the config's.
 
-    ``step(gen, state, j0, j1, buf, lock)`` advances the (2, pairs) ``state``
-    and returns X of both paths of every pair at the nodes j0+1 .. j1, shape
+    ``node`` and ``x_stop`` have one row per level and one column per path:
+    the node where the level stopped the path (``n_steps`` where it never
+    did) and the kernel's X there; the payoff and the stop flag follow from
+    them.  ``own`` and ``paired`` have one moment matrix per level: the sums
+    over the path blocks, in block order, of the matrices ``_block_moments``
+    builds when a block's walk ends.  A path that never stopped reads
+    ``tau2`` and ``elapsed`` at the pinned node: tau2 is 0 there, so its q
+    and payoff are 0, and no control reads its S.
+
+    ``step(gen, state, j0, j1, buf)`` advances the (2, pairs) ``state`` and
+    returns X of both paths of every pair at the nodes j0+1 .. j1, shape
     (j1 - j0, 2, pairs), as a view of ``buf``: ``_radial_block`` for
-    alpha >= 1, ``_mixture_block`` below.  The caller holds ``lock``; the
-    radial kernel lets it go while it fills variates, and the mixture, which
-    draws at every step, runs wholly without it.
+    alpha >= 1, ``_mixture_block`` below.  The caller holds ``lock``, which
+    every worker of the run shares; the radial kernel lets it go while it
+    fills variates, and the mixture, which draws at every step, runs wholly
+    without it.
     """
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, levels=(), candidate: int | None = None):
         self.alpha, self.n, self.q0 = config.params.alpha, config.params.n, config.q0
+        self.n_steps, self.seed = config.n_steps, config.seed
         self.t = np.linspace(config.t0, 1.0, config.n_steps + 1)
         self.tau = 1.0 - self.t
         self.tau2 = self.tau * self.tau
@@ -362,12 +378,34 @@ class _Walk:
         # the radial kernel's X of both paths, then its xi slab, which the gamma draws reuse
         self.start, self.width = (math.sqrt(self.x0), 3) if self.alpha >= 1 else (self.x0, 2)
         self.caps = _cap_nodes(config.n_steps)
+        self.levels = np.asarray(levels, dtype=float)
+        self.candidate = candidate
+        shape = (self.levels.size, config.n_paths)
+        self.node = np.full(shape, config.n_steps, dtype=np.int32)
+        self.x_stop = np.zeros(shape)
+        self.own = np.zeros((self.levels.size, 2 * self.caps.size + 2, 2 * self.caps.size + 2))
+        self.paired = self.own.copy()
+        self.lock = threading.Lock()
 
-    def step(self, gen, state, j0, j1, buf, lock):
+    def step(self, gen, state, j0, j1, buf):
         if self.alpha >= 1:
-            return _radial_block(gen, state, self.alpha, self.sd[j0:j1], self.ds[j0:j1], buf, lock)
-        with _released(lock):
+            return _radial_block(gen, state, self.alpha, self.sd[j0:j1], self.ds[j0:j1], buf, self.lock)
+        with _released(self.lock):
             return _mixture_block(gen, state, self.alpha, self.ds[j0:j1], buf)
+
+    def stopped(self, l: int) -> np.ndarray:
+        return self.node[l] < self.n_steps
+
+    def payoffs(self, l: int, a: int = 0, b: int | None = None) -> np.ndarray:
+        """Q^{n/2} at the stop of paths [a, b) under level ``l``, 0 where it never stopped.
+
+        q = X (1-t)^2 is the product the engine's level test formed; a start
+        in the stopping region pays q0 itself, as ``apply_policy`` does.
+        """
+        node = self.node[l, a:b]
+        q = self.x_stop[l, a:b] * self.tau2[node]
+        q[node == 0] = self.q0
+        return _payoff(q, self.n)
 
 
 def simulate_exact(config: SimConfig) -> BridgePath:
@@ -384,11 +422,10 @@ def simulate_exact(config: SimConfig) -> BridgePath:
     buf = np.empty(walk.width * _BLOCK_STEPS)
     x = np.zeros(config.n_steps + 1)
     last = config.n_steps - 1
-    lock = threading.Lock()  # no other walk shares it
-    with lock:
+    with walk.lock:
         for j0 in range(0, last, _BLOCK_STEPS):
             j1 = min(j0 + _BLOCK_STEPS, last)
-            x[j0 + 1 : j1 + 1] = walk.step(gen, state, j0, j1, buf, lock)[:, 0, 0]
+            x[j0 + 1 : j1 + 1] = walk.step(gen, state, j0, j1, buf)[:, 0, 0]
     q = x * walk.tau2
     q[0] = config.q0
     return BridgePath(times=walk.t, q=q)
@@ -422,46 +459,8 @@ def apply_policy(path: BridgePath, policy: ThresholdPolicy, n: float) -> Stoppin
     return StoppingOutcome(tau=1.0, payoff=0.0, stopped=False)
 
 
-@dataclass(frozen=True, eq=False)
-class _Ensemble:
-    """Per-path stopping record and control moments of one engine run.
-
-    ``walk`` is the run's grid and kernel.  ``node`` and ``x_stop`` have one
-    row per level and one column per path: the node where the level stopped
-    the path (``n_steps`` where it never did) and the kernel's X there; the
-    payoff and the stop flag follow from them.  ``own`` and ``paired`` have
-    one moment matrix per level: the sums over the path blocks, in block
-    order, of the matrices ``_block_moments`` builds when a block's walk
-    ends.  ``candidate`` names the level the paired moments compare against
-    (None: no paired moments).  A path that never stopped reads the walk's
-    ``tau2`` and ``elapsed`` at the pinned node: tau2 is 0 there, so its q
-    and payoff are 0, and no control reads its S.
-    """
-
-    walk: _Walk
-    node: np.ndarray
-    x_stop: np.ndarray
-    own: np.ndarray
-    paired: np.ndarray
-    candidate: int | None
-
-    def stopped(self, l: int) -> np.ndarray:
-        return self.node[l] < self.walk.t.size - 1
-
-    def payoffs(self, l: int, a: int = 0, b: int | None = None) -> np.ndarray:
-        """Q^{n/2} at the stop of paths [a, b) under level ``l``, 0 where it never stopped.
-
-        q = X (1-t)^2 is the product the engine's level test formed; a start
-        in the stopping region pays q0 itself, as ``apply_policy`` does.
-        """
-        node = self.node[l, a:b]
-        q = self.x_stop[l, a:b] * self.walk.tau2[node]
-        q[node == 0] = self.walk.q0
-        return _payoff(q, self.walk.n)
-
-
-def _run_chunk_exact(config, levels, ens, start, stop, lock):
-    """Walk the path block [start, stop) a time block at a time; fill its stops in ``ens``.
+def _run_chunk_exact(walk, start, stop):
+    """Walk the path block [start, stop) a time block at a time; fill its stops in ``walk``.
 
     ``start`` is a multiple of ``_BLOCK_PATHS`` and names the block's stream.
     Levels with q0 >= z (1 - t0) stop every path at node 0, as
@@ -469,7 +468,7 @@ def _run_chunk_exact(config, levels, ens, start, stop, lock):
     paths (start + 2i, start + 2i + 1); an odd last path is path A of a pair
     whose path B is never read.  Rows are the pairs in which some path still
     has an unhit level.  Each time block steps those rows alone with the
-    walk of ``ens``, on fresh variates, so a pair stops costing draws once
+    run's kernel, on fresh variates, so a pair stops costing draws once
     every level has stopped both its paths.  The draws are independent
     of the history that chose the rows, so every surviving path keeps the
     exact law.  The kernel state carries across time blocks; a one-path
@@ -479,11 +478,11 @@ def _run_chunk_exact(config, levels, ens, start, stop, lock):
     ``simulate_exact`` uses.  X at a stop and at a cap node is read from the
     kernel's X, never back from q.
 
-    The caller holds the run's ``lock``, and the walk lets it go only while
-    the kernel fills variates: the compaction, the per-step recursion, the
-    cap record and the level scan make many small numpy calls that each take
-    the interpreter lock, so workers stepping at once would trade it at every
-    call, where under ``lock`` one worker steps while the others fill.
+    The caller holds ``walk.lock``, and the walk lets it go only while the
+    kernel fills variates: the compaction, the per-step recursion, the cap
+    record and the level scan make many small numpy calls that each take the
+    interpreter lock, so workers stepping at once would trade it at every
+    call, where under the run's lock one worker steps while the others fill.
 
     Returns the block's cap record: X at each cap node, shape (caps, paths)
     by block-local path, written while the path's pair is still drawing and
@@ -491,16 +490,16 @@ def _run_chunk_exact(config, levels, ens, start, stop, lock):
     """
     m = stop - start
     pairs = (m + 1) // 2
-    walk = ens.walk
-    gen = _path_generator(config.seed, start // _BLOCK_PATHS)
+    levels = walk.levels
+    gen = _path_generator(walk.seed, start // _BLOCK_PATHS)
     # nodes 1 .. n_steps - 1 can stop a path; the pinned node never does
-    last = config.n_steps - 1
+    last = walk.n_steps - 1
     caps = walk.caps.tolist()
     next_cap = 0
 
-    at_start = config.q0 >= levels * walk.tau[0]
-    ens.node[at_start, start:stop] = 0
-    ens.x_stop[at_start, start:stop] = walk.x0
+    at_start = walk.q0 >= levels * walk.tau[0]
+    walk.node[at_start, start:stop] = 0
+    walk.x_stop[at_start, start:stop] = walk.x0
     # an odd block's last column is a path B, never read
     x_cap = np.zeros((len(caps), 2 * pairs))
     rows = np.arange(pairs)  # block-local pair index of each active row
@@ -520,7 +519,7 @@ def _run_chunk_exact(config, levels, ens, start, stop, lock):
             # take: twice as fast as a fancy index on the column axis
             rows, state, open_ = rows[keep], state.take(keep, axis=1), open_.take(keep, axis=2)
         j1 = min(j0 + _BLOCK_STEPS, last)
-        xk = walk.step(gen, state, j0, j1, buf, lock)
+        xk = walk.step(gen, state, j0, j1, buf)
         while next_cap < len(caps) and caps[next_cap] <= j1:
             x_cap[next_cap, 2 * rows], x_cap[next_cap, 2 * rows + 1] = xk[caps[next_cap] - j0 - 1]
             next_cap += 1
@@ -545,53 +544,40 @@ def _run_chunk_exact(config, levels, ens, start, stop, lock):
             side, row = np.divmod(cand, rows.size)
             path = start + 2 * rows[row] + side
             # one level's row of each record: a 1-d scatter
-            ens.node[l][path] = first + (j0 + 1)
-            ens.x_stop[l][path] = x[first, cand]
+            walk.node[l][path] = first + (j0 + 1)
+            walk.x_stop[l][path] = x[first, cand]
             flat_open[l, cand] = False
     return x_cap
 
 
-def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | None = None) -> _Ensemble:
-    """The stopping record of every path and the control moments under each level, common random numbers.
+def _simulate_levels(config: SimConfig, levels: np.ndarray, candidate: int | None = None) -> _Walk:
+    """The run's ``_Walk``, with every path's stopping record and each level's control moments.
 
-    The run's ``_Walk`` is built once and shared by every path block.  With a
-    ``candidate`` level, the paired moments compare every other level
-    against it.  The path blocks run on one thread pool of ``worker_count``
-    threads, one thread included, and their moments are added in block
-    order, so the sums are the same bits for any worker count.  A worker
-    holds the run's lock for a whole block but its variate fills
-    (``_run_chunk_exact``).
+    One walk serves every path block, so all levels share the paths (common
+    random numbers).  With a ``candidate`` level, the paired moments compare
+    every other level against it.  The path blocks run on one thread pool of
+    ``worker_count`` threads, one thread included, and their moments are
+    added in block order, so the sums are the same bits for any worker
+    count.  A worker holds ``walk.lock`` for a whole block but its variate
+    fills (``_run_chunk_exact``).
     """
-    levels = np.asarray(levels, dtype=float)
-    shape = (levels.size, config.n_paths)
-    walk = _Walk(config)
-    moments = np.zeros((levels.size, 2 * walk.caps.size + 2, 2 * walk.caps.size + 2))
-    ens = _Ensemble(
-        walk=walk,
-        node=np.full(shape, config.n_steps, dtype=np.int32),
-        x_stop=np.zeros(shape),
-        own=moments,
-        paired=moments.copy(),
-        candidate=candidate,
-    )
-
+    walk = _Walk(config, levels, candidate)
     n = config.n_paths
     bounds = [(b, min(b + _BLOCK_PATHS, n)) for b in range(0, n, _BLOCK_PATHS)]
-    lock = threading.Lock()
 
     def run(block):
         # the block's cap record lives only until its moments are taken
-        with lock:
-            return _block_moments(ens, *block, _run_chunk_exact(config, levels, ens, *block, lock))
+        with walk.lock:
+            return _block_moments(walk, *block, _run_chunk_exact(walk, *block))
 
     with ThreadPoolExecutor(max_workers=worker_count(len(bounds))) as ex:
         for own, paired in ex.map(run, bounds):
-            np.add(ens.own, own, out=ens.own)
-            np.add(ens.paired, paired, out=ens.paired)
-    return ens
+            np.add(walk.own, own, out=walk.own)
+            np.add(walk.paired, paired, out=walk.paired)
+    return walk
 
 
-def _block_means(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap):
+def _block_means(walk: _Walk, l: int, start: int, a: int, b: int, x_cap):
     """Pair means of level ``l``'s controls and of its payoffs over the paths start + [a, b).
 
     The controls have shape (2 caps, groups).  Control c reads S and X at
@@ -600,10 +586,9 @@ def _block_means(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap):
     each cap, then M2 = X^2 - (2 alpha + 4) S X + alpha (alpha + 2) S^2 - X0^2
     at each cap.  ``a`` is even and local to the block, as is ``x_cap``.
     """
-    walk = ens.walk
-    node = ens.node[l, start + a : start + b]
+    node = walk.node[l, start + a : start + b]
     at_stop = node <= walk.caps[:, None]
-    x = np.where(at_stop, ens.x_stop[l, start + a : start + b], x_cap[:, a:b])
+    x = np.where(at_stop, walk.x_stop[l, start + a : start + b], x_cap[:, a:b])
     s = np.where(at_stop, walk.elapsed[node], walk.elapsed[walk.caps, None])
     alpha, x0 = walk.alpha, walk.x0
     controls = np.empty((2,) + x.shape)
@@ -611,11 +596,11 @@ def _block_means(ens: _Ensemble, l: int, start: int, a: int, b: int, x_cap):
     # X (X - (2 alpha + 4) S) + alpha (alpha + 2) S^2 - X0^2
     np.multiply(x, x - (2.0 * alpha + 4.0) * s, out=controls[1])
     controls[1] += alpha * (alpha + 2.0) * s * s - x0 * x0
-    payoffs = ens.payoffs(l, start + a, start + b)
+    payoffs = walk.payoffs(l, start + a, start + b)
     return _group_means(controls.reshape(-1, b - a)), _group_means(payoffs)
 
 
-def _block_moments(ens: _Ensemble, start: int, stop: int, x_cap):
+def _block_moments(walk: _Walk, start: int, stop: int, x_cap):
     """The own and the paired moment matrices of the block [start, stop), one per level.
 
     The paths are taken ``_FIT_PATHS`` at a time, and each slice builds every
@@ -625,11 +610,11 @@ def _block_moments(ens: _Ensemble, start: int, stop: int, x_cap):
     payoff less level l's against the difference of their controls.  No more
     than one slice's controls per level are ever held.
     """
-    own, paired = np.zeros_like(ens.own), np.zeros_like(ens.paired)
-    cand = ens.candidate
+    own, paired = np.zeros_like(walk.own), np.zeros_like(walk.paired)
+    cand = walk.candidate
     for a in range(0, stop - start, _FIT_PATHS):
         b = min(a + _FIT_PATHS, stop - start)
-        means = [_block_means(ens, l, start, a, b, x_cap) for l in range(len(own))]
+        means = [_block_means(walk, l, start, a, b, x_cap) for l in range(len(own))]
         for l, (c, y) in enumerate(means):
             own[l] += _cross_products(c, y)
             if cand is not None and l != cand:
@@ -744,8 +729,8 @@ def mc_estimate(config: SimConfig, policy: ThresholdPolicy) -> MCResult:
     The estimate uses the stopped-martingale control variates; the plain
     estimate rides along in ``plain_mean`` and ``plain_stderr``.
     """
-    ens = _simulate_levels(config, np.array([policy.Z]))
-    return _aggregate(ens.payoffs(0), ens.stopped(0), ens.own[0])
+    walk = _simulate_levels(config, np.array([policy.Z]))
+    return _aggregate(walk.payoffs(0), walk.stopped(0), walk.own[0])
 
 
 def policy_sweep(
@@ -773,20 +758,20 @@ def policy_sweep(
     Z = _require("Z", Z, 0.0, math.inf, open_lo=True, open_hi=True)
     levels = np.array([m * Z for m in mult])
     candidate = mult.index(1.0) if 1.0 in mult else None
-    ens = _simulate_levels(config, levels, candidate)
-    base = ens.payoffs(candidate) if candidate is not None else None
+    walk = _simulate_levels(config, levels, candidate)
+    base = walk.payoffs(candidate) if candidate is not None else None
 
     rows = []
     for i, m in enumerate(mult):
-        payoffs = ens.payoffs(i)
+        payoffs = walk.payoffs(i)
         pm = ps = None
         if candidate is not None and i != candidate:
-            (pm, ps, _), _ = _estimate(base - payoffs, ens.paired[i])
+            (pm, ps, _), _ = _estimate(base - payoffs, walk.paired[i])
         rows.append(
             SweepRow(
                 multiplier=m,
                 Z_level=float(levels[i]),
-                result=_aggregate(payoffs, ens.stopped(i), ens.own[i]),
+                result=_aggregate(payoffs, walk.stopped(i), walk.own[i]),
                 paired_mean_vs_candidate=pm,
                 paired_stderr_vs_candidate=ps,
             )

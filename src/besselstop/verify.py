@@ -217,22 +217,51 @@ def iterate_DB(
         D' = (a+d) D + (a + 2 + 2d) B,  B' = (a+d) D + (2r + a) B.
     The states keep the inputs' number type: floats round as usual, while
     Fractions give the exact iteration, which at alpha = 0 the closed-form
-    ``delta_polynomials`` reproduce.
+    ``delta_polynomials`` reproduce.  B_r grows like 2^r r!, so a float
+    iteration leaves float range near r = 150; it is refused at the first r
+    whose D_r or B_r does, with a ValueError naming ``r_max`` and that r,
+    since past it every comparison reads infinities or NaN.
     """
     _require_int("r_max", r_max, 0)
     if parameterization not in (GAMMA_FORM, DELTA_FORM):
         raise ValueError(f"unknown parameterization {parameterization!r}")
+    return _iterate(parameterization, params, r_max, f"r_max={r_max}")
+
+
+def _iterate(
+    parameterization: str, params: tuple[float, float], r_stop: int, cause: str
+) -> list[IterState]:
+    """The states 0 .. r_stop of ``iterate_DB``, refused at the first float iterate out of range.
+
+    The refusal ends the loop, so a long request costs only the steps up to
+    it; ``cause`` names the arguments that asked for ``r_stop``.
+    """
     x, y = params
     D, B = type(x + y)(1), type(x + y)(-1)
+    floats = isinstance(D, float)  # exact numbers never leave range
     out = [IterState(0, D, B)]
-    for r in range(r_max):
+    for r in range(r_stop):
         if parameterization == GAMMA_FORM:
             D, B, _ = tilde_map(D, B, r, x, y)
         else:
             a, d = x, y
             D, B = (a + d) * D + (a + 2 + 2 * d) * B, (a + d) * D + (2 * r + a) * B
+        if floats and not (math.isfinite(D) and math.isfinite(B)):
+            raise _out_of_range(cause, r + 1)
         out.append(IterState(r + 1, D, B))
     return out
+
+
+def _out_of_range(cause: str, r: int) -> ValueError:
+    return ValueError(f"{cause}: the iterate or bound at r={r} leaves float range")
+
+
+def _power(x: float, r: int) -> float:
+    """x**r, inf where the float power overflows (Python raises OverflowError there)."""
+    try:
+        return x**r
+    except OverflowError:
+        return math.inf
 
 
 # Closed-form polynomials (in the delta variable) of the alpha = 0 iteration,
@@ -280,19 +309,30 @@ def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport
 
     Requires n > 0 finite and gamma > 0 (the regime where the iteration
     needs them).  Also checks the termination device: one step past any
-    r0 > g^2/(2n) the D coefficient is strictly negative.
+    r0 > g^2/(2n) the D coefficient is strictly negative.  Raises ValueError,
+    naming the arguments and the first r, where an iterate or a bound the
+    check reads leaves float range (from r = 145 at (n, gamma) = (3, 8)), or
+    where g^2/(2n) itself does.
     """
-    _require("n", n, 0.0, math.inf, open_lo=True, open_hi=True)
-    _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
+    cause = f"check_gamma_bounds(n={n!r}, gamma={gamma!r}, r_max={r_max})"
+    # floats, so an iterate out of range reads inf, never a huge int
+    n = _require("n", n, 0.0, math.inf, open_lo=True, open_hi=True)
+    gamma = _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
     _require_int("r_max", r_max, 0)
-    r0 = int(math.floor(gamma * gamma / (2.0 * n))) + 1
-    states = iterate_DB(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1))
+    ratio = gamma * gamma / (2.0 * n)
+    if ratio == math.inf:
+        raise ValueError(f"{cause}: the termination index g^2/(2n) leaves float range")
+    r0 = int(math.floor(ratio)) + 1
+    states = _iterate(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1), cause)
     checks = []
     tol = -1e-12
     for st in states[: r_max + 1]:
-        g_r = gamma**st.r
+        g_r = _power(gamma, st.r)
+        bound_B = -g_r * (1.0 + 2.0 * st.r / gamma)
+        if not (math.isfinite(g_r) and math.isfinite(bound_B)):
+            raise _out_of_range(cause, st.r)
         m1 = _slack_leq(st.D_r, g_r)
-        m2 = _slack_leq(st.B_r, -g_r * (1.0 + 2.0 * st.r / gamma))
+        m2 = _slack_leq(st.B_r, bound_B)
         checks.append(
             CheckResult(f"growth_bound_r{st.r:02d}", min(m1, m2) >= tol, min(m1, m2), tol)
         )
@@ -310,23 +350,29 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
     Even r: D <= -d^r - 4r d^{r-1} and B <= d^r.
     Also checks that the first odd r* >= 7 with 2 r* > delta has both
     coefficients strictly negative, which is what terminates the argument.
+    Raises ValueError, naming the arguments and the first r, where an
+    iterate or a bound the check reads leaves float range: from r = 149 at
+    delta = 10, and before r* for any r_max once delta passes about 230.
     """
-    _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
+    cause = f"check_delta_bounds(delta={delta!r}, r_max={r_max})"
+    delta = _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
     _require_int("r_max", r_max, 7)  # where the bounds start
-    r_star = 7
-    while not (r_star % 2 == 1 and 2 * r_star > delta):
-        r_star += 1
-    states = iterate_DB(DELTA_FORM, (0.0, delta), max(r_max, r_star))
+    # the first odd r >= 7 with r > delta/2; | 1 steps an even r to the next odd
+    r_star = max(7, math.floor(delta / 2.0) + 1) | 1
+    states = _iterate(DELTA_FORM, (0.0, delta), max(r_max, r_star), cause)
     checks = []
     tol = -1e-12
     for st in states[7 : r_max + 1]:
         r = st.r
+        d_r, d_r1 = _power(delta, r), _power(delta, r - 1)
         if r % 2 == 1:
-            bd = -(delta**r) - 2.0 * r * delta ** (r - 1)
-            bb = delta**r - 2.0 * r * delta ** (r - 1)
+            bd = -d_r - 2.0 * r * d_r1
+            bb = d_r - 2.0 * r * d_r1
         else:
-            bd = -(delta**r) - 4.0 * r * delta ** (r - 1)
-            bb = delta**r
+            bd = -d_r - 4.0 * r * d_r1
+            bb = d_r
+        if not (math.isfinite(bd) and math.isfinite(bb)):
+            raise _out_of_range(cause, r)
         m = min(_slack_leq(st.D_r, bd), _slack_leq(st.B_r, bb))
         checks.append(CheckResult(f"parity_bound_r{r:02d}", m >= tol, m, tol))
     st = states[r_star]
@@ -346,18 +392,25 @@ def check_dominance(alpha: float, delta: float, r_max: int) -> VerificationRepor
     """Positive-dimension iterates never exceed the alpha = 0 iterates.
 
     Checks D_{a,r} <= D_{0,r}, B_{a,r} <= B_{0,r}, and the sum inequality
-    D_{0,r} + B_{0,r} <= 0 for r = 0..r_max.
+    D_{0,r} + B_{0,r} <= 0 for r = 0..r_max.  Raises ValueError, naming the
+    arguments and the first r, where an iterate or the sum leaves float
+    range.
     """
-    _require("alpha", alpha, 0.0, math.inf, open_hi=True)
-    _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
-    with_a = iterate_DB(DELTA_FORM, (alpha, delta), r_max)
-    at_zero = iterate_DB(DELTA_FORM, (0.0, delta), r_max)
+    cause = f"check_dominance(alpha={alpha!r}, delta={delta!r}, r_max={r_max})"
+    alpha = _require("alpha", alpha, 0.0, math.inf, open_hi=True)
+    delta = _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require_int("r_max", r_max, 0)
+    with_a = _iterate(DELTA_FORM, (alpha, delta), r_max, cause)
+    at_zero = _iterate(DELTA_FORM, (0.0, delta), r_max, cause)
     checks = []
     tol = -1e-12
     for sa, s0 in zip(with_a, at_zero):
         m = min(_slack_leq(sa.D_r, s0.D_r), _slack_leq(sa.B_r, s0.B_r))
         checks.append(CheckResult(f"dominance_r{sa.r:02d}", m >= tol, m, tol))
-        ms = _slack_leq(s0.D_r + s0.B_r, 0.0)
+        total = s0.D_r + s0.B_r
+        if not math.isfinite(total):
+            raise _out_of_range(cause, sa.r)
+        ms = _slack_leq(total, 0.0)
         checks.append(CheckResult(f"zero_dim_sum_r{sa.r:02d}", ms >= tol, ms, tol))
     return VerificationReport(tuple(checks))
 
@@ -489,6 +542,9 @@ def run_iteration_checks(
     scaled smooth-fit value wherever alpha + n > 2 together with its identity
     against the direct series, the closed-form polynomial rows against the
     exact iteration, and the three families of monotone bounds up to r_max.
+    The bound iterates leave float range from r = 145, so past r_max = 144
+    the battery raises ValueError naming r_max and that r (see
+    ``check_gamma_bounds``) rather than compare infinities.
     """
     from fractions import Fraction
 

@@ -160,6 +160,22 @@ def test_verify_appendix_r_max_below_seven_names_r_max(capsys):
     assert "r_max" in err
 
 
+def test_verify_appendix_past_float_range_is_usage_error(capsys):
+    # the bound iterates leave float range at r = 145, and gamma**r at r = 320
+    assert main(["verify-appendix", "--r-max", "400"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "r_max=400" in err and "float range" in err
+
+
+def test_value_payoff_past_float_range_is_usage_error(capsys):
+    # 1e308^30 overflows Python's float ``**``
+    assert main(["value", "--alpha", "0.05", "--n", "60", "--q0", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: --q0 1e+308:") and "float range" in err
+
+
 @pytest.mark.parametrize(
     "error",
     [

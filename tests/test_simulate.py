@@ -43,9 +43,9 @@ def _exact_config(**kw):
 
 def _threshold_payoffs(cfg, levels):
     """The engine's per-path payoffs and stop flags, one column per level."""
-    ens = _simulate_levels(cfg, levels)
+    walk = _simulate_levels(cfg, levels)
     rows = range(len(levels))
-    return np.array([ens.payoffs(l) for l in rows]).T, np.array([ens.stopped(l) for l in rows]).T
+    return np.array([walk.payoffs(l) for l in rows]).T, np.array([walk.stopped(l) for l in rows]).T
 
 
 def _exact_bridge_q(xi: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -392,10 +392,9 @@ def test_odd_block_last_path_is_a_group_of_one(alpha):
 
 
 def _step(walk, gen, state, j0, j1, buf):
-    """One kernel call outside the engine, holding a lock of its own, as ``_Walk.step`` expects."""
-    lock = threading.Lock()
-    with lock:
-        return walk.step(gen, state, j0, j1, buf, lock)
+    """One kernel call outside the engine, holding the walk's lock, as ``_Walk.step`` expects."""
+    with walk.lock:
+        return walk.step(gen, state, j0, j1, buf)
 
 
 def _tight_equality_level(cfg):
@@ -775,9 +774,9 @@ def _record_paths(monkeypatch):
     calls = []
     real = simulate._Walk.step
 
-    def recorded(walk, gen, state, j0, j1, buf, lock):
+    def recorded(walk, gen, state, j0, j1, buf):
         before = state.copy()
-        x = real(walk, gen, state, j0, j1, buf, lock)
+        x = real(walk, gen, state, j0, j1, buf)
         calls.append((j0, before, x.copy(), state.copy()))
         return x
 
@@ -872,15 +871,15 @@ def test_controls_have_mean_zero_by_optional_stopping(alpha, n, t0, q0, monkeypa
     params = ModelParams(alpha, n)
     cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=16_384, n_steps=40, seed=7)
     paths = _record_paths(monkeypatch)
-    ens = _simulate_levels(cfg, np.array([find_Z(params).value]))
+    walk = _simulate_levels(cfg, np.array([find_Z(params).value]))
     x = paths(cfg)
-    stopped = ens.stopped(0)
-    assert np.array_equal(x[stopped, ens.node[0][stopped]], ens.x_stop[0][stopped])
-    own = ens.own[0]
+    stopped = walk.stopped(0)
+    assert np.array_equal(x[stopped, walk.node[0][stopped]], walk.x_stop[0][stopped])
+    own = walk.own[0]
     k = 2 * _cap_nodes(cfg.n_steps).size
     assert own.shape == (k + 2, k + 2) and own[0, 0] == cfg.n_paths // 2
     # the engine's moments are those of the controls rebuilt from whole paths
-    ref = _moments(_reference_controls(x, cfg, ens.node[0]), ens.payoffs(0))
+    ref = _moments(_reference_controls(x, cfg, walk.node[0]), walk.payoffs(0))
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(own - ref) <= 1e-10 * scale)
     # each control's pair mean, from the engine's own sums
@@ -948,9 +947,9 @@ def test_start_in_stopping_region_has_zero_controls():
     # every path stops at t0, so every control is X0 - X0 = 0: the plain
     # estimate stands, and the level the start misses still regresses
     cfg = SimConfig(params=ModelParams(3, 1), t0=0.5, q0=2.0, n_paths=2000, n_steps=100, seed=4)
-    ens = _simulate_levels(cfg, np.array([Z31, 5.0]))
+    walk = _simulate_levels(cfg, np.array([Z31, 5.0]))
     # every sum with a control in it is zero
-    assert not ens.own[0, 1:-1].any()
+    assert not walk.own[0, 1:-1].any()
     res = mc_estimate(cfg, ThresholdPolicy(Z31))
     assert (res.mean, res.stderr, res.controls) == (res.plain_mean, res.plain_stderr, 0)
     table = policy_sweep(cfg, [1.0, 5.0 / Z31], Z=Z31)
@@ -986,17 +985,17 @@ def test_stderr_is_taken_over_pair_means(monkeypatch):
 
     table = policy_sweep(cfg, [1.0, 1.5], Z=Z31)
     paths = _record_paths(monkeypatch)
-    ens = _simulate_levels(cfg, np.array([Z31, 1.5 * Z31]), candidate=0)
+    walk = _simulate_levels(cfg, np.array([Z31, 1.5 * Z31]), candidate=0)
     x = paths(cfg)
-    assert table.rows[0].result.plain_stderr == pytest.approx(pair_stderr(ens.payoffs(0)), rel=1e-12)
+    assert table.rows[0].result.plain_stderr == pytest.approx(pair_stderr(walk.payoffs(0)), rel=1e-12)
     # the estimates are the regression of the pair means on the controls' pair
     # means, recomputed by lstsq on a design with an intercept column from
     # controls rebuilt on the whole paths
-    controls = [_reference_controls(x, cfg, ens.node[l]) for l in (0, 1)]
+    controls = [_reference_controls(x, cfg, walk.node[l]) for l in (0, 1)]
     for row, l in zip(table.rows, (0, 1)):
-        mean, se = _lstsq_estimate(ens.payoffs(l), controls[l])
+        mean, se = _lstsq_estimate(walk.payoffs(l), controls[l])
         assert (row.result.mean, row.result.stderr) == pytest.approx((mean, se), rel=1e-12)
-    mean, se = _lstsq_estimate(ens.payoffs(0) - ens.payoffs(1), controls[0] - controls[1])
+    mean, se = _lstsq_estimate(walk.payoffs(0) - walk.payoffs(1), controls[0] - controls[1])
     assert table.rows[1].paired_mean_vs_candidate == pytest.approx(mean, rel=1e-12)
     assert table.rows[1].paired_stderr_vs_candidate == pytest.approx(se, rel=1e-12)
 
@@ -1037,11 +1036,24 @@ def test_reflecting_bridge_level():
 
 
 def test_sweep_single_multiplier_equals_estimate():
-    cfg = _exact_config(n_paths=3000, n_steps=200, seed=21)
-    table = policy_sweep(cfg, [1.0], Z=Z31)
-    direct = mc_estimate(cfg, ThresholdPolicy(Z31))
-    assert table.rows[0].result == direct
-    assert table.rows[0].paired_mean_vs_candidate is None
+    # one case per kernel branch (the exponential fill at 3, the reflected
+    # step at 1, the gamma fill at 2.5, the mixture at 0.5), two of them from
+    # an inner start, and 4097 paths: two path blocks, the second a lone
+    # path that is a group of one
+    cases = (
+        (ModelParams(3, 1), 0.0, 0.0, 3000),
+        (ModelParams(1, 1), 0.0, 0.0, 3000),
+        (ModelParams(2.5, 1.5), 0.3, 0.2, 3000),
+        (ModelParams(0.5, 1), 0.5, 0.1, 3000),
+        (ModelParams(3, 1), 0.0, 0.0, _BLOCK_PATHS + 1),
+    )
+    for params, t0, q0, n_paths in cases:
+        cfg = SimConfig(params=params, t0=t0, q0=q0, n_paths=n_paths, n_steps=200, seed=21)
+        z = find_Z(params).value
+        table = policy_sweep(cfg, [1.0], Z=z)
+        direct = mc_estimate(cfg, ThresholdPolicy(z))
+        np.testing.assert_equal(dataclasses.astuple(table.rows[0].result), dataclasses.astuple(direct))
+        assert table.rows[0].paired_mean_vs_candidate is None
 
 
 def test_sweep_candidate_dominates_with_common_random_numbers():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,64 @@ def test_counts_must_be_integers(name, call):
     # bare TypeError
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         call()
+
+
+def test_iteration_battery_refuses_iterates_past_float_range():
+    # B_r grows like 2^r r!: at (n, gamma) = (3, 8), B_145 is -inf in floats,
+    # its slack NaN, which min() would drop from a battery's margin; from
+    # r = 320 on, gamma**r itself overflows
+    assert run_iteration_checks(steps=2, r_max=144, grid=(0.5,)).all_passed
+    for r_max in (145, 146, 320):
+        # the first battery refused: (3, 8) at r = 145, or (1, 2) at r = 149
+        with pytest.raises(ValueError, match=rf"r_max={r_max}\): the iterate or bound at r=14[59] leaves"):
+            run_iteration_checks(steps=2, r_max=r_max, grid=(0.5,))
+    with pytest.raises(ValueError, match=r"r_max=145: the iterate or bound at r=145 "):
+        iterate_DB(GAMMA_FORM, (3.0, 8.0), 145)
+    assert len(iterate_DB(GAMMA_FORM, (3.0, 8.0), 144)) == 145
+    # exact numbers never leave range
+    assert iterate_DB(GAMMA_FORM, (Fraction(3), Fraction(8)), 160)[-1].B_r < 0
+    with pytest.raises(ValueError, match=r"check_dominance\(alpha=3.0, delta=10.0, r_max=148\)"):
+        check_dominance(3.0, 10.0, 148)
+    assert check_dominance(3.0, 10.0, 147).all_passed
+
+
+def test_delta_bounds_refuse_a_termination_index_past_float_range():
+    # r* = 151 at delta 300: both iterates there are -inf, and -inf < 0
+    # would pass the termination check with margin inf
+    with pytest.raises(ValueError, match=r"check_delta_bounds\(delta=300, r_max=8\): .* at r=111 "):
+        check_delta_bounds(300, 8)
+    # r* = 1,000,001 at delta 2e6: the refusal comes at r = 48, so the
+    # request costs 48 steps, not a million
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="delta=2000000.0"):
+        check_delta_bounds(2e6, 7)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # integer arguments iterate in floats too, not in exact ints that
+        # overflow only when a bound converts them
+        pytest.param(lambda: check_gamma_bounds(3, 8, 400), id="int-gamma"),
+        pytest.param(lambda: check_gamma_bounds(1, 100, 5), id="int-termination"),
+        pytest.param(lambda: check_dominance(3, 10, 400), id="int-dominance"),
+        # g^2/(2n) itself overflows
+        pytest.param(lambda: check_gamma_bounds(1.0, 1e200, 5), id="huge-gamma"),
+        pytest.param(lambda: check_delta_bounds(1e308, 7), id="huge-delta"),
+    ],
+)
+def test_bound_checks_refuse_instead_of_overflowing(call):
+    with pytest.raises(ValueError, match="leaves float range"):
+        call()
+
+
+@pytest.mark.parametrize("delta", [0.1, 13.0, 14.0, 15.0, 15.5, 16.0, 17.99, 100.0, 101.0, 229.0])
+def test_delta_bounds_termination_index_is_the_first_odd_r_past_delta_over_two(delta):
+    r_star = 7
+    while not (r_star % 2 == 1 and 2 * r_star > delta):
+        r_star += 1
+    assert check_delta_bounds(delta, 7).checks[-1].name == f"termination_both_negative_r{r_star:02d}"
 
 
 def test_batteries_list_their_checks_sorted_by_name():
