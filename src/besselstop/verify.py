@@ -343,14 +343,25 @@ def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport
     return VerificationReport(tuple(checks))
 
 
+# The largest float delta at which the exact (Fraction) iteration's even D
+# bound at r = 8, D_8 <= -d^8 - 32 d^7, holds; it fails at the next float.
+_DELTA_EVEN_MAX = 42.35789704560291
+
+
 def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
-    """Odd/even bounds of the alpha = 0 iteration, valid from r = 7 upward.
+    """Odd/even bounds of the alpha = 0 iteration from r = 7 upward, for delta <= 42.357...
 
     Odd r:  D <= -d^r - 2r d^{r-1} and B <= d^r - 2r d^{r-1}.
     Even r: D <= -d^r - 4r d^{r-1} and B <= d^r.
     Also checks that the first odd r* >= 7 with 2 r* > delta has both
     coefficients strictly negative, which is what terminates the argument.
-    Raises ValueError, naming the arguments and the first r, where an
+    The even D bound fails past a delta that grows with r: in the exact
+    iteration past 42.358 at r = 8, 167.8 at r = 10 and 640.0 at r = 12, so
+    no even start holds for every delta.  Below the first, every bound held
+    at every r up to float range over a scan of delta in steps of 0.05.  So
+    with r_max >= 8 a delta past ``_DELTA_EVEN_MAX`` is refused with a
+    ValueError naming it; r_max = 7 reads no even bound and takes any delta.
+    Also raises ValueError, naming the arguments and the first r, where an
     iterate or a bound the check reads leaves float range: from r = 149 at
     delta = 10, and before r* for any r_max once delta passes about 230.
     """
@@ -360,6 +371,10 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
     # the first odd r >= 7 with r > delta/2; | 1 steps an even r to the next odd
     r_star = max(7, math.floor(delta / 2.0) + 1) | 1
     states = _iterate(DELTA_FORM, (0.0, delta), max(r_max, r_star), cause)
+    if r_max >= 8 and delta > _DELTA_EVEN_MAX:
+        raise ValueError(
+            f"{cause}: the even bound at r=8 holds only for delta <= {_DELTA_EVEN_MAX!r}"
+        )
     checks = []
     tol = -1e-12
     for st in states[7 : r_max + 1]:

@@ -30,6 +30,7 @@ from besselstop.oracles import (
 )
 from besselstop.series import (
     ModelParams,
+    TruncationError,
     build_coefficients,
     default_ymax,
     psi_derivative,
@@ -416,6 +417,18 @@ def test_banded_solve_matches_step_recurrence(alpha):
         assert np.max(np.abs(sol.g_prime_values[s + 1 :] / ps - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha", C5_GRID)
+def test_ode_root_does_not_depend_on_how_far_the_shot_runs(alpha):
+    # the default first shot spans half of default_ymax; a shot over the
+    # whole of it reads the same root bit for bit
+    for n in C5_GRID:
+        params = ModelParams(alpha, n)
+        z_half, sol = Z_from_ode(params)
+        z_full, _ = Z_from_ode(params, ymax=default_ymax(params))
+        assert sol.grid[-1] == 0.5 * default_ymax(params)
+        assert z_half.hex() == z_full.hex()
+
+
 def _binary_step_matrices(a, n, y, h):
     # _rk4_step_matrices written with a new array for every operation
     def row(s):
@@ -485,6 +498,52 @@ def test_ode_oracle_at_stiff_alpha(alpha):
 def test_ode_oracle_cli_at_stiff_alpha(capsys):
     assert main(["ode-oracle", "--alpha", "40", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["abs_gap"] <= 5e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_log_uniform(0.05, 60.0), n=_log_uniform(0.05, 60.0))
+@example(alpha=2.08, n=0.01)  # Z at 0.69 of half the range, the largest share seen
+# alpha + n in the hundreds, where Z sits near half of it: 0.499 at (1, 250),
+# 0.505 at (200, 1); find_Z refuses (1, 300)
+@example(alpha=1.0, n=250.0)
+@example(alpha=31.07, n=249.09)
+@example(alpha=100.0, n=100.0)
+@example(alpha=200.0, n=1.0)
+@example(alpha=300.0, n=5.0)
+@example(alpha=1.0, n=300.0)
+def test_boundary_scale_lies_in_the_first_half_of_the_table_range(alpha, n):
+    # Z_from_ode's first shot spans half of default_ymax on this premise,
+    # wherever find_Z solves
+    params = ModelParams(alpha, n)
+    try:
+        z = find_Z(params).value
+    except TruncationError:
+        return
+    assert z < 0.5 * default_ymax(params)
+
+
+def test_shoot_seeds_from_a_table_for_its_seed_nodes_alone(monkeypatch):
+    # psi is read at nodes 1..s only, so the table spans [0, 2 s step]
+    spans = []
+    real = oracles.build_coefficients
+
+    def recording(params, ymax=None, **kwargs):
+        spans.append(ymax)
+        return real(params, ymax=ymax, **kwargs)
+
+    monkeypatch.setattr(oracles, "build_coefficients", recording)
+    for alpha, s in ((3.0, 2), (40.0, 20)):
+        spans.clear()
+        ode_shoot(ModelParams(alpha, 1.0), 50.0, 1e-3)
+        assert spans == [2.0 * s * 1e-3]
+
+
+@pytest.mark.parametrize("alpha, n", [(2.79, 15.0), (7.84, 20.4)])
+def test_ode_oracle_refuses_where_its_residual_fails(alpha, n):
+    # large n over small alpha: the residual past the series seed exceeds the
+    # tolerance at step 1e-3, and the oracle must refuse, not return a Z
+    with pytest.raises(AccuracyError, match="normalized ODE residual"):
+        Z_from_ode(ModelParams(alpha, n))
 
 
 def _reference_sweep(params, cells, ymax):
@@ -615,6 +674,35 @@ def test_sweep_solves_the_discrete_obstacle_problem():
         g = _howard(params, lat)
         assert np.max(np.abs(lat.g / g - 1.0)) <= 1e-10
         assert lat.Z_fd == lat.y[np.argmax(g <= lat.y ** (0.5 * n))]
+
+
+def _max_form_lattice(params, cells):
+    # fd_value's default lattice with its sweep back written with the builtin
+    # max per cell: the formula the sweep must match bit for bit
+    a, n = params.alpha, params.n
+    M = cells
+    ymax = 6.0 * find_Z(params).value
+    y = np.linspace(0.0, ymax, M + 1)
+    phi = y ** (0.5 * n)
+    lo, mid, up = oracles._fd_stencil(a, n, y[:-1], ymax / M)
+
+    r, prev = [], 0.0
+    for lo_i, mid_i, up_i in zip(lo.tolist(), mid.tolist(), up.tolist()):
+        prev = -up_i / (mid_i + lo_i * prev)
+        r.append(prev)
+    g = phi.tolist()
+    for i in range(M - 1, -1, -1):
+        g[i] = max(g[i], r[i] * g[i + 1])
+    return np.array(g)
+
+
+@pytest.mark.parametrize("alpha, n", [(3, 1), (2, 2), (1, 1), (0.1, 0.1)])
+def test_lattice_sweep_is_the_max_form_bit_for_bit(alpha, n):
+    # the criterion-6 pairs at its two resolutions
+    params = ModelParams(alpha, n)
+    for cells in (acceptance.FD_CELLS, acceptance.FD_CELLS // 2):
+        got = fd_value(params, cells).g
+        assert got.tobytes() == _max_form_lattice(params, cells).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from besselstop import cli
+from besselstop import cli, verify
 from besselstop.series import F_eval, ModelParams, build_coefficients
 from besselstop.value import build_candidate
 from besselstop.verify import (
@@ -222,6 +222,27 @@ def test_parity_bounds():
     assert rep_small.all_passed
     with pytest.raises(ValueError):
         check_delta_bounds(1.0, 5)
+
+
+def test_delta_bounds_refuse_delta_past_the_even_bound_at_r8():
+    # the even D bound at r = 8 fails from delta = 42.357...: at 50 the check
+    # read a parity_bound_r08 margin of -0.216 and reported a failure
+    with pytest.raises(
+        ValueError, match=r"check_delta_bounds\(delta=50.0, r_max=8\): the even bound at r=8"
+    ):
+        check_delta_bounds(50.0, 8)
+    # r_max = 7 reads no even bound, so any delta in float range is taken
+    assert check_delta_bounds(50.0, 7).all_passed
+    edge = verify._DELTA_EVEN_MAX
+    assert check_delta_bounds(edge, 60).all_passed
+    with pytest.raises(ValueError, match="the even bound at r=8"):
+        check_delta_bounds(math.nextafter(edge, math.inf), 8)
+    # the threshold is the exact one: the Fraction iteration's bound holds at
+    # it and fails one float past it
+    for d, holds in ((edge, True), (math.nextafter(edge, math.inf), False)):
+        f = Fraction(d)
+        D8 = iterate_DB(DELTA_FORM, (0, f), 8)[8].D_r
+        assert (D8 <= -(f**8) - 32 * f**7) is holds
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
