@@ -6,9 +6,9 @@ erfi closed form of ``build_excursion``, exact rationals) or, for the
 excursion threshold, a 30-digit root computed once with mpmath.
 
 A criterion is a function ``criterion_<index>_<topic>`` returning
-``(passed, detail)``; ``@_criterion(name, budget)`` times it into a
-``CriterionResult`` and reads its index from its name, the one place the
-index is written.  ``ALL_CRITERIA`` lists the criteria in index order.
+``(passed, detail)``; ``@_criterion(name, budget)``, the one place it is
+declared, times it into a ``CriterionResult``, reads its index from its name
+and appends it to ``ALL_CRITERIA``.  Criteria are defined in index order.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ MC_STEPS = 2000
 MC_SEED = 20240601
 SWEEP_MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 2.0)
 FD_CELLS = 4000
+_REGISTERED = []  # every @_criterion, in definition order: ALL_CRITERIA
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class CriterionResult:
 def _criterion(name: str, budget: float):
     """Time ``body``, named ``criterion_<index>_...``, into a ``CriterionResult`` of that index.
 
-    The index, also the criterion's ``index`` attribute, is what ``run_acceptance`` selects on.
+    Its ``index`` attribute is what ``run_acceptance`` selects on; it joins ``ALL_CRITERIA``.
     """
 
     def make(body):
@@ -77,6 +78,7 @@ def _criterion(name: str, budget: float):
             return CriterionResult(index, name, passed, elapsed < budget, elapsed, budget, detail)
 
         criterion.index = index
+        _REGISTERED.append(criterion)
         return criterion
 
     return make
@@ -266,18 +268,7 @@ def criterion_10_iteration_suite():
     return rep.all_passed, detail
 
 
-ALL_CRITERIA = (
-    criterion_1_excursion_constant,
-    criterion_2_series_excursion_consistency,
-    criterion_3_closed_form_roots,
-    criterion_4_margin_grid,
-    criterion_5_ode_oracle,
-    criterion_6_lattice_oracle,
-    criterion_7_monte_carlo_headline,
-    criterion_8_empirical_optimality,
-    criterion_9_shape_suite,
-    criterion_10_iteration_suite,
-)
+ALL_CRITERIA = tuple(_REGISTERED)
 
 
 def run_acceptance(indices: tuple[int, ...] | None = None) -> list[CriterionResult]:

@@ -54,6 +54,7 @@ from .series import (
 # complementarity residual fd_value accepts (an exact sweep reads about 1e-16).
 _RESIDUAL_TOL = 1e-8
 _LCP_TOL = 1e-12
+_ODE_STEP = 1e-3  # Z_from_ode's RK4 step
 
 
 class AccuracyError(RuntimeError):
@@ -230,18 +231,15 @@ def ode_residual(sol: OdeSolution) -> np.ndarray:
     return np.abs(res) / (1.0 + np.abs(g))
 
 
-def Z_from_ode(
-    params: ModelParams,
-    ymax: float | None = None,
-    step: float = 1e-3,
-) -> tuple[float, OdeSolution]:
+def Z_from_ode(params: ModelParams, ymax: float | None = None) -> tuple[float, OdeSolution]:
     """Boundary scale read off the ODE solution, independent of the series root.
 
     Locates the sign change of w(y) = 2 y g'(y) - n g(y) along the RK4
     solution and refines it on the bracketing cell with cubic Hermite
-    interpolation.  The first shot spans ``ymax``, by default half of
-    ``default_ymax``, that is [0, 2 z_guess] with z_guess = max(1, (alpha +
-    n)/2); if no sign change shows up, one shot over twice the range follows.
+    interpolation, on shots of step ``_ODE_STEP``.  The first shot spans
+    ``ymax``, by default half of ``default_ymax``, that is [0, 2 z_guess]
+    with z_guess = max(1, (alpha + n)/2); if no sign change shows up, one shot
+    over twice the range follows, and a RangeError names that second range.
     Z read at most 0.69 of the default first range over 6,000 log-uniform
     pairs in [0.05, 60]^2 and [0.01, 200]^2, and on the gate's 25 pairs it
     is bit for bit the Z a shot over all of ``default_ymax`` reads (off them
@@ -249,7 +247,7 @@ def Z_from_ode(
     the solution Z was read from, so a caller can read its residual
     (``sol.residual``) without shooting again.
 
-    At the default step 1e-3 the answer is checked or refused: 78 of 400
+    At its step 1e-3 the answer is checked or refused: 78 of 400
     log-uniform pairs in [0.05, 60]^2 raise AccuracyError, all with n > 7
     and n/alpha > 1.8, e.g. (2.79, 15.0) and (7.84, 20.4), where the
     residual exceeds ``_RESIDUAL_TOL`` within 0.12 past the series seed
@@ -258,8 +256,8 @@ def Z_from_ode(
     a, n = params.alpha, params.n
     if ymax is None:
         ymax = 0.5 * default_ymax(params)
-    for attempt in range(2):
-        sol = ode_shoot(params, ymax, step)
+    for shot in (ymax, 2.0 * ymax):
+        sol = ode_shoot(params, shot, _ODE_STEP)
         y, g, p = sol.grid, sol.g_values, sol.g_prime_values
         w = 2.0 * y * p - n * g
         pos = np.nonzero(w > 0.0)[0]
@@ -284,8 +282,7 @@ def Z_from_ode(
                 return h00 * w0 + h10 * h * d0 + h01 * w1 + h11 * h * d1
 
             return solve_root(hermite, y0, y1, 1e-14).value, sol
-        ymax *= 2.0
-    raise RangeError(f"no sign change of 2y g' - n g below ymax={ymax}")
+    raise RangeError(f"no sign change of 2y g' - n g below ymax={shot}")
 
 
 def _kummer(b: float, c: float, x: float) -> float:
@@ -326,21 +323,21 @@ def kummer_psi(params: ModelParams, y: float) -> float:
     return _kummer(0.5 * params.n, 0.5 * params.alpha, 0.5 * y)
 
 
-def kummer_Z(params: ModelParams, tol: float = 1e-10) -> float:
+def kummer_Z(params: ModelParams) -> float:
     """Boundary scale from Kummer's function, independent of the series.
 
     M'(b, c, x) = (b/c) M(b+1, c+1, x) turns the smooth-fit function into
     F(z)/n = z M(n/2 + 1, alpha/2 + 1, z/2) / alpha - M(n/2, alpha/2, z/2),
     which is -1 at z = 0 for every pair; ``solve_root`` brackets its root from
-    0 to ``tol``.  On the diagonal both M are e^{z/2}, so Z = n exactly.  The
+    0 to 1e-10.  On the diagonal both M are e^{z/2}, so Z = n exactly.  The
     last root is remembered, as in ``find_Z``, so ``kummer_value`` solves once
     per pair however many (t, q) it is asked for.
     """
-    return _kummer_root(params, _require("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True))
+    return _kummer_root(params)
 
 
 @lru_cache(maxsize=1)
-def _kummer_root(params: ModelParams, tol: float) -> float:
+def _kummer_root(params: ModelParams) -> float:
     # One slot: callers evaluate one pair at many (t, q) before the next pair.
     a, n = params.alpha, params.n
 
@@ -352,7 +349,7 @@ def _kummer_root(params: ModelParams, tol: float) -> float:
     # Z lay below (alpha + n)/2 + 1 on every pair tried, from 1e-3 to 2e4, and
     # an upper end far past Z overflows M at large alpha, so the bracket ends
     # just past that and doubling is only a safeguard.
-    return solve_root(f, 0.0, 0.5 * (a + n) + 2.0, tol, grow_cap=2.0**40).value
+    return solve_root(f, 0.0, 0.5 * (a + n) + 2.0, 1e-10, grow_cap=2.0**40).value
 
 
 def kummer_value(params: ModelParams, t: float, q: float) -> float:

@@ -744,13 +744,18 @@ def policy_sweep(
     carry the paired difference statistics against the m = 1 row when it is
     present, regressed on the difference of the two levels' controls and
     taken over antithetic pair means.  With the optimal Z the m = 1 row
-    should have the maximal mean up to confidence-interval overlap.
+    should have the maximal mean up to confidence-interval overlap.  A
+    repeated multiplier would walk one level twice, and pair a second m = 1
+    row against the first, so repeats are refused with a ValueError.
     """
     mult = [
         _require("multiplier", m, 0.0, math.inf, open_lo=True, open_hi=True) for m in multipliers
     ]
     if not mult:
         raise ValueError("multipliers must not be empty")
+    repeats = ", ".join(map(repr, sorted({m for m in mult if mult.count(m) > 1})))
+    if repeats:
+        raise ValueError(f"multipliers must be distinct, got {repeats} repeated")
     if Z is None:
         from .boundary import find_Z
 

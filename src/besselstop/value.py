@@ -86,12 +86,12 @@ def build_excursion() -> ExcursionSolution:
 
 
 def U_star(sol: CandidateSolution, t: float, q):
-    """Candidate value in squared coordinates; scalar t, scalar or array q."""
+    """Candidate value in squared coordinates; scalar t, scalar or array q; a float for scalar q."""
     import numpy as np
 
     t = _require("t", t, 0.0, 1.0)
     scalar = np.isscalar(q) or np.ndim(q) == 0
-    qa = np.atleast_1d(np.asarray(q, dtype=float)).copy()
+    qa = np.atleast_1d(np.asarray(q, dtype=float))
     if not np.all(qa >= 0.0):  # a NaN fails this too
         raise ValueError("q must be nonnegative")
     n = sol.params.n
@@ -105,14 +105,13 @@ def U_star(sol: CandidateSolution, t: float, q):
 
 
 def V_star(sol: CandidateSolution, t: float, x):
-    """Candidate value in original coordinates: V*(t, x) = U*(t, x^2)."""
+    """Candidate value in original coordinates, V*(t, x) = U*(t, x^2): a float for scalar x."""
     import numpy as np
 
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):  # a NaN fails this too
         raise ValueError("x must be nonnegative")
-    out = U_star(sol, t, xa * xa)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return U_star(sol, t, xa * xa)
 
 
 def boundary_q(sol: CandidateSolution, t):

@@ -39,6 +39,10 @@ DELTA_FORM = "delta_form"
 
 # Relative change of the series value that an index shift may cause.
 _INVARIANCE_TOL = 1e-8
+# The slack below zero a monotone bound row still passes at: rounding.
+_BOUND_TOL = -1e-12
+# Points of the shape checks' grids on [0, C] and [0, Z].
+_SHAPE_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -304,6 +308,18 @@ def _slack_leq(value: float, bound: float) -> float:
     return (bound - value) / scale
 
 
+def _bound_row(name: str, cause: str, r: int, *pairs: tuple[float, float]) -> CheckResult:
+    """Row ``name``: 'value <= bound' for every pair, margin the least slack; a value
+    or bound out of float range raises ``_out_of_range(cause, r)``.  A plain loop:
+    criterion 10 builds 948 rows a run."""
+    m = math.inf
+    for value, bound in pairs:
+        if not (math.isfinite(value) and math.isfinite(bound)):
+            raise _out_of_range(cause, r)
+        m = min(m, _slack_leq(value, bound))
+    return CheckResult(name, m >= _BOUND_TOL, m, _BOUND_TOL)
+
+
 def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport:
     """Bounds D_r <= g^r and B_r <= -g^r (1 + 2r/g) for the (n, g) iteration.
 
@@ -325,17 +341,10 @@ def check_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport
     r0 = int(math.floor(ratio)) + 1
     states = _iterate(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1), cause)
     checks = []
-    tol = -1e-12
     for st in states[: r_max + 1]:
-        g_r = _power(gamma, st.r)
-        bound_B = -g_r * (1.0 + 2.0 * st.r / gamma)
-        if not (math.isfinite(g_r) and math.isfinite(bound_B)):
-            raise _out_of_range(cause, st.r)
-        m1 = _slack_leq(st.D_r, g_r)
-        m2 = _slack_leq(st.B_r, bound_B)
-        checks.append(
-            CheckResult(f"growth_bound_r{st.r:02d}", min(m1, m2) >= tol, min(m1, m2), tol)
-        )
+        r, g_r = st.r, _power(gamma, st.r)
+        pairs = (st.D_r, g_r), (st.B_r, -g_r * (1.0 + 2.0 * r / gamma))
+        checks.append(_bound_row(f"growth_bound_r{r:02d}", cause, r, *pairs))
     term = states[r0 + 1].D_r
     checks.append(
         CheckResult("termination_D_negative", term < 0.0, -term, 0.0)
@@ -376,7 +385,6 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
             f"{cause}: the even bound at r=8 holds only for delta <= {_DELTA_EVEN_MAX!r}"
         )
     checks = []
-    tol = -1e-12
     for st in states[7 : r_max + 1]:
         r = st.r
         d_r, d_r1 = _power(delta, r), _power(delta, r - 1)
@@ -386,10 +394,7 @@ def check_delta_bounds(delta: float, r_max: int) -> VerificationReport:
         else:
             bd = -d_r - 4.0 * r * d_r1
             bb = d_r
-        if not (math.isfinite(bd) and math.isfinite(bb)):
-            raise _out_of_range(cause, r)
-        m = min(_slack_leq(st.D_r, bd), _slack_leq(st.B_r, bb))
-        checks.append(CheckResult(f"parity_bound_r{r:02d}", m >= tol, m, tol))
+        checks.append(_bound_row(f"parity_bound_r{r:02d}", cause, r, (st.D_r, bd), (st.B_r, bb)))
     st = states[r_star]
     both_neg = st.D_r < 0.0 and st.B_r < 0.0
     checks.append(
@@ -418,15 +423,10 @@ def check_dominance(alpha: float, delta: float, r_max: int) -> VerificationRepor
     with_a = _iterate(DELTA_FORM, (alpha, delta), r_max, cause)
     at_zero = _iterate(DELTA_FORM, (0.0, delta), r_max, cause)
     checks = []
-    tol = -1e-12
     for sa, s0 in zip(with_a, at_zero):
-        m = min(_slack_leq(sa.D_r, s0.D_r), _slack_leq(sa.B_r, s0.B_r))
-        checks.append(CheckResult(f"dominance_r{sa.r:02d}", m >= tol, m, tol))
-        total = s0.D_r + s0.B_r
-        if not math.isfinite(total):
-            raise _out_of_range(cause, sa.r)
-        ms = _slack_leq(total, 0.0)
-        checks.append(CheckResult(f"zero_dim_sum_r{sa.r:02d}", ms >= tol, ms, tol))
+        r, pairs = sa.r, ((sa.D_r, s0.D_r), (sa.B_r, s0.B_r))
+        checks.append(_bound_row(f"dominance_r{r:02d}", cause, r, *pairs))
+        checks.append(_bound_row(f"zero_dim_sum_r{r:02d}", cause, r, (s0.D_r + s0.B_r, 0.0)))
     return VerificationReport(tuple(checks))
 
 
@@ -445,9 +445,7 @@ def H_value(params: ModelParams) -> float:
     return lambda_eval(LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=params.n, gamma=g))
 
 
-def candidate_shape_checks(
-    params: ModelParams | None = None, grid_points: int = 10_000
-) -> VerificationReport:
+def candidate_shape_checks(params: ModelParams | None = None) -> VerificationReport:
     """Grid checks of the qualitative shape facts the optimality proof leans on.
 
     Excursion mode (``params`` is None): the scaled profile f has f(0) = B,
@@ -456,9 +454,9 @@ def candidate_shape_checks(
 
     General mode: the continuation profile dominates the payoff on [0, Z] and
     the payoff drift h(t, q) = n q^{n/2-1} ((alpha+n-2)/2 - q/(1-t)) is
-    nonpositive throughout the stopping region.
+    nonpositive throughout the stopping region.  Both grids take
+    ``_SHAPE_GRID_POINTS`` points.
     """
-    _require_int("grid_points", grid_points, 1)
     checks = []
     if params is None:
         from .boundary import exp_t2_integral as integral
@@ -467,7 +465,7 @@ def candidate_shape_checks(
         exc = build_excursion()
         C, B = exc.C, exc.B
 
-        y = np.linspace(1e-3, C * (1.0 - 1e-12), grid_points)
+        y = np.linspace(1e-3, C * (1.0 - 1e-12), _SHAPE_GRID_POINTS)
         f = B * integral(y) / y
         fp = (B * np.exp(0.5 * y * y) - f) / y
         fpp = (y * f - (2.0 - y * y) * fp) / y
@@ -509,7 +507,7 @@ def candidate_shape_checks(
 
         sol = build_candidate(params)
         a, n, Z = params.alpha, params.n, sol.Z
-        z = np.linspace(0.0, Z, grid_points)
+        z = np.linspace(0.0, Z, _SHAPE_GRID_POINTS)
         gap = sol.E1 * psi_eval(sol.table, z) - z ** (0.5 * n)
         checks.append(
             CheckResult(
@@ -546,20 +544,17 @@ INVARIANCE_CASES = (
 PARAMETER_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0)
 
 
-def run_iteration_checks(
-    steps: int = 12,
-    r_max: int = 60,
-    grid: tuple[float, ...] = PARAMETER_GRID,
-) -> VerificationReport:
+def run_iteration_checks(steps: int = 12, r_max: int = 60) -> VerificationReport:
     """Full battery on the series-identity side: invariance, sign, bounds.
 
     Covers the index-shift invariance on all three regimes, negativity of the
-    scaled smooth-fit value wherever alpha + n > 2 together with its identity
-    against the direct series, the closed-form polynomial rows against the
-    exact iteration, and the three families of monotone bounds up to r_max.
-    The bound iterates leave float range from r = 145, so past r_max = 144
-    the battery raises ValueError naming r_max and that r (see
-    ``check_gamma_bounds``) rather than compare infinities.
+    scaled smooth-fit value on the ``PARAMETER_GRID`` pairs with alpha + n > 2
+    together with its identity against the direct series, the closed-form
+    polynomial rows against the exact iteration, and the three families of
+    monotone bounds up to r_max (one ``_bound_row`` per r).  The bound
+    iterates leave float range from r = 145, so past r_max = 144 the battery
+    raises ValueError naming r_max and that r (see ``check_gamma_bounds``)
+    rather than compare infinities.
     """
     from fractions import Fraction
 
@@ -578,8 +573,8 @@ def run_iteration_checks(
             CheckResult(f"invariance_n{n:g}_g{g:g}", inv.all_passed, worst, _INVARIANCE_TOL)
         )
 
-    for a in grid:
-        for n in grid:
+    for a in PARAMETER_GRID:
+        for n in PARAMETER_GRID:
             if a + n <= 2.0:
                 continue
             params = ModelParams(a, n)

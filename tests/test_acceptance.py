@@ -75,6 +75,18 @@ def test_all_criteria_in_index_order():
     assert all(name.startswith("criterion_") for name in names)
 
 
+def test_all_criteria_are_the_modules_criterion_functions():
+    # @_criterion is the one declaration: every criterion_<k>_* the module
+    # defines is in ALL_CRITERIA once, in index order, as the timed object
+    # the decorator returns; one defined without the decorator is missing
+    defined = {
+        name: fn for name, fn in vars(acceptance).items() if name.startswith("criterion_")
+    }
+    order = sorted(defined, key=lambda name: int(name.split("_")[1]))
+    assert list(acceptance.ALL_CRITERIA) == [defined[name] for name in order]
+    assert [fn.index for fn in acceptance.ALL_CRITERIA] == list(range(1, len(order) + 1))
+
+
 @pytest.mark.parametrize("indices", [(11,), (0,), (1, 11), ()], ids=["11", "0", "1,11", "none"])
 def test_unknown_criterion_is_rejected(indices, monkeypatch):
     # a selection naming no real criterion must not come back as an empty,

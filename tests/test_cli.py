@@ -117,6 +117,14 @@ def test_usage_error_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_refuses_repeated_multipliers(capsys):
+    # a second m = 1 row used to print "candidate": true with a paired mean
+    # and stderr of 0.0 against the first
+    assert main(["sweep", "--multipliers", "1,1", "--paths", "64", "--steps", "16"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "multipliers must be distinct, got 1.0 repeated" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["boundary", "--tol"], ["coeffs", "--ymax"], ["dp-oracle", "--q-max"], ["coeffs", "--eps"]],

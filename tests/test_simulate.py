@@ -1075,6 +1075,10 @@ def test_sweep_validation():
             policy_sweep(cfg, bad)
     with pytest.raises(ValueError, match="Z must be positive"):
         policy_sweep(cfg, [1.0], Z=math.nan)
+    # a repeat walks one level twice, and a second m = 1 row would pair
+    # against the first with a mean and stderr of 0
+    with pytest.raises(ValueError, match=r"distinct, got 0\.5, 1\.0 repeated"):
+        policy_sweep(cfg, [1.0, 0.5, 1.0, 0.5, 0.5], Z=1.0)
 
 
 def test_path_seeds_are_distinct_and_stable():

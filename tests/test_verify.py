@@ -281,7 +281,7 @@ def test_excursion_shape_report():
 def test_general_shape_report():
     rep = candidate_shape_checks(ModelParams(3, 1))
     assert rep.all_passed, rep.failures()
-    rep2 = candidate_shape_checks(ModelParams(0.5, 4.0), grid_points=2000)
+    rep2 = candidate_shape_checks(ModelParams(0.5, 4.0))
     assert rep2.all_passed
 
 
@@ -297,16 +297,16 @@ def test_report_serialization():
 
 
 def test_iteration_suite_fast_configuration():
-    rep = run_iteration_checks(steps=6, r_max=20, grid=(0.5, 2.0, 5.0))
+    rep = run_iteration_checks(steps=6, r_max=20)
     assert rep.all_passed, rep.failures()
 
 
 @pytest.mark.parametrize(
     "name, call",
     [
-        pytest.param("steps", lambda: run_iteration_checks(steps=2.5, r_max=20, grid=(0.5,)),
+        pytest.param("steps", lambda: run_iteration_checks(steps=2.5, r_max=20),
                      id="run_iteration_checks-steps"),
-        pytest.param("r_max", lambda: run_iteration_checks(steps=2, r_max=20.5, grid=(0.5,)),
+        pytest.param("r_max", lambda: run_iteration_checks(steps=2, r_max=20.5),
                      id="run_iteration_checks-r_max"),
         pytest.param("r_max", lambda: iterate_DB(GAMMA_FORM, (1.0, 2.0), 8.0), id="iterate_DB"),
         pytest.param("r_max", lambda: check_gamma_bounds(1.0, 2.0, 8.5), id="check_gamma_bounds"),
@@ -314,10 +314,6 @@ def test_iteration_suite_fast_configuration():
         pytest.param("r_max", lambda: check_dominance(2.0, 1.0, 9.5), id="check_dominance"),
         pytest.param("K", lambda: LambdaParams(D=1.0, B=-1.0, Delta=0.0, n=1.0, gamma=0.5, K=400.5),
                      id="LambdaParams-K"),
-        pytest.param("grid_points", lambda: candidate_shape_checks(ModelParams(3, 1), grid_points=2.5),
-                     id="candidate_shape_checks-general"),
-        pytest.param("grid_points", lambda: candidate_shape_checks(None, grid_points=True),
-                     id="candidate_shape_checks-excursion"),
         pytest.param("t_points", lambda: cli.emit_boundary_curve(build_candidate(ModelParams(3, 1)), 2.5),
                      id="emit_boundary_curve"),
         pytest.param("t_points", lambda: cli.run(cli.RunConfig("boundary", out_format="csv", t_points=2.5)),
@@ -335,11 +331,11 @@ def test_iteration_battery_refuses_iterates_past_float_range():
     # B_r grows like 2^r r!: at (n, gamma) = (3, 8), B_145 is -inf in floats,
     # its slack NaN, which min() would drop from a battery's margin; from
     # r = 320 on, gamma**r itself overflows
-    assert run_iteration_checks(steps=2, r_max=144, grid=(0.5,)).all_passed
+    assert run_iteration_checks(steps=2, r_max=144).all_passed
     for r_max in (145, 146, 320):
         # the first battery refused: (3, 8) at r = 145, or (1, 2) at r = 149
         with pytest.raises(ValueError, match=rf"r_max={r_max}\): the iterate or bound at r=14[59] leaves"):
-            run_iteration_checks(steps=2, r_max=r_max, grid=(0.5,))
+            run_iteration_checks(steps=2, r_max=r_max)
     with pytest.raises(ValueError, match=r"r_max=145: the iterate or bound at r=145 "):
         iterate_DB(GAMMA_FORM, (3.0, 8.0), 145)
     assert len(iterate_DB(GAMMA_FORM, (3.0, 8.0), 144)) == 145
@@ -381,6 +377,153 @@ def test_bound_checks_refuse_instead_of_overflowing(call):
         call()
 
 
+# The three monotone-bound batteries as they were before their rows went
+# through one builder (verify._bound_row), kept verbatim: the builder must
+# give the same rows and the same refusals, bit for bit.
+_iterate, _power, _slack_leq = verify._iterate, verify._power, verify._slack_leq
+_out_of_range, _require, _require_int = verify._out_of_range, verify._require, verify._require_int
+
+
+def _kept_gamma_bounds(n: float, gamma: float, r_max: int) -> VerificationReport:
+    cause = f"check_gamma_bounds(n={n!r}, gamma={gamma!r}, r_max={r_max})"
+    # floats, so an iterate out of range reads inf, never a huge int
+    n = _require("n", n, 0.0, math.inf, open_lo=True, open_hi=True)
+    gamma = _require("gamma", gamma, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require_int("r_max", r_max, 0)
+    ratio = gamma * gamma / (2.0 * n)
+    if ratio == math.inf:
+        raise ValueError(f"{cause}: the termination index g^2/(2n) leaves float range")
+    r0 = int(math.floor(ratio)) + 1
+    states = _iterate(GAMMA_FORM, (n, gamma), max(r_max, r0 + 1), cause)
+    checks = []
+    tol = -1e-12
+    for st in states[: r_max + 1]:
+        g_r = _power(gamma, st.r)
+        bound_B = -g_r * (1.0 + 2.0 * st.r / gamma)
+        if not (math.isfinite(g_r) and math.isfinite(bound_B)):
+            raise _out_of_range(cause, st.r)
+        m1 = _slack_leq(st.D_r, g_r)
+        m2 = _slack_leq(st.B_r, bound_B)
+        checks.append(
+            CheckResult(f"growth_bound_r{st.r:02d}", min(m1, m2) >= tol, min(m1, m2), tol)
+        )
+    term = states[r0 + 1].D_r
+    checks.append(
+        CheckResult("termination_D_negative", term < 0.0, -term, 0.0)
+    )
+    return VerificationReport(tuple(checks))
+
+
+def _kept_delta_bounds(delta: float, r_max: int) -> VerificationReport:
+    cause = f"check_delta_bounds(delta={delta!r}, r_max={r_max})"
+    delta = _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require_int("r_max", r_max, 7)  # where the bounds start
+    # the first odd r >= 7 with r > delta/2; | 1 steps an even r to the next odd
+    r_star = max(7, math.floor(delta / 2.0) + 1) | 1
+    states = _iterate(DELTA_FORM, (0.0, delta), max(r_max, r_star), cause)
+    if r_max >= 8 and delta > verify._DELTA_EVEN_MAX:
+        raise ValueError(
+            f"{cause}: the even bound at r=8 holds only for delta <= {verify._DELTA_EVEN_MAX!r}"
+        )
+    checks = []
+    tol = -1e-12
+    for st in states[7 : r_max + 1]:
+        r = st.r
+        d_r, d_r1 = _power(delta, r), _power(delta, r - 1)
+        if r % 2 == 1:
+            bd = -d_r - 2.0 * r * d_r1
+            bb = d_r - 2.0 * r * d_r1
+        else:
+            bd = -d_r - 4.0 * r * d_r1
+            bb = d_r
+        if not (math.isfinite(bd) and math.isfinite(bb)):
+            raise _out_of_range(cause, r)
+        m = min(_slack_leq(st.D_r, bd), _slack_leq(st.B_r, bb))
+        checks.append(CheckResult(f"parity_bound_r{r:02d}", m >= tol, m, tol))
+    st = states[r_star]
+    both_neg = st.D_r < 0.0 and st.B_r < 0.0
+    checks.append(
+        CheckResult(
+            f"termination_both_negative_r{r_star:02d}",
+            both_neg,
+            -max(st.D_r, st.B_r),
+            0.0,
+        )
+    )
+    return VerificationReport(tuple(checks))
+
+
+def _kept_dominance(alpha: float, delta: float, r_max: int) -> VerificationReport:
+    cause = f"check_dominance(alpha={alpha!r}, delta={delta!r}, r_max={r_max})"
+    alpha = _require("alpha", alpha, 0.0, math.inf, open_hi=True)
+    delta = _require("delta", delta, 0.0, math.inf, open_lo=True, open_hi=True)
+    _require_int("r_max", r_max, 0)
+    with_a = _iterate(DELTA_FORM, (alpha, delta), r_max, cause)
+    at_zero = _iterate(DELTA_FORM, (0.0, delta), r_max, cause)
+    checks = []
+    tol = -1e-12
+    for sa, s0 in zip(with_a, at_zero):
+        m = min(_slack_leq(sa.D_r, s0.D_r), _slack_leq(sa.B_r, s0.B_r))
+        checks.append(CheckResult(f"dominance_r{sa.r:02d}", m >= tol, m, tol))
+        total = s0.D_r + s0.B_r
+        if not math.isfinite(total):
+            raise _out_of_range(cause, sa.r)
+        ms = _slack_leq(total, 0.0)
+        checks.append(CheckResult(f"zero_dim_sum_r{sa.r:02d}", ms >= tol, ms, tol))
+    return VerificationReport(tuple(checks))
+
+
+# run_iteration_checks' 12 argument sets, each with its kept loop
+_BOUND_BATTERIES = (
+    [(check_gamma_bounds, _kept_gamma_bounds, (n, g))
+     for n, g in ((1.0, 2.0), (0.5, 5.0), (2.0, 0.3), (3.0, 8.0))]
+    + [(check_delta_bounds, _kept_delta_bounds, (d,)) for d in (0.1, 1.0, 3.0, 10.0)]
+    + [(check_dominance, _kept_dominance, (a, d))
+       for a, d in ((2.0, 1.0), (0.5, 4.0), (1.0, 2.0), (3.0, 10.0))]
+)
+
+
+def _outcome(check, *args):
+    """Every row's fields, floats as hex, or the refusal's message."""
+    try:
+        rep = check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [(c.name, c.passed, c.margin.hex(), c.tolerance.hex()) for c in rep.checks]
+
+
+@pytest.mark.parametrize("r_max", [7, 60, 144, 145, 146, 320])
+def test_bound_rows_match_the_kept_loops(r_max):
+    for check, kept, args in _BOUND_BATTERIES:
+        want = _outcome(kept, *args, r_max)
+        assert _outcome(check, *args, r_max) == want, (check.__name__, args)
+        if r_max <= 144:
+            assert isinstance(want, list), want
+
+
+@pytest.mark.parametrize(
+    "check, kept, args",
+    [
+        (check_gamma_bounds, _kept_gamma_bounds, (3, 8, 400)),
+        (check_gamma_bounds, _kept_gamma_bounds, (1, 100, 5)),
+        (check_dominance, _kept_dominance, (3, 10, 400)),
+        (check_gamma_bounds, _kept_gamma_bounds, (1.0, 1e200, 5)),
+        (check_delta_bounds, _kept_delta_bounds, (1e308, 7)),
+        (check_delta_bounds, _kept_delta_bounds, (300, 8)),
+        (check_dominance, _kept_dominance, (3.0, 10.0, 148)),
+        # 2r/gamma overflows at r = 1 while the iterates stay finite: the
+        # bound, not the iteration, is what leaves float range
+        (check_gamma_bounds, _kept_gamma_bounds, (1.0, 1e-310, 5)),
+    ],
+    ids=["int-gamma", "int-termination", "int-dominance", "huge-gamma", "huge-delta",
+         "delta-300", "dominance-148", "tiny-gamma"],
+)
+def test_bound_refusals_match_the_kept_loops(check, kept, args):
+    want = _outcome(kept, *args)
+    assert isinstance(want, str) and "leaves float range" in want
+    assert _outcome(check, *args) == want
+
+
 @pytest.mark.parametrize("delta", [0.1, 13.0, 14.0, 15.0, 15.5, 16.0, 17.99, 100.0, 101.0, 229.0])
 def test_delta_bounds_termination_index_is_the_first_odd_r_past_delta_over_two(delta):
     r_star = 7
@@ -391,7 +534,7 @@ def test_delta_bounds_termination_index_is_the_first_odd_r_past_delta_over_two(d
 
 def test_batteries_list_their_checks_sorted_by_name():
     for rep in (
-        run_iteration_checks(steps=2, r_max=10, grid=(0.5, 3.0)),
+        run_iteration_checks(steps=2, r_max=10),
         run_shape_checks((ModelParams(2, 2),)),
         run_shape_checks(()),
     ):
@@ -403,4 +546,4 @@ def test_batteries_list_their_checks_sorted_by_name():
 def test_iteration_suite_rejects_empty_invariance_run(steps):
     # zero steps leave no invariance checks, and their worst margin has no maximum
     with pytest.raises(ValueError, match="steps must be at least 1"):
-        run_iteration_checks(steps=steps, r_max=20, grid=(0.5,))
+        run_iteration_checks(steps=steps, r_max=20)
